@@ -53,28 +53,32 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def load_config(args: argparse.Namespace) -> RouterConfig:
-    def read(path: str) -> str:
-        try:
-            return Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc}") from exc
+def _read_config(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
+
+def load_config(args: argparse.Namespace) -> RouterConfig:
     try:
         lan_prefix = Cidr.parse(args.lan_prefix)
     except ValueError as exc:
         raise ConfigError(f"--lan-prefix: {exc}") from exc
     return RouterConfig(
         lan_prefix=lan_prefix,
-        rules=parse_rules(read(args.rules)),
-        qos=parse_qos(read(args.qos)),
-        routes=parse_routes(read(args.routes)),
-        nat=parse_nat_config(read(args.nat)),
+        rules=parse_rules(_read_config(args.rules)),
+        qos=parse_qos(_read_config(args.qos)),
+        routes=parse_routes(_read_config(args.routes)),
+        nat=parse_nat_config(_read_config(args.nat)),
     )
 
 
 def _trace_spec(args: argparse.Namespace) -> TraceSpec:
-    peers = tuple(parse_ip(p) for p in args.peers.split(",") if p)
+    try:
+        peers = tuple(parse_ip(p) for p in args.peers.split(",") if p)
+    except ValueError as exc:
+        raise ConfigError(f"--peers: {exc}") from exc
     try:
         lan_prefix = Cidr.parse(args.lan_prefix)
     except ValueError as exc:
@@ -89,7 +93,7 @@ def _trace_spec(args: argparse.Namespace) -> TraceSpec:
     )
     # replies target the gateway identity; align it with the NAT config if given
     if getattr(args, "nat", None):
-        nat = parse_nat_config(Path(args.nat).read_text(encoding="utf-8"))
+        nat = parse_nat_config(_read_config(args.nat))
         spec = replace(spec, nat_public=nat.public_addr, nat_port_lo=nat.port_lo)
     return spec
 
@@ -102,9 +106,16 @@ def _read_trace(path: str):
     return load_trace(text)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_or_print(text: str, path: str | None) -> None:
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        _write(path, text)
     else:
         sys.stdout.write(text)
 
@@ -120,11 +131,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     pipeline = make_pipeline(args.pipeline, config)
     verdicts, report = run_pipeline(pipeline, packets)
     if args.verdicts:
-        Path(args.verdicts).write_text(
-            "".join(render_verdict(v) + "\n" for v in verdicts), encoding="utf-8"
-        )
+        _write(args.verdicts, "".join(render_verdict(v) + "\n" for v in verdicts))
     if args.out:
-        Path(args.out).write_text(f"{CSV_HEADER}\n{csv_row(report)}\n", encoding="utf-8")
+        _write(args.out, f"{CSV_HEADER}\n{csv_row(report)}\n")
     print(report.summary())
     return EXIT_OK
 
@@ -140,6 +149,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.reps < 1:
+        raise ConfigError(f"--reps: must be >= 1, got {args.reps}")
     config = load_config(args)
     packets = generate_packets(_trace_spec(args))
     reports, medians = bench(config, packets, args.reps)

@@ -24,6 +24,7 @@ from flowgate.pipelines import (
     Dropped,
     DropReason,
     IntegratedPipeline,
+    LookupAccounting,
     RouterConfig,
     Verdict,
 )
@@ -95,6 +96,10 @@ def generate_packets(spec: TraceSpec) -> list[Packet]:
     """Expand a TraceSpec into packets, round-robin interleaved across sessions."""
     if not spec.peers:
         raise ConfigError("trace spec needs at least one peer address")
+    if spec.sessions < 0 or spec.packets_per_session < 0:
+        raise ConfigError("trace spec needs sessions and packets per session >= 0")
+    if not 0.0 <= spec.tcp_fraction <= 1.0:
+        raise ConfigError(f"trace spec needs a TCP fraction in [0, 1], got {spec.tcp_fraction}")
     rng = random.Random(spec.seed)
     lan_base = spec.lan_prefix.network + 1
     host_space = max(2 ** (32 - spec.lan_prefix.prefix_len) - 2, 1)
@@ -158,14 +163,8 @@ class MetricsReport:
     def dropped_total(self) -> int:
         return sum(self.dropped.values())
 
-    def total_consultations(self) -> int:
-        return (
-            self.nat_lookups
-            + self.session_lookups
-            + self.rule_evals
-            + self.qos_classifications
-            + self.route_lookups
-        )
+    # the same five counter names, so one definition of the sum serves both
+    total_consultations = LookupAccounting.total_consultations
 
     def record(self, verdict: Verdict) -> None:
         self.packets += 1

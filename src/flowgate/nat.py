@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 from flowgate.errors import ConfigError
 from flowgate.packet import Packet, SessionId, format_ip, parse_ip
-
-Key = tuple[int, int, int, int, int]
+from flowgate.session_table import DualIndexTable
 
 
 class NatPoolExhausted(RuntimeError):
@@ -87,28 +87,26 @@ class NatMapping:
     expiry: float
 
     @property
-    def forward_key(self) -> Key:
+    def outbound_key(self) -> tuple:
         return (self.lan_addr, self.lan_port, self.ext_addr, self.ext_port, self.proto)
 
     @property
-    def reverse_key(self) -> Key:
-        return (self.gwy_addr, self.gwy_port, self.ext_addr, self.ext_port, self.proto)
+    def inbound_key(self) -> tuple:
+        return (self.ext_addr, self.ext_port, self.gwy_addr, self.gwy_port, self.proto)
 
 
-class NatTable:
-    """Standalone NAT table for the multi-table pipeline.
+class NatTable(DualIndexTable):
+    """Standalone NAT table for the multi-table pipeline, unbounded.
 
-    Forward map (lan side -> mapping) and reverse map (gwy side -> mapping)
-    are kept mutually consistent; mappings expire lazily like session entries.
+    Forward lookups key on the LAN-side five-tuple, reverse lookups on the
+    reply's wire five-tuple; mappings expire lazily like session entries.
     """
 
-    def __init__(self) -> None:
-        self._fwd: dict[Key, NatMapping] = {}
-        self._rev: dict[Key, NatMapping] = {}
-        self.lookups = 0
+    lookup_forward = DualIndexTable.lookup
+    lookup_reverse = DualIndexTable.lookup_inbound
 
-    def __len__(self) -> int:
-        return len(self._fwd)
+    def __init__(self) -> None:
+        super().__init__(capacity=math.inf)
 
     def allocate(
         self,
@@ -121,11 +119,9 @@ class NatTable:
         now: float,
         expiry: float,
     ) -> NatMapping:
-        existing = self._fwd.get((lan_addr, lan_port, ext_addr, ext_port, proto))
-        if existing is not None:
-            if existing.expiry > now:
-                raise RuntimeError("flow already has a live mapping")
-            self.remove(existing)
+        existing = self._out.get((lan_addr, lan_port, ext_addr, ext_port, proto))
+        if self._live(existing, now) is not None:
+            raise RuntimeError("flow already has a live mapping")
         port = find_free_port(
             cfg,
             ext_addr,
@@ -136,34 +132,18 @@ class NatTable:
         mapping = NatMapping(
             lan_addr, lan_port, cfg.public_addr, port, ext_addr, ext_port, proto, expiry
         )
-        self._fwd[mapping.forward_key] = mapping
-        self._rev[mapping.reverse_key] = mapping
+        self.insert(mapping)
         return mapping
 
-    def remove(self, mapping: NatMapping) -> None:
-        del self._fwd[mapping.forward_key]
-        del self._rev[mapping.reverse_key]
 
-    def _live(self, mapping: NatMapping | None, now: float) -> NatMapping | None:
-        if mapping is None:
-            return None
-        if mapping.expiry <= now:
-            self.remove(mapping)
-            return None
-        return mapping
+def outbound_sid(sid: SessionId, mapping) -> SessionId:
+    """An outbound packet's five-tuple as it leaves: src is the public identity."""
+    return SessionId(mapping.gwy_addr, mapping.gwy_port, sid.dst_addr, sid.dst_port, sid.proto)
 
-    def lookup_forward(self, key: Key, now: float) -> NatMapping | None:
-        self.lookups += 1
-        return self._live(self._fwd.get(key), now)
 
-    def lookup_reverse(self, key: Key, now: float) -> NatMapping | None:
-        self.lookups += 1
-        return self._live(self._rev.get(key), now)
-
-    def port_in_use(
-        self, gwy_addr: int, gwy_port: int, ext_addr: int, ext_port: int, proto: int, now: float
-    ) -> bool:
-        return self._live(self._rev.get((gwy_addr, gwy_port, ext_addr, ext_port, proto)), now) is not None
+def inbound_sid(sid: SessionId, mapping) -> SessionId:
+    """A reply's five-tuple as it leaves: dst is back on the LAN endpoint."""
+    return SessionId(sid.src_addr, sid.src_port, mapping.lan_addr, mapping.lan_port, sid.proto)
 
 
 def translate_outbound(packet: Packet, mapping) -> Packet:
@@ -171,8 +151,7 @@ def translate_outbound(packet: Packet, mapping) -> Packet:
     sid = packet.sid
     if (sid.src_addr, sid.src_port) != (mapping.lan_addr, mapping.lan_port):
         raise ValueError("packet does not match the mapping's LAN side")
-    new_sid = SessionId(mapping.gwy_addr, mapping.gwy_port, sid.dst_addr, sid.dst_port, sid.proto)
-    return replace(packet, sid=new_sid)
+    return replace(packet, sid=outbound_sid(sid, mapping))
 
 
 def translate_inbound(packet: Packet, mapping) -> Packet:
@@ -180,5 +159,4 @@ def translate_inbound(packet: Packet, mapping) -> Packet:
     sid = packet.sid
     if (sid.dst_addr, sid.dst_port) != (mapping.gwy_addr, mapping.gwy_port):
         raise ValueError("packet does not match the mapping's public side")
-    new_sid = SessionId(sid.src_addr, sid.src_port, mapping.lan_addr, mapping.lan_port, sid.proto)
-    return replace(packet, sid=new_sid)
+    return replace(packet, sid=inbound_sid(sid, mapping))

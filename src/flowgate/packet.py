@@ -8,6 +8,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from flowgate.errors import TraceError
 
@@ -100,9 +101,12 @@ class TcpFlags:
 NO_FLAGS = TcpFlags()
 
 
-@dataclass(frozen=True, slots=True)
-class SessionId:
-    """The five-tuple selecting one flow, as carried in a packet header."""
+class SessionId(NamedTuple):
+    """The five-tuple selecting one flow, as carried in a packet header.
+
+    It is a tuple, so it is its own dict key: a plain tuple of the same five
+    values hashes and compares equal to it.
+    """
 
     src_addr: int
     src_port: int

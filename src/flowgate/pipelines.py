@@ -17,18 +17,19 @@ import enum
 from dataclasses import dataclass, field
 
 from flowgate.filters import Action, RuleSet, evaluate
-from flowgate.nat import NatConfig, NatPoolExhausted, NatTable, find_free_port
-from flowgate.packet import (
-    TCP,
-    Cidr,
-    Direction,
-    Packet,
-    SessionId,
-    merge_dscp,
+from flowgate.nat import (
+    NatConfig,
+    NatPoolExhausted,
+    NatTable,
+    find_free_port,
+    inbound_sid,
+    outbound_sid,
 )
+from flowgate.packet import TCP, Cidr, Direction, Packet, SessionId, merge_dscp
 from flowgate.qos import QosPolicy, classify
 from flowgate.routing import RoutingTable
 from flowgate.session_table import (
+    ExpiringTable,
     SessionEntry,
     SessionState,
     SessionTable,
@@ -92,54 +93,16 @@ class Verdict:
 
 @dataclass(slots=True)
 class StateEntry:
-    """Bare connection-tracking record: five-tuple key, state, expiry only."""
+    """Bare connection-tracking record: LAN-side five-tuple, state, expiry only."""
 
-    sid: SessionId
+    outbound_key: SessionId
     proto: int
     state: SessionState
     expiry: float
 
 
-class StateTable:
-    """Single-index state table keyed on the LAN-side five-tuple."""
-
-    def __init__(self, capacity: int = 65536):
-        self.capacity = capacity
-        self._entries: dict[SessionId, StateEntry] = {}
-        self.lookups = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, sid: SessionId, now: float) -> StateEntry | None:
-        self.lookups += 1
-        entry = self._entries.get(sid)
-        if entry is None:
-            return None
-        if entry.expiry <= now:
-            del self._entries[sid]
-            return None
-        return entry
-
-    def insert(self, entry: StateEntry) -> None:
-        if entry.sid in self._entries:
-            raise RuntimeError(f"state key already present: {entry.sid}")
-        if len(self._entries) >= self.capacity:
-            raise TableFullError(f"table at capacity {self.capacity}")
-        self._entries[entry.sid] = entry
-
-    def ensure_capacity(self, now: float) -> None:
-        if len(self._entries) < self.capacity:
-            return
-        self.sweep_expired(now)
-        if len(self._entries) >= self.capacity:
-            raise TableFullError(f"table at capacity {self.capacity}")
-
-    def sweep_expired(self, now: float) -> int:
-        dead = [sid for sid, entry in self._entries.items() if entry.expiry <= now]
-        for sid in dead:
-            del self._entries[sid]
-        return len(dead)
+class StateTable(ExpiringTable):
+    """Single-index state table keyed on the LAN-side five-tuple: a bare conntrack."""
 
 
 @dataclass
@@ -168,6 +131,26 @@ _BASELINE_HIT_ACCT = LookupAccounting(
 _BASELINE_LOCAL_HIT_ACCT = LookupAccounting(
     session_lookups=1, qos_classifications=1, route_lookups=1
 )
+
+
+def _forward(
+    packet: Packet,
+    sid: SessionId,
+    dscp: int,
+    next_hop: int | None,
+    iface: str | None,
+    acct: LookupAccounting,
+) -> Verdict:
+    """The egress step both pipelines share: NoRoute, then TTL, then the rewritten packet."""
+    if next_hop is None:
+        return Verdict(Dropped(DropReason.NO_ROUTE), acct)
+    ttl = packet.ttl - 1
+    if ttl == 0:
+        return Verdict(Dropped(DropReason.TTL_EXPIRED), acct)
+    emitted = Packet(
+        packet.ts, sid, merge_dscp(packet.tos, dscp), ttl, packet.flags, packet.payload_len
+    )
+    return Verdict(Forwarded(next_hop, iface, emitted), acct)
 
 
 class BaselinePipeline:
@@ -206,9 +189,7 @@ class BaselinePipeline:
             mapping = None
             if not lan_to_lan:
                 nat_l += 1
-                mapping = self.nat_table.lookup_forward(
-                    (sid.src_addr, sid.src_port, sid.dst_addr, sid.dst_port, sid.proto), now
-                )
+                mapping = self.nat_table.lookup_forward(sid, now)
             sess_l += 1
             is_hit = False
             entry = self.state_table.lookup(sid, now)
@@ -264,40 +245,25 @@ class BaselinePipeline:
                 self.state_table.insert(StateEntry(sid, sid.proto, state, expiry))
 
             dscp = classify(cfg.qos, sid)
-            out_sid = (
-                SessionId(mapping.gwy_addr, mapping.gwy_port, sid.dst_addr, sid.dst_port, sid.proto)
-                if mapping is not None
-                else sid
-            )
+            out_sid = sid if mapping is None else outbound_sid(sid, mapping)
             route = cfg.routes.lookup(out_sid.dst_addr)
             if is_hit:
                 acct = _BASELINE_LOCAL_HIT_ACCT if lan_to_lan else _BASELINE_HIT_ACCT
             else:
                 acct = LookupAccounting(nat_l, sess_l, rule_e, rules_s, qos_c + 1, route_l + 1)
-            if route is None:
-                return Verdict(Dropped(DropReason.NO_ROUTE), acct)
-            ttl = packet.ttl - 1
-            if ttl == 0:
-                return Verdict(Dropped(DropReason.TTL_EXPIRED), acct)
-            emitted = Packet(
-                packet.ts, out_sid, merge_dscp(packet.tos, dscp), ttl, packet.flags,
-                packet.payload_len,
-            )
-            return Verdict(Forwarded(route.next_hop, route.iface, emitted), acct)
+            hop = (None, None) if route is None else (route.next_hop, route.iface)
+            return _forward(packet, out_sid, dscp, *hop, acct)
 
         # --- inbound ---
         nat_l += 1
-        mapping = self.nat_table.lookup_reverse(
-            (sid.dst_addr, sid.dst_port, sid.src_addr, sid.src_port, sid.proto), now
-        )
+        mapping = self.nat_table.lookup_reverse(sid, now)
         if mapping is None:
             return Verdict(
                 Dropped(DropReason.INBOUND_NO_SESSION),
                 LookupAccounting(nat_l, sess_l, rule_e, rules_s, qos_c, route_l),
             )
-        session_sid = SessionId(
-            mapping.lan_addr, mapping.lan_port, sid.src_addr, sid.src_port, sid.proto
-        )
+        in_sid = inbound_sid(sid, mapping)
+        session_sid = in_sid.reversed()
         sess_l += 1
         entry = self.state_table.lookup(session_sid, now)
         if entry is None:
@@ -315,18 +281,9 @@ class BaselinePipeline:
             )
         mapping.expiry = entry.expiry
         dscp = classify(cfg.qos, session_sid)
-        in_sid = SessionId(sid.src_addr, sid.src_port, mapping.lan_addr, mapping.lan_port, sid.proto)
         route = cfg.routes.lookup(in_sid.dst_addr)
-        acct = _BASELINE_HIT_ACCT
-        if route is None:
-            return Verdict(Dropped(DropReason.NO_ROUTE), acct)
-        ttl = packet.ttl - 1
-        if ttl == 0:
-            return Verdict(Dropped(DropReason.TTL_EXPIRED), acct)
-        emitted = Packet(
-            packet.ts, in_sid, merge_dscp(packet.tos, dscp), ttl, packet.flags, packet.payload_len
-        )
-        return Verdict(Forwarded(route.next_hop, route.iface, emitted), acct)
+        hop = (None, None) if route is None else (route.next_hop, route.iface)
+        return _forward(packet, in_sid, dscp, *hop, _BASELINE_HIT_ACCT)
 
 
 class IntegratedPipeline:
@@ -335,7 +292,7 @@ class IntegratedPipeline:
     A flow's first packet pays the full slow path (rules, NAT allocation,
     classification, and a route lookup for each direction) to populate the
     entry; every later packet in either direction needs exactly one table
-    lookup.
+    lookup, keyed by the packet's own five-tuple.
     """
 
     name = "integrated"
@@ -349,54 +306,34 @@ class IntegratedPipeline:
     def process(self, packet: Packet, now: float | None = None) -> Verdict:
         if now is None:
             now = packet.ts
-        cfg = self.config
         sid = packet.sid
-        if cfg.lan_prefix.contains(sid.src_addr):
-            return self._outbound(packet, sid, now)
-        return self._inbound(packet, sid, now)
-
-    def _hit_verdict(
-        self,
-        packet: Packet,
-        entry: SessionEntry,
-        direction: Direction,
-        now: float,
-        acct: LookupAccounting,
-    ) -> Verdict:
-        """Everything after a successful lookup: one shot, no further searches."""
-        if not advance(entry, packet.flags, direction, now, self.config.timeouts):
-            return Verdict(Dropped(DropReason.STATE_VIOLATION), acct)
-        sid = packet.sid
-        if direction is Direction.OUTBOUND:
-            out_sid = (
-                SessionId(entry.gwy_addr, entry.gwy_port, sid.dst_addr, sid.dst_port, sid.proto)
-                if entry.is_nat
-                else sid
-            )
-            next_hop, iface = entry.ext_next_hop, entry.ext_iface
-        else:
-            out_sid = SessionId(sid.src_addr, sid.src_port, entry.lan_addr, entry.lan_port, sid.proto)
-            next_hop, iface = entry.lan_next_hop, entry.lan_iface
-        if next_hop is None:
-            return Verdict(Dropped(DropReason.NO_ROUTE), acct)
-        ttl = packet.ttl - 1
-        if ttl == 0:
-            return Verdict(Dropped(DropReason.TTL_EXPIRED), acct)
-        emitted = Packet(
-            packet.ts, out_sid, merge_dscp(packet.tos, entry.dscp), ttl, packet.flags,
-            packet.payload_len,
-        )
-        return Verdict(Forwarded(next_hop, iface, emitted), acct)
-
-    def _outbound(self, packet: Packet, sid: SessionId, now: float) -> Verdict:
-        cfg = self.config
-        key = (sid.src_addr, sid.src_port, sid.dst_addr, sid.dst_port, sid.proto)
-        entry = self.table.lookup_outbound(key, now)
-        if entry is not None:
+        if self.config.lan_prefix.contains(sid.src_addr):
+            entry = self.table.lookup_outbound(sid, now)
+            if entry is None:
+                return self._first_packet(packet, sid, now)
             self.session_hits += 1
-            return self._hit_verdict(packet, entry, Direction.OUTBOUND, now, _ONE_SESSION_LOOKUP)
+            if not advance(entry, packet.flags, Direction.OUTBOUND, now, self.config.timeouts):
+                return Verdict(Dropped(DropReason.STATE_VIOLATION), _ONE_SESSION_LOOKUP)
+            return _forward(
+                packet, outbound_sid(sid, entry), entry.dscp,
+                entry.ext_next_hop, entry.ext_iface, _ONE_SESSION_LOOKUP,
+            )
+        entry = self.table.lookup_inbound(sid, now)
+        if entry is None:
+            # inbound-initiated flows are not accepted; the miss is terminal
+            self.session_misses += 1
+            return Verdict(Dropped(DropReason.INBOUND_NO_SESSION), _ONE_SESSION_LOOKUP)
+        self.session_hits += 1
+        if not advance(entry, packet.flags, Direction.INBOUND, now, self.config.timeouts):
+            return Verdict(Dropped(DropReason.STATE_VIOLATION), _ONE_SESSION_LOOKUP)
+        return _forward(
+            packet, inbound_sid(sid, entry), entry.dscp,
+            entry.lan_next_hop, entry.lan_iface, _ONE_SESSION_LOOKUP,
+        )
 
-        # slow path: first packet of a flow
+    def _first_packet(self, packet: Packet, sid: SessionId, now: float) -> Verdict:
+        """The slow path: validate, allocate, classify and route, then create the entry."""
+        cfg = self.config
         self.session_misses += 1
         nat_l = rule_e = rules_s = qos_c = route_l = 0
         rule_e += 1
@@ -416,13 +353,12 @@ class IntegratedPipeline:
             gwy_addr, gwy_port = sid.src_addr, sid.src_port
         else:
             nat_l += 1  # one allocation probe against the session table
+            gwy_addr = cfg.nat.public_addr
+            _, _, ext_addr, ext_port, proto = sid  # locals: each probe reads them
             try:
-                gwy_addr = cfg.nat.public_addr
                 gwy_port = find_free_port(
-                    cfg.nat, sid.dst_addr, sid.dst_port, sid.proto,
-                    lambda p: self.table.port_in_use(
-                        gwy_addr, p, sid.dst_addr, sid.dst_port, sid.proto, now
-                    ),
+                    cfg.nat, ext_addr, ext_port, proto,
+                    lambda p: self.table.port_in_use(gwy_addr, p, ext_addr, ext_port, proto, now),
                 )
             except NatPoolExhausted:
                 return Verdict(Dropped(DropReason.NAT_EXHAUSTED), acct())
@@ -454,29 +390,6 @@ class IntegratedPipeline:
             lan_iface=lan_route.iface if lan_route else None,
         )
         self.table.insert(entry)
-
-        if entry.ext_next_hop is None:
-            return Verdict(Dropped(DropReason.NO_ROUTE), acct())
-        ttl = packet.ttl - 1
-        if ttl == 0:
-            return Verdict(Dropped(DropReason.TTL_EXPIRED), acct())
-        out_sid = (
-            SessionId(gwy_addr, gwy_port, sid.dst_addr, sid.dst_port, sid.proto)
-            if entry.is_nat
-            else sid
+        return _forward(
+            packet, outbound_sid(sid, entry), dscp, entry.ext_next_hop, entry.ext_iface, acct()
         )
-        emitted = Packet(
-            packet.ts, out_sid, merge_dscp(packet.tos, dscp), ttl, packet.flags,
-            packet.payload_len,
-        )
-        return Verdict(Forwarded(entry.ext_next_hop, entry.ext_iface, emitted), acct())
-
-    def _inbound(self, packet: Packet, sid: SessionId, now: float) -> Verdict:
-        key = (sid.dst_addr, sid.dst_port, sid.src_addr, sid.src_port, sid.proto)
-        entry = self.table.lookup_inbound(key, now)
-        if entry is None:
-            # inbound-initiated flows are not accepted; the miss is terminal
-            self.session_misses += 1
-            return Verdict(Dropped(DropReason.INBOUND_NO_SESSION), _ONE_SESSION_LOOKUP)
-        self.session_hits += 1
-        return self._hit_verdict(packet, entry, Direction.INBOUND, now, _ONE_SESSION_LOOKUP)

@@ -1,9 +1,12 @@
-"""The unified per-flow session table.
+"""The expiring flow table all three tables share, and the unified session table.
 
-One entry carries everything per-packet processing needs: the NAT identity
-(lan/gwy/ext endpoint triple), connection state and expiry, the flow's DSCP,
-and a cached next hop for each direction. A table holds two exact-match
-indexes over the same entry set so a single lookup serves either direction.
+`ExpiringTable` is one lazily expired exact-match index; `DualIndexTable`
+adds a second index over the same entries so one lookup serves either
+direction. The baseline's state table and NAT table and the integrated
+pipeline's session table are thin subclasses. One SessionEntry carries
+everything per-packet processing needs: the NAT identity (lan/gwy/ext
+endpoint triple), connection state and expiry, the flow's DSCP, and a cached
+next hop for each direction.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ import enum
 from dataclasses import dataclass
 
 from flowgate.packet import TCP, Direction, TcpFlags, format_ip
-
-Key = tuple[int, int, int, int, int]
 
 
 class SessionState(enum.Enum):
@@ -119,10 +120,11 @@ class SessionEntry:
     """One flow's complete processing record.
 
     gwy_* is the flow's public (NATed) identity; for LAN-to-LAN flows it
-    mirrors lan_* and no rewriting happens. Next hops are resolved once at
-    creation; None means the routing table had no covering prefix, which
-    surfaces as a NoRoute drop when that direction is used. The iface labels
-    ride along so a forwarding verdict can be produced without a route lookup.
+    mirrors lan_*, so rewriting to it changes nothing. Next hops are resolved
+    once at creation; None means the routing table had no covering prefix,
+    which surfaces as a NoRoute drop when that direction is used. The iface
+    labels ride along so a forwarding verdict can be produced without a route
+    lookup.
     """
 
     lan_addr: int
@@ -141,16 +143,12 @@ class SessionEntry:
     lan_iface: str | None = None
 
     @property
-    def outbound_key(self) -> Key:
+    def outbound_key(self) -> tuple:
         return (self.lan_addr, self.lan_port, self.ext_addr, self.ext_port, self.proto)
 
     @property
-    def inbound_key(self) -> Key:
-        return (self.gwy_addr, self.gwy_port, self.ext_addr, self.ext_port, self.proto)
-
-    @property
-    def is_nat(self) -> bool:
-        return (self.gwy_addr, self.gwy_port) != (self.lan_addr, self.lan_port)
+    def inbound_key(self) -> tuple:
+        return (self.ext_addr, self.ext_port, self.gwy_addr, self.gwy_port, self.proto)
 
 
 class DuplicateKeyError(RuntimeError):
@@ -161,59 +159,41 @@ class TableFullError(RuntimeError):
     """The table is at capacity even after sweeping expired entries."""
 
 
-DUMP_COLUMNS = (
-    "lan_addr,lan_port,gwy_addr,gwy_port,ext_addr,ext_port,"
-    "ip_proto,state,dscp,ext_next_hop,lan_next_hop,expiry"
-)
-
-
-class SessionTable:
-    """Dual-indexed store of SessionEntry, capacity-bounded, lazily expired.
+class ExpiringTable:
+    """Exact-match store of entries keyed by `entry.outbound_key`, lazily expired.
 
     An entry whose expiry <= now is dead: lookups treat it as a miss and
     purge it on the spot. Single-writer; callers supply logical time.
     """
 
-    def __init__(self, capacity: int = 65536):
+    def __init__(self, capacity: float = 65536):
         self.capacity = capacity
-        self._out: dict[Key, SessionEntry] = {}
-        self._in: dict[Key, SessionEntry] = {}
+        self._out: dict[tuple, object] = {}
         self.lookups = 0
 
     def __len__(self) -> int:
         return len(self._out)
 
-    def _remove(self, entry: SessionEntry) -> None:
-        del self._out[entry.outbound_key]
-        del self._in[entry.inbound_key]
+    def _live(self, entry, now: float):
+        """`entry` if it is live; a dead one is purged and reads as None."""
+        if entry is None or entry.expiry > now:
+            return entry
+        self.remove(entry)
+        return None
 
-    def lookup_outbound(self, key: Key, now: float) -> SessionEntry | None:
+    def lookup(self, key: tuple, now: float):
         self.lookups += 1
-        entry = self._out.get(key)
-        if entry is None:
-            return None
-        if entry.expiry <= now:
-            self._remove(entry)
-            return None
-        return entry
+        return self._live(self._out.get(key), now)
 
-    def lookup_inbound(self, key: Key, now: float) -> SessionEntry | None:
-        self.lookups += 1
-        entry = self._in.get(key)
-        if entry is None:
-            return None
-        if entry.expiry <= now:
-            self._remove(entry)
-            return None
-        return entry
-
-    def insert(self, entry: SessionEntry) -> None:
-        if entry.outbound_key in self._out or entry.inbound_key in self._in:
-            raise DuplicateKeyError(f"session key already present: {entry.outbound_key}")
+    def insert(self, entry) -> None:
+        if entry.outbound_key in self._out:
+            raise DuplicateKeyError(f"key already present: {entry.outbound_key}")
         if len(self._out) >= self.capacity:
             raise TableFullError(f"table at capacity {self.capacity}")
         self._out[entry.outbound_key] = entry
-        self._in[entry.inbound_key] = entry
+
+    def remove(self, entry) -> None:
+        del self._out[entry.outbound_key]
 
     def ensure_capacity(self, now: float) -> None:
         """Make room for one insert, sweeping expired entries under pressure."""
@@ -223,45 +203,58 @@ class SessionTable:
         if len(self._out) >= self.capacity:
             raise TableFullError(f"table at capacity {self.capacity}")
 
+    def sweep_expired(self, now: float) -> int:
+        dead = [entry for entry in self._out.values() if entry.expiry <= now]
+        for entry in dead:
+            self.remove(entry)
+        return len(dead)
+
+
+class DualIndexTable(ExpiringTable):
+    """An ExpiringTable with a second index on `entry.inbound_key`.
+
+    The inbound key is a reply's five-tuple as it arrives on the wire,
+    (ext, ext_port, gwy, gwy_port, proto), so an inbound packet's own sid
+    finds its flow.
+    """
+
+    def __init__(self, capacity: float = 65536):
+        super().__init__(capacity)
+        self._in: dict[tuple, object] = {}
+
+    def lookup_inbound(self, key: tuple, now: float):
+        self.lookups += 1
+        return self._live(self._in.get(key), now)
+
+    def insert(self, entry) -> None:
+        if entry.inbound_key in self._in:
+            raise DuplicateKeyError(f"key already present: {entry.inbound_key}")
+        super().insert(entry)
+        self._in[entry.inbound_key] = entry
+
+    def remove(self, entry) -> None:
+        del self._out[entry.outbound_key]
+        del self._in[entry.inbound_key]
+
     def port_in_use(
         self, gwy_addr: int, gwy_port: int, ext_addr: int, ext_port: int, proto: int, now: float
     ) -> bool:
         """Whether a public port is held by a live entry for this peer tuple."""
-        entry = self._in.get((gwy_addr, gwy_port, ext_addr, ext_port, proto))
-        if entry is None:
-            return False
-        if entry.expiry <= now:
-            self._remove(entry)
-            return False
-        return True
+        entry = self._in.get((ext_addr, ext_port, gwy_addr, gwy_port, proto))
+        # a live occupant is answered without a call: NAT allocation probes port by port
+        return entry is not None and (entry.expiry > now or self._live(entry, now) is not None)
 
-    def sweep_expired(self, now: float) -> int:
-        dead = [entry for entry in self._out.values() if entry.expiry <= now]
-        for entry in dead:
-            self._remove(entry)
-        return len(dead)
 
-    def reresolve_next_hops(self, routing_table) -> tuple[int, int]:
-        """Recompute every live entry's next hops from a routing table.
+DUMP_COLUMNS = (
+    "lan_addr,lan_port,gwy_addr,gwy_port,ext_addr,ext_port,"
+    "ip_proto,state,dscp,ext_next_hop,lan_next_hop,expiry"
+)
 
-        Entries left without a covering prefix on either side are evicted.
-        Returns (updated_count, evicted_count).
-        """
-        updated = 0
-        evicted = 0
-        for entry in list(self._out.values()):
-            ext_route = routing_table.lookup(entry.ext_addr)
-            lan_route = routing_table.lookup(entry.lan_addr)
-            if ext_route is None or lan_route is None:
-                self._remove(entry)
-                evicted += 1
-                continue
-            new_hops = (ext_route.next_hop, lan_route.next_hop)
-            if new_hops != (entry.ext_next_hop, entry.lan_next_hop):
-                updated += 1
-            entry.ext_next_hop, entry.lan_next_hop = new_hops
-            entry.ext_iface, entry.lan_iface = ext_route.iface, lan_route.iface
-        return updated, evicted
+
+class SessionTable(DualIndexTable):
+    """The unified table: SessionEntry by either direction's five-tuple, capacity-bounded."""
+
+    lookup_outbound = ExpiringTable.lookup
 
     def dump_csv(self) -> str:
         """Entries as CSV, columns in table order plus expiry. Debug aid."""

@@ -694,7 +694,7 @@ def test_criterion_5_nat_round_trip():
             ext_port = rng.choice([80, 443, 53, 8080])
             proto = rng.choice([TCP, UDP])
             flow = (lan_addr, lan_port, ext_addr, ext_port, proto)
-            if table._fwd.get(flow) is not None:
+            if table._out.get(flow) is not None:
                 continue
             try:
                 mapping = table.allocate(cfg, *flow, 0.0, 1e9)
@@ -708,9 +708,9 @@ def test_criterion_5_nat_round_trip():
             back = translate_inbound(reflected, mapping)
             assert (back.sid.dst_addr, back.sid.dst_port) == (lan_addr, lan_port)
 
-        assert len(table._fwd) == len(table._rev) == 10_000
-        for m in table._fwd.values():
-            assert table._rev[m.reverse_key] is m
+        assert len(table._out) == len(table._in) == 10_000
+        for m in table._out.values():
+            assert table._in[m.inbound_key] is m
 
         # forward/reverse consistency across random allocate/expire churn
         rng2 = random.Random(56)
@@ -730,9 +730,9 @@ def test_criterion_5_nat_round_trip():
                     churn.allocate(NatConfig(cfg.public_addr, 40000, 40031), *flow, now, now + rng2.uniform(0.5, 20))
                 except NatPoolExhausted:
                     pass
-            assert len(churn._fwd) == len(churn._rev)
-            for m in churn._fwd.values():
-                assert churn._rev[m.reverse_key] is m
+            assert len(churn._out) == len(churn._in)
+            for m in churn._out.values():
+                assert churn._in[m.inbound_key] is m
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from flowgate.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -92,3 +94,24 @@ def test_bench_csv(tmp_path, capsys):
 
 def test_gen_rejects_empty_peers():
     assert main(["gen", "--sessions", "1", "--packets-per-session", "2", "--peers", ""]) == 2
+
+
+RUN_TRACE = ["run", *config_flags(), "--trace", "{tmp}/t.txt", "--pipeline", "baseline"]
+BAD_INPUT = {
+    "gen-peers-malformed": ["gen", "--peers", "1.2.3"],
+    "gen-nat-missing": ["gen", "--nat", "{tmp}/missing.txt"],
+    "gen-sessions-negative": ["gen", "--sessions", "-3"],
+    "gen-mix-above-one": ["gen", "--mix", "2"],
+    "bench-reps-zero": ["bench", *config_flags(), "--reps", "0"],
+    "run-out-dir-missing": [*RUN_TRACE, "--out", "{tmp}/missing/x.csv"],
+    "run-verdicts-dir-missing": [*RUN_TRACE, "--verdicts", "{tmp}/missing/v.txt"],
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_INPUT.values()), ids=list(BAD_INPUT))
+def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, argv):
+    main(["gen", "--sessions", "1", "--packets-per-session", "2", "--out", str(tmp_path / "t.txt")])
+    capsys.readouterr()
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1

@@ -79,7 +79,7 @@ def test_lookup_forward_reverse_and_expiry():
     tbl = NatTable()
     m = tbl.allocate(cfg, LAN, 1200, PEER, 80, TCP, now=0.0, expiry=60.0)
     assert tbl.lookup_forward((LAN, 1200, PEER, 80, TCP), now=1.0) is m
-    assert tbl.lookup_reverse((PUBLIC, 40000, PEER, 80, TCP), now=1.0) is m
+    assert tbl.lookup_reverse((PEER, 80, PUBLIC, 40000, TCP), now=1.0) is m
     assert tbl.lookups == 2
     assert tbl.lookup_forward((LAN, 1200, PEER, 80, TCP), now=60.0) is None
     assert len(tbl) == 0
@@ -166,12 +166,12 @@ def test_forward_reverse_consistency_random_ops():
                 TCP,
             )
             tbl.lookup_forward(key, now)
-        assert len(tbl._fwd) == len(tbl._rev)
-        for m in tbl._fwd.values():
-            assert tbl._rev[m.reverse_key] is m
+        assert len(tbl._out) == len(tbl._in)
+        for m in tbl._out.values():
+            assert tbl._in[m.inbound_key] is m
         # port uniqueness among live mappings, per peer tuple
         seen = set()
-        for m in tbl._rev.values():
+        for m in tbl._in.values():
             if m.expiry > now:
                 key = (m.gwy_addr, m.gwy_port, m.ext_addr, m.ext_port, m.proto)
                 assert key not in seen

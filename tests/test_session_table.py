@@ -1,12 +1,14 @@
-"""Session table: dual-index behavior, expiry, capacity, next-hop repair."""
+"""Session table and the expiring table it shares: dual index, expiry, capacity."""
 
 import random
 
 import pytest
 
-from flowgate.packet import TCP, UDP, Direction, TcpFlags
-from flowgate.routing import parse_routes
+from flowgate.nat import NatConfig, NatMapping, NatTable
+from flowgate.packet import TCP, UDP, Direction, SessionId, TcpFlags, parse_trace_record
+from flowgate.pipelines import StateEntry, StateTable
 from flowgate.session_table import (
+    DualIndexTable,
     DuplicateKeyError,
     SessionEntry,
     SessionState,
@@ -38,6 +40,24 @@ def make_entry(i: int = 0, expiry: float = 100.0, proto: int = TCP) -> SessionEn
     )
 
 
+def make_state_entry(i: int = 0, expiry: float = 100.0) -> StateEntry:
+    sid = SessionId(0x0A000005 + i, 1200, 0xC6336409, 80, TCP)
+    return StateEntry(sid, TCP, SessionState.SYN_SENT, expiry)
+
+
+def make_mapping(i: int = 0, expiry: float = 100.0) -> NatMapping:
+    return NatMapping(0x0A000005 + i, 1200, 0xC0000201, 40000 + i, 0xC6336409, 80, TCP, expiry)
+
+
+# every table built on the shared expiring table: class, outbound lookup, entry maker
+TABLES = {
+    "StateTable": (StateTable, "lookup", make_state_entry),
+    "SessionTable": (SessionTable, "lookup_outbound", make_entry),
+    "NatTable": (NatTable, "lookup_forward", make_mapping),
+}
+BOUNDED = (TABLES["StateTable"], TABLES["SessionTable"])  # the NAT table has no capacity
+
+
 def test_insert_then_both_lookups_hit():
     t = SessionTable()
     e = make_entry()
@@ -47,44 +67,65 @@ def test_insert_then_both_lookups_hit():
     assert t.lookups == 2
 
 
+def test_reply_sid_is_its_own_inbound_key():
+    out = parse_trace_record("0 tcp 10.0.0.5:1200 198.51.100.9:80 S 0 0")
+    reply = parse_trace_record("1 tcp 198.51.100.9:80 192.0.2.1:40000 SA 0 0")
+    sessions = SessionTable()
+    e = make_entry()
+    sessions.insert(e)
+    assert sessions.lookup_outbound(out.sid, now=1.0) is e
+    assert sessions.lookup_inbound(reply.sid, now=1.0) is e
+    nat = NatTable()
+    m = nat.allocate(NatConfig(0xC0000201, 40000, 40009), *out.sid, now=0.0, expiry=60.0)
+    assert nat.lookup_forward(out.sid, now=1.0) is m
+    assert nat.lookup_reverse(reply.sid, now=1.0) is m
+
+
 def test_lookup_miss_on_empty_table():
     t = SessionTable()
     assert t.lookup_outbound((1, 2, 3, 4, TCP), now=0.0) is None
     assert t.lookups == 1
 
 
-def test_expired_entry_is_miss_and_purged():
-    t = SessionTable()
-    e = make_entry(expiry=10.0)
+@pytest.mark.parametrize("kind", list(TABLES))
+def test_expired_entry_is_miss_and_purged(kind):
+    cls, lookup, make = TABLES[kind]
+    t = cls()
+    e = make(expiry=10.0)
     t.insert(e)
-    assert t.lookup_outbound(e.outbound_key, now=10.0) is None  # expiry <= now is dead
+    assert getattr(t, lookup)(e.outbound_key, now=10.0) is None  # expiry <= now is dead
     assert len(t) == 0
-    assert t.lookup_inbound(e.inbound_key, now=10.0) is None
+    if isinstance(t, DualIndexTable):
+        assert t.lookup_inbound(e.inbound_key, now=10.0) is None
 
 
-def test_duplicate_insert_rejected():
-    t = SessionTable()
-    t.insert(make_entry())
+@pytest.mark.parametrize("kind", list(TABLES))
+def test_duplicate_insert_rejected(kind):
+    cls, _, make = TABLES[kind]
+    t = cls()
+    t.insert(make())
     with pytest.raises(DuplicateKeyError):
-        t.insert(make_entry())
+        t.insert(make())
 
 
 def test_insert_at_capacity_rejected():
-    t = SessionTable(capacity=2)
-    t.insert(make_entry(0))
-    t.insert(make_entry(1))
-    with pytest.raises(TableFullError):
-        t.insert(make_entry(2))
+    for cls, _, make in BOUNDED:
+        t = cls(capacity=2)
+        t.insert(make(0))
+        t.insert(make(1))
+        with pytest.raises(TableFullError):
+            t.insert(make(2))
 
 
 def test_ensure_capacity_sweeps_under_pressure():
-    t = SessionTable(capacity=2)
-    t.insert(make_entry(0, expiry=5.0))
-    t.insert(make_entry(1, expiry=100.0))
-    t.ensure_capacity(now=50.0)  # entry 0 expired: swept, room appears
-    t.insert(make_entry(2, expiry=100.0))
-    with pytest.raises(TableFullError):
-        t.ensure_capacity(now=50.0)
+    for cls, _, make in BOUNDED:
+        t = cls(capacity=2)
+        t.insert(make(0, expiry=5.0))
+        t.insert(make(1, expiry=100.0))
+        t.ensure_capacity(now=50.0)  # entry 0 expired: swept, room appears
+        t.insert(make(2, expiry=100.0))
+        with pytest.raises(TableFullError):
+            t.ensure_capacity(now=50.0)
 
 
 def test_shared_peer_distinct_gwy_ports_resolve_distinctly():
@@ -96,15 +137,17 @@ def test_shared_peer_distinct_gwy_ports_resolve_distinctly():
     assert t.lookup_inbound(b.inbound_key, 0.0) is b
 
 
-def test_sweep_expired_counts_and_is_idempotent():
-    t = SessionTable()
-    t.insert(make_entry(0, expiry=10.0))
-    t.insert(make_entry(1, expiry=20.0))
-    t.insert(make_entry(2, expiry=99.0))
+@pytest.mark.parametrize("kind", list(TABLES))
+def test_sweep_expired_counts_and_is_idempotent(kind):
+    cls, _, make = TABLES[kind]
+    t = cls()
+    t.insert(make(0, expiry=10.0))
+    t.insert(make(1, expiry=20.0))
+    t.insert(make(2, expiry=99.0))
     assert t.sweep_expired(now=20.0) == 2
     assert len(t) == 1
     assert t.sweep_expired(now=20.0) == 0
-    assert SessionTable().sweep_expired(0.0) == 0
+    assert cls().sweep_expired(0.0) == 0
 
 
 def test_port_in_use_reflects_liveness():
@@ -185,23 +228,6 @@ def test_non_tcp_stays_open():
     e = make_entry(proto=UDP)
     assert next_state(UDP, e.state, TcpFlags(), Direction.INBOUND) is SessionState.OPEN
     assert entry_timeout(UDP, SessionState.OPEN, Timeouts()) == 60.0
-
-
-def test_reresolve_next_hops():
-    t = SessionTable()
-    e = make_entry()
-    t.insert(e)
-    same = parse_routes("0.0.0.0/0 203.0.113.1 wan\n10.0.0.0/8 10.0.0.254 lan\n")
-    assert t.reresolve_next_hops(same) == (0, 0)  # fixpoint
-
-    flipped = parse_routes("0.0.0.0/0 203.0.113.99 wan2\n10.0.0.0/8 10.0.0.254 lan\n")
-    assert t.reresolve_next_hops(flipped) == (1, 0)
-    assert e.ext_next_hop == 0xCB007163  # 203.0.113.99
-    assert e.ext_iface == "wan2"
-
-    lan_only = parse_routes("10.0.0.0/8 10.0.0.254 lan\n")
-    assert t.reresolve_next_hops(lan_only) == (0, 1)  # no route to ext: evicted
-    assert len(t) == 0
 
 
 def test_dump_csv_has_all_columns():
