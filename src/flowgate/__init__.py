@@ -31,7 +31,6 @@ from flowgate.packet import (
     Packet,
     SessionId,
     TcpFlags,
-    classify_direction,
     load_trace,
     parse_trace_record,
     render_trace_record,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -113,6 +114,24 @@ def _write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+@contextmanager
+def _output(path: str | None):
+    """`path` opened for writing, or None when it is not given.
+
+    Callers open it before the replay that fills it, so a bad path fails
+    before any packet work is done.
+    """
+    if not path:
+        yield None
+        return
+    try:
+        out = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    with out:
+        yield out
+
+
 def _write_or_print(text: str, path: str | None) -> None:
     if path:
         _write(path, text)
@@ -128,12 +147,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args)
     packets = _read_trace(args.trace)
-    pipeline = make_pipeline(args.pipeline, config)
-    verdicts, report = run_pipeline(pipeline, packets)
-    if args.verdicts:
-        _write(args.verdicts, "".join(render_verdict(v) + "\n" for v in verdicts))
-    if args.out:
-        _write(args.out, f"{CSV_HEADER}\n{csv_row(report)}\n")
+    with _output(args.verdicts) as verdicts_out, _output(args.out) as csv_out:
+        verdicts, report = run_pipeline(make_pipeline(args.pipeline, config), packets)
+        if verdicts_out:
+            verdicts_out.write("".join(render_verdict(v) + "\n" for v in verdicts))
+        if csv_out:
+            csv_out.write(f"{CSV_HEADER}\n{csv_row(report)}\n")
     print(report.summary())
     return EXIT_OK
 
@@ -153,9 +172,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError(f"--reps: must be >= 1, got {args.reps}")
     config = load_config(args)
     packets = generate_packets(_trace_spec(args))
-    reports, medians = bench(config, packets, args.reps)
-    csv_text = "\n".join([CSV_HEADER] + [csv_row(r) for r in reports]) + "\n"
-    _write_or_print(csv_text, args.out)
+    with _output(args.out) as csv_out:
+        reports, medians = bench(config, packets, args.reps)
+        csv_text = "\n".join([CSV_HEADER] + [csv_row(r) for r in reports]) + "\n"
+        (csv_out or sys.stdout).write(csv_text)
     ratio = medians["baseline"] / medians["integrated"] if medians["integrated"] else float("inf")
     print(
         f"median wall_ns: baseline={medians['baseline']} integrated={medians['integrated']}"

@@ -8,7 +8,7 @@ from typing import Callable
 
 from flowgate.errors import ConfigError
 from flowgate.packet import Packet, SessionId, format_ip, parse_ip
-from flowgate.session_table import DualIndexTable
+from flowgate.session_table import DualIndexTable, Timeouts
 
 
 class NatPoolExhausted(RuntimeError):
@@ -105,8 +105,8 @@ class NatTable(DualIndexTable):
     lookup_forward = DualIndexTable.lookup
     lookup_reverse = DualIndexTable.lookup_inbound
 
-    def __init__(self) -> None:
-        super().__init__(capacity=math.inf)
+    def __init__(self, timeouts: Timeouts | None = None) -> None:
+        super().__init__(math.inf, timeouts)
 
     def allocate(
         self,

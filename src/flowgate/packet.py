@@ -139,13 +139,6 @@ class Direction(enum.Enum):
     INBOUND = "in"
 
 
-def classify_direction(packet: Packet, lan_prefix: Cidr) -> Direction:
-    """Outbound iff the source address lies inside the LAN prefix."""
-    if lan_prefix.contains(packet.sid.src_addr):
-        return Direction.OUTBOUND
-    return Direction.INBOUND
-
-
 def merge_dscp(tos: int, dscp: int) -> int:
     """Write dscp into the upper 6 ToS bits, preserving the 2 ECN bits."""
     if not 0 <= dscp <= 63:

@@ -6,9 +6,13 @@ Pipeline answers everything from one session-table lookup once a flow is
 established. The two must produce observably identical verdict streams for
 any trace; only the lookup accounting differs.
 
-Both share one drop-reason precedence, enforced by running the same steps
-in the same order on the slow (first-packet) path:
+Both share one drop-reason precedence on the slow (first-packet) path:
 RuleDenied > StateViolation > NatExhausted > TableFull > NoRoute > TtlExpired.
+Capacity is checked before the NAT pool, so a refused flow never pays for
+a port probe it would throw away: on a full table the pool is probed only
+when the table holding its ports has at least `pool_size` entries, since
+fewer cannot exhaust it. When the pool is exhausted the drop still says
+NatExhausted, and the flow still counts its one NAT consultation.
 """
 
 from __future__ import annotations
@@ -125,6 +129,8 @@ def _pure_syn(packet: Packet) -> bool:
 
 # hit-path accounting never varies; shared instances keep the hot paths lean
 _ONE_SESSION_LOOKUP = LookupAccounting(session_lookups=1)
+_ONE_NAT_LOOKUP = LookupAccounting(nat_lookups=1)
+_NAT_AND_SESSION_LOOKUPS = LookupAccounting(nat_lookups=1, session_lookups=1)
 _BASELINE_HIT_ACCT = LookupAccounting(
     nat_lookups=1, session_lookups=1, qos_classifications=1, route_lookups=1
 )
@@ -164,8 +170,8 @@ class BaselinePipeline:
 
     def __init__(self, config: RouterConfig):
         self.config = config
-        self.nat_table = NatTable()
-        self.state_table = StateTable(config.capacity)
+        self.nat_table = NatTable(config.timeouts)
+        self.state_table = StateTable(config.capacity, config.timeouts)
         self.session_hits = 0
         self.session_misses = 0
 
@@ -181,109 +187,101 @@ class BaselinePipeline:
             now = packet.ts
         cfg = self.config
         sid = packet.sid
-        nat_l = sess_l = rule_e = rules_s = qos_c = route_l = 0
 
         if cfg.lan_prefix.contains(sid.src_addr):
             # --- outbound ---
             lan_to_lan = cfg.lan_prefix.contains(sid.dst_addr)
-            mapping = None
-            if not lan_to_lan:
-                nat_l += 1
-                mapping = self.nat_table.lookup_forward(sid, now)
-            sess_l += 1
-            is_hit = False
+            mapping = None if lan_to_lan else self.nat_table.lookup_forward(sid, now)
             entry = self.state_table.lookup(sid, now)
-            if entry is not None:
-                is_hit = True
-                self.session_hits += 1
-                if not lan_to_lan and mapping is None:
-                    raise RuntimeError("live state entry without a live NAT mapping")
-                if not advance(entry, packet.flags, Direction.OUTBOUND, now, cfg.timeouts):
-                    return Verdict(
-                        Dropped(DropReason.STATE_VIOLATION),
-                        LookupAccounting(nat_l, sess_l, rule_e, rules_s, qos_c, route_l),
-                    )
-                if mapping is not None:
-                    mapping.expiry = entry.expiry
-            else:
-                self.session_misses += 1
-                rule_e += 1
-                action, _, scanned = evaluate(cfg.rules, sid)
-                rules_s += scanned
-                if action is Action.DROP:
-                    return Verdict(
-                        Dropped(DropReason.RULE_DENIED),
-                        LookupAccounting(nat_l, sess_l, rule_e, rules_s, qos_c, route_l),
-                    )
-                if sid.proto == TCP and not _pure_syn(packet):
-                    return Verdict(
-                        Dropped(DropReason.STATE_VIOLATION),
-                        LookupAccounting(nat_l, sess_l, rule_e, rules_s, qos_c, route_l),
-                    )
-                state = initial_state(sid.proto)
-                expiry = now + entry_timeout(sid.proto, state, cfg.timeouts)
-                if not lan_to_lan:
-                    try:
-                        mapping = self.nat_table.allocate(
-                            cfg.nat, sid.src_addr, sid.src_port,
-                            sid.dst_addr, sid.dst_port, sid.proto, now, expiry,
-                        )
-                    except NatPoolExhausted:
-                        return Verdict(
-                            Dropped(DropReason.NAT_EXHAUSTED),
-                            LookupAccounting(nat_l, sess_l, rule_e, rules_s, qos_c, route_l),
-                        )
-                try:
-                    self.state_table.ensure_capacity(now)
-                except TableFullError:
-                    if mapping is not None:
-                        self.nat_table.remove(mapping)  # undo; no state was created
-                    return Verdict(
-                        Dropped(DropReason.TABLE_FULL),
-                        LookupAccounting(nat_l, sess_l, rule_e, rules_s, qos_c, route_l),
-                    )
-                self.state_table.insert(StateEntry(sid, sid.proto, state, expiry))
-
-            dscp = classify(cfg.qos, sid)
-            out_sid = sid if mapping is None else outbound_sid(sid, mapping)
-            route = cfg.routes.lookup(out_sid.dst_addr)
-            if is_hit:
-                acct = _BASELINE_LOCAL_HIT_ACCT if lan_to_lan else _BASELINE_HIT_ACCT
-            else:
-                acct = LookupAccounting(nat_l, sess_l, rule_e, rules_s, qos_c + 1, route_l + 1)
-            hop = (None, None) if route is None else (route.next_hop, route.iface)
-            return _forward(packet, out_sid, dscp, *hop, acct)
+            if entry is None:
+                return self._first_packet(packet, sid, now, lan_to_lan)
+            self.session_hits += 1
+            if not lan_to_lan and mapping is None:
+                raise RuntimeError("live state entry without a live NAT mapping")
+            if not advance(entry, packet.flags, Direction.OUTBOUND, now, cfg.timeouts):
+                return Verdict(
+                    Dropped(DropReason.STATE_VIOLATION),
+                    _ONE_SESSION_LOOKUP if lan_to_lan else _NAT_AND_SESSION_LOOKUPS,
+                )
+            if mapping is not None:
+                mapping.expiry = entry.expiry
+            return self._outbound_egress(
+                packet, sid, mapping, _BASELINE_LOCAL_HIT_ACCT if lan_to_lan else _BASELINE_HIT_ACCT
+            )
 
         # --- inbound ---
-        nat_l += 1
         mapping = self.nat_table.lookup_reverse(sid, now)
         if mapping is None:
-            return Verdict(
-                Dropped(DropReason.INBOUND_NO_SESSION),
-                LookupAccounting(nat_l, sess_l, rule_e, rules_s, qos_c, route_l),
-            )
+            return Verdict(Dropped(DropReason.INBOUND_NO_SESSION), _ONE_NAT_LOOKUP)
         in_sid = inbound_sid(sid, mapping)
         session_sid = in_sid.reversed()
-        sess_l += 1
         entry = self.state_table.lookup(session_sid, now)
         if entry is None:
             # unreachable while mapping expiry mirrors the state entry's
             self.session_misses += 1
-            return Verdict(
-                Dropped(DropReason.INBOUND_NO_SESSION),
-                LookupAccounting(nat_l, sess_l, rule_e, rules_s, qos_c, route_l),
-            )
+            return Verdict(Dropped(DropReason.INBOUND_NO_SESSION), _NAT_AND_SESSION_LOOKUPS)
         self.session_hits += 1
         if not advance(entry, packet.flags, Direction.INBOUND, now, cfg.timeouts):
-            return Verdict(
-                Dropped(DropReason.STATE_VIOLATION),
-                LookupAccounting(nat_l, sess_l, rule_e, rules_s, qos_c, route_l),
-            )
+            return Verdict(Dropped(DropReason.STATE_VIOLATION), _NAT_AND_SESSION_LOOKUPS)
         mapping.expiry = entry.expiry
         dscp = classify(cfg.qos, session_sid)
         route = cfg.routes.lookup(in_sid.dst_addr)
         hop = (None, None) if route is None else (route.next_hop, route.iface)
         return _forward(packet, in_sid, dscp, *hop, _BASELINE_HIT_ACCT)
+
+    def _first_packet(
+        self, packet: Packet, sid: SessionId, now: float, lan_to_lan: bool
+    ) -> Verdict:
+        """The outbound miss: validate, check capacity, allocate, then create state."""
+        cfg = self.config
+        self.session_misses += 1
+        nat_l = 0 if lan_to_lan else 1  # the forward lookup made in `process`
+        qos_c = route_l = 0
+        action, _, rules_s = evaluate(cfg.rules, sid)
+
+        def acct() -> LookupAccounting:
+            return LookupAccounting(nat_l, 1, 1, rules_s, qos_c, route_l)
+
+        if action is Action.DROP:
+            return Verdict(Dropped(DropReason.RULE_DENIED), acct())
+        if sid.proto == TCP and not _pure_syn(packet):
+            return Verdict(Dropped(DropReason.STATE_VIOLATION), acct())
+        state = initial_state(sid.proto)
+        expiry = now + entry_timeout(sid.proto, state, cfg.timeouts)
+        try:
+            self.state_table.ensure_capacity(now)
+        except TableFullError:
+            full = True
+        else:
+            full = False
+        mapping = None
+        # a pool of N ports cannot be exhausted by fewer than N mappings
+        if not lan_to_lan and (not full or len(self.nat_table) >= cfg.nat.pool_size):
+            try:
+                mapping = self.nat_table.allocate(
+                    cfg.nat, sid.src_addr, sid.src_port,
+                    sid.dst_addr, sid.dst_port, sid.proto, now, expiry,
+                )
+            except NatPoolExhausted:
+                return Verdict(Dropped(DropReason.NAT_EXHAUSTED), acct())
+        if full:
+            if mapping is not None:
+                self.nat_table.remove(mapping)  # it only answered the pool question
+            return Verdict(Dropped(DropReason.TABLE_FULL), acct())
+        self.state_table.insert(StateEntry(sid, sid.proto, state, expiry))
+        qos_c = route_l = 1
+        return self._outbound_egress(packet, sid, mapping, acct())
+
+    def _outbound_egress(
+        self, packet: Packet, sid: SessionId, mapping, acct: LookupAccounting
+    ) -> Verdict:
+        """QoS and routing on the post-NAT five-tuple, repeated for every outbound packet."""
+        cfg = self.config
+        dscp = classify(cfg.qos, sid)
+        out_sid = sid if mapping is None else outbound_sid(sid, mapping)
+        route = cfg.routes.lookup(out_sid.dst_addr)
+        hop = (None, None) if route is None else (route.next_hop, route.iface)
+        return _forward(packet, out_sid, dscp, *hop, acct)
 
 
 class IntegratedPipeline:
@@ -299,7 +297,7 @@ class IntegratedPipeline:
 
     def __init__(self, config: RouterConfig):
         self.config = config
-        self.table = SessionTable(config.capacity)
+        self.table = SessionTable(config.capacity, config.timeouts)
         self.session_hits = 0
         self.session_misses = 0
 
@@ -332,39 +330,43 @@ class IntegratedPipeline:
         )
 
     def _first_packet(self, packet: Packet, sid: SessionId, now: float) -> Verdict:
-        """The slow path: validate, allocate, classify and route, then create the entry."""
+        """The slow path: validate, check capacity, allocate, classify and route, then insert."""
         cfg = self.config
         self.session_misses += 1
-        nat_l = rule_e = rules_s = qos_c = route_l = 0
-        rule_e += 1
-        action, _, scanned = evaluate(cfg.rules, sid)
-        rules_s += scanned
+        nat_l = qos_c = route_l = 0
+        action, _, rules_s = evaluate(cfg.rules, sid)
 
         def acct() -> LookupAccounting:
-            return LookupAccounting(nat_l, 1, rule_e, rules_s, qos_c, route_l)
+            return LookupAccounting(nat_l, 1, 1, rules_s, qos_c, route_l)
 
         if action is Action.DROP:
             return Verdict(Dropped(DropReason.RULE_DENIED), acct())
         if sid.proto == TCP and not _pure_syn(packet):
             return Verdict(Dropped(DropReason.STATE_VIOLATION), acct())
+        try:
+            self.table.ensure_capacity(now)
+        except TableFullError:
+            full = True
+        else:
+            full = False
 
-        lan_to_lan = cfg.lan_prefix.contains(sid.dst_addr)
-        if lan_to_lan:
+        if cfg.lan_prefix.contains(sid.dst_addr):  # LAN to LAN: no translation
             gwy_addr, gwy_port = sid.src_addr, sid.src_port
         else:
             nat_l += 1  # one allocation probe against the session table
             gwy_addr = cfg.nat.public_addr
-            _, _, ext_addr, ext_port, proto = sid  # locals: each probe reads them
-            try:
-                gwy_port = find_free_port(
-                    cfg.nat, ext_addr, ext_port, proto,
-                    lambda p: self.table.port_in_use(gwy_addr, p, ext_addr, ext_port, proto, now),
-                )
-            except NatPoolExhausted:
-                return Verdict(Dropped(DropReason.NAT_EXHAUSTED), acct())
-        try:
-            self.table.ensure_capacity(now)
-        except TableFullError:
+            # a pool of N ports cannot be exhausted by fewer than N entries
+            if not full or len(self.table) >= cfg.nat.pool_size:
+                _, _, ext_addr, ext_port, proto = sid  # locals: each probe reads them
+                try:
+                    gwy_port = find_free_port(
+                        cfg.nat, ext_addr, ext_port, proto,
+                        lambda p: self.table.port_in_use(
+                            gwy_addr, p, ext_addr, ext_port, proto, now),
+                    )
+                except NatPoolExhausted:
+                    return Verdict(Dropped(DropReason.NAT_EXHAUSTED), acct())
+        if full:
             return Verdict(Dropped(DropReason.TABLE_FULL), acct())
 
         qos_c += 1

@@ -12,7 +12,9 @@ next hop for each direction.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from flowgate.packet import TCP, Direction, TcpFlags, format_ip
 
@@ -163,13 +165,31 @@ class ExpiringTable:
     """Exact-match store of entries keyed by `entry.outbound_key`, lazily expired.
 
     An entry whose expiry <= now is dead: lookups treat it as a miss and
-    purge it on the spot. Single-writer; callers supply logical time.
+    purge it on the spot. Single-writer; callers supply logical time, and
+    `now` must never decrease across calls (`load_trace` rejects traces
+    whose timestamps go backwards).
+
+    `sweep_expired` finds the dead through an expiry index (Varghese &
+    Lauck's timer idea as a lazy-deletion heap): a min-heap of
+    (lower bound on expiry, key) items, built at the first sweep so tables
+    that never sweep pay nothing for it. `advance` may shorten an expiry
+    behind the table's back, so a live entry is re-keyed to
+    min(expiry, now + horizon), where horizon is the shortest timeout:
+    every expiry is written at some time t as t + a timeout, so that stays
+    a lower bound as long as time does not run backwards. A sweep then
+    costs O((popped + 1) log n), not O(n).
     """
 
-    def __init__(self, capacity: float = 65536):
+    def __init__(self, capacity: float = 65536, timeouts: Timeouts | None = None):
         self.capacity = capacity
         self._out: dict[tuple, object] = {}
         self.lookups = 0
+        timeouts = timeouts or Timeouts()
+        self._horizon = min(  # the shortest time any expiry write looks ahead
+            timeouts.tcp_established, timeouts.tcp_transient,
+            timeouts.non_tcp, timeouts.closed_grace,
+        )
+        self._heap: list[tuple[float, tuple]] | None = None  # None until the first sweep
 
     def __len__(self) -> int:
         return len(self._out)
@@ -186,11 +206,18 @@ class ExpiringTable:
         return self._live(self._out.get(key), now)
 
     def insert(self, entry) -> None:
-        if entry.outbound_key in self._out:
-            raise DuplicateKeyError(f"key already present: {entry.outbound_key}")
+        key = entry.outbound_key
+        if key in self._out:
+            raise DuplicateKeyError(f"key already present: {key}")
         if len(self._out) >= self.capacity:
             raise TableFullError(f"table at capacity {self.capacity}")
-        self._out[entry.outbound_key] = entry
+        self._out[key] = entry
+        heap = self._heap
+        if heap is not None:
+            if len(heap) > 2 * len(self._out) + 64:
+                self._heap = None  # mostly stale items; the next sweep rebuilds it
+            else:
+                heappush(heap, (-math.inf, key))
 
     def remove(self, entry) -> None:
         del self._out[entry.outbound_key]
@@ -204,10 +231,28 @@ class ExpiringTable:
             raise TableFullError(f"table at capacity {self.capacity}")
 
     def sweep_expired(self, now: float) -> int:
-        dead = [entry for entry in self._out.values() if entry.expiry <= now]
-        for entry in dead:
-            self.remove(entry)
-        return len(dead)
+        """Remove every entry with expiry <= now; returns how many."""
+        heap = self._heap
+        if heap is None:
+            heap = self._heap = [(-math.inf, key) for key in self._out]
+            heapify(heap)
+        entries = self._out
+        requeue = []
+        cap = now + self._horizon
+        removed = 0
+        while heap and heap[0][0] <= now:
+            key = heappop(heap)[1]
+            entry = entries.get(key)
+            if entry is None:
+                continue  # removed since it was queued
+            if entry.expiry <= now:
+                self.remove(entry)
+                removed += 1
+            else:
+                requeue.append((min(entry.expiry, cap), key))
+        for item in requeue:
+            heappush(heap, item)
+        return removed
 
 
 class DualIndexTable(ExpiringTable):
@@ -218,8 +263,8 @@ class DualIndexTable(ExpiringTable):
     finds its flow.
     """
 
-    def __init__(self, capacity: float = 65536):
-        super().__init__(capacity)
+    def __init__(self, capacity: float = 65536, timeouts: Timeouts | None = None):
+        super().__init__(capacity, timeouts)
         self._in: dict[tuple, object] = {}
 
     def lookup_inbound(self, key: tuple, now: float):

@@ -208,6 +208,32 @@ CORNER_CASES = [
         [(2, DropReason.TABLE_FULL), (3, F)],
     ),
     (
+        "full_table_and_exhausted_pool_says_nat_exhausted",
+        dict(capacity=2, nat="public 192.0.2.1\nports 40000-40001\n"),
+        "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n"
+        "0.1 udp 10.0.0.6:1000 8.8.8.8:53 - 0 0\n"
+        "0.2 udp 10.0.0.7:1000 8.8.8.8:53 - 0 0\n",
+        [(0, F), (1, F), (2, DropReason.NAT_EXHAUSTED)],
+    ),
+    (
+        "full_table_with_a_free_port_says_table_full",
+        dict(capacity=2, nat="public 192.0.2.1\nports 40000-40002\n"),
+        "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n"
+        "0.1 udp 10.0.0.6:1000 8.8.8.8:53 - 0 0\n"
+        "0.2 udp 10.0.0.7:1000 8.8.8.8:53 - 0 0\n",
+        [(0, F), (1, F), (2, DropReason.TABLE_FULL)],
+    ),
+    (
+        "full_table_reclaims_a_dead_entry_and_its_port",
+        dict(capacity=2, nat="public 192.0.2.1\nports 40000-40001\n"),
+        "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n"
+        "30.0 udp 10.0.0.6:1000 8.8.8.8:53 - 0 0\n"
+        "60.0 udp 10.0.0.7:1000 8.8.8.8:53 - 0 0\n"
+        "60.1 udp 8.8.8.8:53 192.0.2.1:40000 - 0 0\n"
+        "60.2 udp 8.8.8.8:53 192.0.2.1:40001 - 0 0\n",
+        [(0, F), (1, F), (2, F), (3, F), (4, F)],
+    ),
+    (
         "inbound_without_session",
         {},
         "0.0 tcp 198.51.100.9:80 192.0.2.1:40000 S 0 0\n"
@@ -284,6 +310,13 @@ def test_criterion_1a_corner_traces():
         result = compare(make_config(qos="udp any any any 53 dscp 46\n"), trace(text))
         assert result.baseline_verdicts[0].outcome.packet.tos == (46 << 2) | 3
         assert result.baseline_verdicts[1].outcome.packet.tos == (46 << 2) | 1
+        # the flow admitted into a full table took the dead entry's port, and replies reach it
+        _, kwargs, text, _ = next(
+            c for c in CORNER_CASES if c[0] == "full_table_reclaims_a_dead_entry_and_its_port"
+        )
+        result = compare(make_config(**kwargs), trace(text))
+        assert result.baseline_verdicts[2].outcome.packet.sid.src_port == 40000
+        assert result.baseline_verdicts[3].outcome.packet.sid.dst_addr == parse_ip("10.0.0.7")
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from flowgate import cli
 from flowgate.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -105,13 +106,18 @@ BAD_INPUT = {
     "bench-reps-zero": ["bench", *config_flags(), "--reps", "0"],
     "run-out-dir-missing": [*RUN_TRACE, "--out", "{tmp}/missing/x.csv"],
     "run-verdicts-dir-missing": [*RUN_TRACE, "--verdicts", "{tmp}/missing/v.txt"],
+    "bench-out-dir-missing": ["bench", *config_flags(), "--out", "{tmp}/missing/b.csv"],
 }
 
 
 @pytest.mark.parametrize("argv", list(BAD_INPUT.values()), ids=list(BAD_INPUT))
-def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, argv):
+def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, monkeypatch, argv):
     main(["gen", "--sessions", "1", "--packets-per-session", "2", "--out", str(tmp_path / "t.txt")])
     capsys.readouterr()
+    replays = []
+    monkeypatch.setattr(cli, "run_pipeline", lambda *a: replays.append("run"))
+    monkeypatch.setattr(cli, "bench", lambda *a: replays.append("bench"))
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert replays == []  # bad input is refused before any packet is replayed

@@ -1,4 +1,4 @@
-"""Trace grammar, DSCP bit layout, and direction classification."""
+"""Trace grammar, DSCP bit layout, and CIDR parsing."""
 
 import random
 
@@ -9,11 +9,9 @@ from flowgate.packet import (
     TCP,
     UDP,
     Cidr,
-    Direction,
     Packet,
     SessionId,
     TcpFlags,
-    classify_direction,
     format_ip,
     load_trace,
     parse_ip,
@@ -138,20 +136,6 @@ def test_set_dscp_idempotent_and_tos_only():
         assert (once.ts, once.sid, once.ttl, once.flags, once.payload_len) == (
             p.ts, p.sid, p.ttl, p.flags, p.payload_len,
         )
-
-
-@pytest.mark.parametrize(
-    "src,lan,expected",
-    [
-        ("10.0.0.5", "10.0.0.0/8", Direction.OUTBOUND),
-        ("198.51.100.9", "10.0.0.0/8", Direction.INBOUND),
-        ("10.255.255.255", "10.0.0.0/8", Direction.OUTBOUND),
-        ("11.0.0.0", "10.0.0.0/8", Direction.INBOUND),
-    ],
-)
-def test_classify_direction(src, lan, expected):
-    p = parse_trace_record(f"0 udp {src}:1 1.2.3.4:2 - 0 0")
-    assert classify_direction(p, Cidr.parse(lan)) is expected
 
 
 def test_cidr_parse_and_contains():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from flowgate import session_table
 from flowgate.nat import NatConfig, NatMapping, NatTable
 from flowgate.packet import TCP, UDP, Direction, SessionId, TcpFlags, parse_trace_record
 from flowgate.pipelines import StateEntry, StateTable
@@ -17,6 +18,7 @@ from flowgate.session_table import (
     Timeouts,
     advance,
     entry_timeout,
+    initial_state,
     next_state,
 )
 
@@ -40,9 +42,9 @@ def make_entry(i: int = 0, expiry: float = 100.0, proto: int = TCP) -> SessionEn
     )
 
 
-def make_state_entry(i: int = 0, expiry: float = 100.0) -> StateEntry:
-    sid = SessionId(0x0A000005 + i, 1200, 0xC6336409, 80, TCP)
-    return StateEntry(sid, TCP, SessionState.SYN_SENT, expiry)
+def make_state_entry(i: int = 0, expiry: float = 100.0, proto: int = TCP) -> StateEntry:
+    sid = SessionId(0x0A000005 + i, 1200, 0xC6336409, 80, proto)
+    return StateEntry(sid, proto, initial_state(proto), expiry)
 
 
 def make_mapping(i: int = 0, expiry: float = 100.0) -> NatMapping:
@@ -148,6 +150,72 @@ def test_sweep_expired_counts_and_is_idempotent(kind):
     assert len(t) == 1
     assert t.sweep_expired(now=20.0) == 0
     assert cls().sweep_expired(0.0) == 0
+
+
+SHORT = Timeouts(tcp_established=8.0, tcp_transient=3.0, non_tcp=5.0, closed_grace=1.0)
+# SYN, SYN+ACK, ACK, FIN+ACK and RST: enough to walk a flow from the handshake to
+# Established and back down through FinWait and Closed, each step resetting expiry
+ORACLE_FLAGS = [TcpFlags(syn=True), TcpFlags(syn=True, ack=True), TcpFlags(ack=True),
+                TcpFlags(fin=True, ack=True), TcpFlags(rst=True)]
+
+
+@pytest.mark.parametrize("kind", ["StateTable", "SessionTable"])
+@pytest.mark.parametrize("seed", range(5))
+def test_sweep_matches_a_full_scan(kind, seed):
+    """The expiry index finds exactly the dead, even after `advance` shortens an expiry.
+
+    Time never decreases, keys are few so flows end and come back, and
+    every sweep is checked against a scan of the whole table.
+    """
+    cls, _, make = TABLES[kind]
+    rng = random.Random(seed)
+    t = cls(capacity=16, timeouts=SHORT)
+    now = 0.0
+    sweeps = 0
+    for _ in range(3000):
+        now += rng.choice((0.0, 0.0, 0.1, 0.5, 2.0))
+        op = rng.random()
+        i = rng.randrange(24)
+        proto = UDP if i % 3 == 0 else TCP
+        key = make(i, proto=proto).outbound_key
+        if op < 0.35:
+            if t.lookup(key, now) is None:
+                expiry = now + entry_timeout(proto, initial_state(proto), SHORT)
+                entry = make(i, expiry=expiry, proto=proto)
+                try:
+                    t.ensure_capacity(now)
+                except TableFullError:
+                    continue
+                t.insert(entry)
+        elif op < 0.8:
+            entry = t.lookup(key, now)
+            if entry is not None:
+                direction = rng.choice((Direction.OUTBOUND, Direction.INBOUND))
+                advance(entry, rng.choice(ORACLE_FLAGS), direction, now, SHORT)
+        else:
+            dead = sum(e.expiry <= now for e in t._out.values())
+            assert t.sweep_expired(now) == dead
+            assert all(e.expiry > now for e in t._out.values())
+            sweeps += 1
+        assert t._heap is None or len(t._heap) <= 2 * len(t) + 65
+    assert sweeps > 100
+
+
+@pytest.mark.parametrize("kind", ["StateTable", "SessionTable"])
+def test_refusal_at_the_same_instant_pops_nothing(kind, monkeypatch):
+    """A full table of live entries refuses a second flow without touching its index."""
+    cls, _, make = TABLES[kind]
+    t = cls(capacity=64)
+    for i in range(64):
+        t.insert(make(i, expiry=100.0))
+    with pytest.raises(TableFullError):
+        t.ensure_capacity(now=1.0)
+    pops = []
+    real_pop = session_table.heappop
+    monkeypatch.setattr(session_table, "heappop", lambda heap: pops.append(1) or real_pop(heap))
+    with pytest.raises(TableFullError):
+        t.ensure_capacity(now=1.0)
+    assert pops == []
 
 
 def test_port_in_use_reflects_liveness():
