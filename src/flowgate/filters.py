@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from flowgate.errors import ConfigError
-from flowgate.matchers import TupleMatcher, parse_matcher
+from flowgate.matchers import FirstMatch, TupleMatcher, parse_matcher
 from flowgate.packet import SessionId
 
 
@@ -27,6 +27,10 @@ class RuleSet:
 
     rules: tuple[FilterRule, ...]
     default: Action = Action.DROP
+    _index: FirstMatch = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", FirstMatch([rule.match for rule in self.rules]))
 
 
 def parse_rules(text: str) -> RuleSet:
@@ -51,9 +55,10 @@ def evaluate(ruleset: RuleSet, sid: SessionId) -> tuple[Action, int | None, int]
     """First-match evaluation.
 
     Returns (action, matched rule index or None, rules scanned). The scan
-    count includes the matching rule; a default-action outcome scanned them all.
+    count is the first-match depth, what a linear scan would examine: it
+    includes the matching rule, and a default-action outcome counts them all.
     """
-    for index, rule in enumerate(ruleset.rules):
-        if rule.match.matches(sid):
-            return rule.action, index, index + 1
-    return ruleset.default, None, len(ruleset.rules)
+    index = ruleset._index.first(sid)
+    if index is None:
+        return ruleset.default, None, len(ruleset.rules)
+    return ruleset.rules[index].action, index, index + 1

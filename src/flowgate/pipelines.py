@@ -57,7 +57,12 @@ class DropReason(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class LookupAccounting:
-    """Table consultations made for one packet."""
+    """Table consultations made for one packet.
+
+    `rules_scanned` is the first-match depth: the rules a linear scan would
+    examine to reach the verdict. `evaluate` answers from an index, so this
+    is not the work it does; it is kept for the paper's accounting.
+    """
 
     nat_lookups: int = 0
     session_lookups: int = 0

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from flowgate.errors import ConfigError
-from flowgate.matchers import TupleMatcher, parse_matcher
+from flowgate.matchers import FirstMatch, TupleMatcher, parse_matcher
 from flowgate.packet import SessionId
 
 
@@ -21,6 +21,10 @@ class QosPolicy:
 
     rules: tuple[QosRule, ...]
     default_dscp: int = 0
+    _index: FirstMatch = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", FirstMatch([rule.match for rule in self.rules]))
 
 
 def parse_qos(text: str) -> QosPolicy:
@@ -40,7 +44,5 @@ def parse_qos(text: str) -> QosPolicy:
 
 
 def classify(policy: QosPolicy, sid: SessionId) -> int:
-    for rule in policy.rules:
-        if rule.match.matches(sid):
-            return rule.dscp
-    return policy.default_dscp
+    index = policy._index.first(sid)
+    return policy.default_dscp if index is None else policy.rules[index].dscp

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from flowgate.errors import ConfigError
@@ -18,35 +19,45 @@ class RouteEntry:
 class RoutingTable:
     """Immutable after construction; lookup returns the longest covering prefix.
 
-    Entries are bucketed by prefix length so a lookup probes one exact-match
-    dict per occupied length, most specific first.
+    Prefixes are address ranges that either nest or are disjoint (Lampson,
+    Srinivasan & Varghese, INFOCOM 1998), so their edges cut the address
+    space into pieces that each have one answer: the innermost prefix
+    covering it. A lookup is one binary search over the piece edges.
     """
 
     def __init__(self, entries: list[RouteEntry]):
-        self._by_len: dict[int, dict[int, RouteEntry]] = {}
-        for entry in entries:
-            bucket = self._by_len.setdefault(entry.prefix.prefix_len, {})
-            if entry.prefix.network in bucket:
-                raise ValueError(f"duplicate prefix {entry.prefix}")
-            bucket[entry.prefix.network] = entry
-        # (length, shift, bucket) triples, most specific first
-        self._probe = [
-            (length, 32 - length, self._by_len[length])
-            for length in sorted(self._by_len, reverse=True)
-        ]
         self.entries = tuple(entries)
+        self._edges = [0]  # sorted piece starts; piece i answers self._hits[i]
+        self._hits: list[RouteEntry | None] = [None]
+        # one sweep in address order; a covering prefix sorts before what it covers
+        ordered = sorted(entries, key=lambda e: (e.prefix.network, e.prefix.prefix_len))
+        covering: list[tuple[int, RouteEntry]] = []  # (last address, entry), innermost last
+        for entry in ordered:
+            lo = entry.prefix.network
+            while covering and covering[-1][0] < lo:
+                self._cut(covering.pop()[0] + 1, covering[-1][1] if covering else None)
+            if covering and covering[-1][1].prefix == entry.prefix:
+                raise ValueError(f"duplicate prefix {entry.prefix}")
+            covering.append((lo | (0xFFFFFFFF >> entry.prefix.prefix_len), entry))
+            self._cut(lo, entry)
+        while covering:
+            end = covering.pop()[0]
+            if end < 0xFFFFFFFF:
+                self._cut(end + 1, covering[-1][1] if covering else None)
+
+    def _cut(self, start: int, hit: RouteEntry | None) -> None:
+        """Start a piece answered by `hit`; one starting at the same address is replaced."""
+        if self._edges[-1] == start:
+            self._hits[-1] = hit
+        else:
+            self._edges.append(start)
+            self._hits.append(hit)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def lookup(self, dst: int) -> RouteEntry | None:
-        for length, shift, bucket in self._probe:
-            if length == 0:
-                return next(iter(bucket.values()))
-            entry = bucket.get((dst >> shift) << shift)
-            if entry is not None:
-                return entry
-        return None
+        return self._hits[bisect_right(self._edges, dst) - 1]
 
 
 def parse_routes(text: str) -> RoutingTable:

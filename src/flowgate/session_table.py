@@ -174,10 +174,12 @@ class ExpiringTable:
     (lower bound on expiry, key) items, built at the first sweep so tables
     that never sweep pay nothing for it. `advance` may shorten an expiry
     behind the table's back, so a live entry is re-keyed to
-    min(expiry, now + horizon), where horizon is the shortest timeout:
-    every expiry is written at some time t as t + a timeout, so that stays
-    a lower bound as long as time does not run backwards. A sweep then
-    costs O((popped + 1) log n), not O(n).
+    min(expiry, now + horizon), where horizon is the shortest timeout its
+    protocol can be given: every expiry is written at some time t as
+    t + a timeout, so that stays a lower bound as long as time does not run
+    backwards. A non-TCP expiry is only ever written as t + non_tcp; a TCP
+    one may be t + any of the three TCP timeouts. A sweep then costs
+    O((popped + 1) log n), not O(n).
     """
 
     def __init__(self, capacity: float = 65536, timeouts: Timeouts | None = None):
@@ -185,10 +187,11 @@ class ExpiringTable:
         self._out: dict[tuple, object] = {}
         self.lookups = 0
         timeouts = timeouts or Timeouts()
-        self._horizon = min(  # the shortest time any expiry write looks ahead
-            timeouts.tcp_established, timeouts.tcp_transient,
-            timeouts.non_tcp, timeouts.closed_grace,
+        # the shortest time an expiry write looks ahead, for TCP and for the rest
+        self._tcp_horizon = min(
+            timeouts.tcp_established, timeouts.tcp_transient, timeouts.closed_grace
         )
+        self._non_tcp_horizon = timeouts.non_tcp
         self._heap: list[tuple[float, tuple]] | None = None  # None until the first sweep
 
     def __len__(self) -> int:
@@ -238,7 +241,8 @@ class ExpiringTable:
             heapify(heap)
         entries = self._out
         requeue = []
-        cap = now + self._horizon
+        tcp_cap = now + self._tcp_horizon
+        non_tcp_cap = now + self._non_tcp_horizon
         removed = 0
         while heap and heap[0][0] <= now:
             key = heappop(heap)[1]
@@ -249,6 +253,7 @@ class ExpiringTable:
                 self.remove(entry)
                 removed += 1
             else:
+                cap = tcp_cap if entry.proto == TCP else non_tcp_cap
                 requeue.append((min(entry.expiry, cap), key))
         for item in requeue:
             heappush(heap, item)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from flowgate.filters import parse_rules
 from flowgate.nat import parse_nat_config
-from flowgate.packet import Cidr, Packet, load_trace, parse_trace_record
+from flowgate.packet import TCP, UDP, Cidr, Packet, SessionId, load_trace, parse_trace_record
 from flowgate.pipelines import RouterConfig
 from flowgate.qos import parse_qos
 from flowgate.routing import parse_routes
@@ -50,6 +52,71 @@ def trace(text: str) -> list[Packet]:
 @pytest.fixture
 def config() -> RouterConfig:
     return make_config()
+
+
+def edge_probes(lo: int, hi: int, top: int) -> set[int]:
+    """The values at and just off both ends of [lo, hi], clamped to [0, top]."""
+    return {min(max(v, 0), top) for v in (lo - 1, lo, hi, hi + 1)}
+
+
+def random_matcher(rng: random.Random, protos=("any", "tcp", "udp", "6", "17", "1")) -> str:
+    """Five matcher tokens: proto src_cidr src_ports dst_cidr dst_ports."""
+
+    def cidr():
+        if rng.random() < 0.3:
+            return "any"
+        plen = rng.randrange(33)
+        return f"{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(256)}/{plen}"
+
+    def ports():
+        if rng.random() < 0.4:
+            return "any"
+        lo = rng.randrange(65536)
+        if rng.random() < 0.5:
+            return str(lo)
+        hi = rng.randrange(lo, 65536)
+        return f"{lo}-{hi}"
+
+    return f"{rng.choice(protos)} {cidr()} {ports()} {cidr()} {ports()}"
+
+
+EDGE_PROTOS = ("any", "tcp", "udp", "1", "47")
+
+
+def edge_sids(matchers, rng: random.Random) -> list[SessionId]:
+    """Probes at and just off every edge of every matcher's four ranges.
+
+    Each probe sits inside one matcher on three fields and on an edge of the
+    fourth, with the matcher's protocol (TCP or UDP for a wildcard); each
+    matcher is also probed as protocols 1 and 47, which carry port 0. Mixes
+    of edges taken from different matchers follow.
+    """
+    top = (0xFFFFFFFF, 65535, 0xFFFFFFFF, 65535)
+    values: list[set[int]] = [set(), set(), set(), set()]
+    sids = []
+    for m in matchers:
+        ranges = [
+            (m.src.network, m.src.network | (0xFFFFFFFF >> m.src.prefix_len)),
+            (m.src_ports.lo, m.src_ports.hi),
+            (m.dst.network, m.dst.network | (0xFFFFFFFF >> m.dst.prefix_len)),
+            (m.dst_ports.lo, m.dst_ports.hi),
+        ]
+        inside = [lo for lo, _ in ranges]
+        proto = m.proto if m.proto is not None else rng.choice((TCP, UDP))
+        for field, (lo, hi) in enumerate(ranges):
+            for v in edge_probes(lo, hi, top[field]):
+                values[field].add(v)
+                sids.append(SessionId(*inside[:field], v, *inside[field + 1:], proto))
+        for portless in (1, 47):
+            sids.append(SessionId(inside[0], 0, inside[2], 0, portless))
+    pools = [sorted(v) or [0] for v in values]
+    for _ in range(200):
+        proto = rng.choice((TCP, UDP, 1, 47))
+        src, sport, dst, dport = (rng.choice(pool) for pool in pools)
+        if proto in (1, 47):
+            sport = dport = 0
+        sids.append(SessionId(src, sport, dst, dport, proto))
+    return sids
 
 
 # --- acceptance reporting -------------------------------------------------

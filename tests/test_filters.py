@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from conftest import EDGE_PROTOS, edge_sids, random_matcher
 
+from flowgate import matchers
 from flowgate.errors import ConfigError
 from flowgate.filters import Action, RuleSet, evaluate, parse_rules
 from flowgate.packet import TCP, UDP, SessionId, parse_ip
@@ -75,25 +77,11 @@ def _oracle(rs: RuleSet, s: SessionId):
     return rs.default, None, len(rs.rules)
 
 
-def _random_ruleset(rng: random.Random, max_rules=64) -> RuleSet:
+def _random_ruleset(rng: random.Random, count: int, **matcher_opts) -> RuleSet:
     lines = []
-    for _ in range(rng.randrange(max_rules + 1)):
+    for _ in range(count):
         action = rng.choice(["accept", "drop"])
-        proto = rng.choice(["any", "tcp", "udp", "6", "17", "1"])
-        def cidr():
-            if rng.random() < 0.3:
-                return "any"
-            plen = rng.randrange(33)
-            return f"{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(256)}/{plen}"
-        def ports():
-            if rng.random() < 0.4:
-                return "any"
-            lo = rng.randrange(65536)
-            if rng.random() < 0.5:
-                return str(lo)
-            hi = rng.randrange(lo, 65536)
-            return f"{lo}-{hi}"
-        lines.append(f"{action} {proto} {cidr()} {ports()} {cidr()} {ports()}")
+        lines.append(f"{action} {random_matcher(rng, **matcher_opts)}")
     return parse_rules("\n".join(lines))
 
 
@@ -109,7 +97,38 @@ def _random_sid(rng: random.Random) -> SessionId:
 def test_evaluate_matches_brute_force_oracle():
     rng = random.Random(808)
     for _ in range(60):
-        rs = _random_ruleset(rng)
+        rs = _random_ruleset(rng, rng.randrange(65))
         for _ in range(50):
             s = _random_sid(rng)
             assert evaluate(rs, s) == _oracle(rs, s)
+
+
+@pytest.mark.parametrize("count", [0, 1, 8, 64, 200])
+def test_evaluate_matches_oracle_at_rule_edges(count):
+    """Probes on and just off every rule edge; 200 rules need masks wider than a word."""
+    rng = random.Random(count)
+    for _ in range(2 if count == 200 else 12):
+        rs = _random_ruleset(rng, count, protos=EDGE_PROTOS)
+        for s in edge_sids([rule.match for rule in rs.rules], rng):
+            assert evaluate(rs, s) == _oracle(rs, s)
+
+
+@pytest.mark.parametrize("count", [1, 1000])
+def test_first_match_makes_at_most_four_searches(count, monkeypatch):
+    """One binary search per range field, whatever the rule count."""
+    lines = [
+        f"accept tcp 10.{i >> 8}.{i & 255}.0/24 {1024 + i} 172.16.{i >> 8}.{i & 255}/32 {2048 + i}"
+        for i in range(count)
+    ]
+    rs = parse_rules("\n".join(lines))
+    calls = []
+    real = matchers.bisect_right
+    monkeypatch.setattr(matchers, "bisect_right", lambda a, x: calls.append(1) or real(a, x))
+    for i in range(0, count, max(1, count // 50)):
+        calls.clear()
+        probe = SessionId((10 << 24) | i << 8 | 7, 1024 + i, (172 << 24) | (16 << 16) | i, 2048 + i, TCP)
+        assert evaluate(rs, probe) == (Action.ACCEPT, i, i + 1)
+        assert len(calls) == 4
+        calls.clear()
+        assert evaluate(rs, probe._replace(dst_port=1))[1] is None
+        assert len(calls) <= 4

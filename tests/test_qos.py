@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from conftest import EDGE_PROTOS, edge_sids, random_matcher
 
 from flowgate.errors import ConfigError
 from flowgate.packet import TCP, UDP, SessionId, parse_ip
@@ -77,4 +78,15 @@ def test_classify_matches_linear_scan_oracle():
                 rng.randrange(65536),
                 rng.choice([TCP, UDP]),
             )
+            assert classify(qp, s) == _oracle(qp, s)
+
+
+@pytest.mark.parametrize("count", [0, 1, 8, 32, 200])
+def test_classify_matches_oracle_at_rule_edges(count):
+    """Probes on and just off every rule edge; 200 rules need masks wider than a word."""
+    rng = random.Random(count)
+    for _ in range(2 if count == 200 else 12):
+        lines = [f"{random_matcher(rng, EDGE_PROTOS)} dscp {rng.randrange(64)}" for _ in range(count)]
+        qp = parse_qos("\n".join(lines))
+        for s in edge_sids([rule.match for rule in qp.rules], rng):
             assert classify(qp, s) == _oracle(qp, s)

@@ -3,10 +3,12 @@
 import random
 
 import pytest
+from conftest import edge_probes
 
+from flowgate import routing
 from flowgate.errors import ConfigError
-from flowgate.packet import format_ip, parse_ip
-from flowgate.routing import parse_routes
+from flowgate.packet import Cidr, format_ip, parse_ip
+from flowgate.routing import RouteEntry, RoutingTable, parse_routes
 
 THREE_TIER = "0.0.0.0/0 203.0.113.1 wan\n10.0.0.0/8 10.0.0.254 lan\n10.1.0.0/16 10.1.0.254 dmz\n"
 
@@ -79,3 +81,89 @@ def test_lookup_is_pure():
     rt = parse_routes(THREE_TIER)
     addr = parse_ip("10.1.2.3")
     assert rt.lookup(addr) is rt.lookup(addr)
+
+
+# prefixes nested three deep that share an end address (10.255.255.255) and a
+# start address (10.0.0.0), a /32 at each end of the address space, and /0
+NESTED = """\
+0.0.0.0/0 203.0.113.1 wan
+10.0.0.0/8 10.0.0.254 lan
+10.0.0.0/16 10.0.0.253 lan
+10.255.0.0/16 10.0.0.252 dmz
+10.255.255.0/24 10.0.0.251 dmz
+10.255.255.255/32 10.0.0.250 dmz
+0.0.0.0/32 10.0.0.249 lo
+255.255.255.255/32 10.0.0.248 bcast
+"""
+
+
+def _nested_routes(rng: random.Random) -> str:
+    """Chains of nested prefixes around addresses whose low bits are all ones or all zeros.
+
+    Every prefix of length >= 32 - k around such an address shares its end
+    (or start) address with the others, so pieces close and open together.
+    """
+    seen = set()
+    lines = []
+    if rng.random() < 0.5:
+        lines.append("0.0.0.0/0 203.0.113.1 wan")
+        seen.add((0, 0))
+    for _ in range(rng.randrange(1, 12)):
+        k = rng.randrange(33)
+        base = rng.randrange(2**32)
+        addr = base | ((1 << k) - 1) if rng.random() < 0.5 else base & ~((1 << k) - 1) & 0xFFFFFFFF
+        for plen in rng.sample(range(1, 33), rng.randrange(1, 8)):
+            network = addr & ((0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF)
+            if (network, plen) not in seen:
+                seen.add((network, plen))
+                lines.append(f"{format_ip(network)}/{plen} {format_ip(rng.randrange(2**32))} if{plen}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lookup_matches_oracle_at_prefix_edges(seed):
+    rng = random.Random(seed)
+    tables = [NESTED, "", *(_nested_routes(rng) for _ in range(25))]
+    for text in tables:
+        rt = parse_routes(text)
+        probes = {0, 0xFFFFFFFF}
+        for e in rt.entries:
+            lo = e.prefix.network
+            probes |= edge_probes(lo, lo | (0xFFFFFFFF >> e.prefix.prefix_len), 0xFFFFFFFF)
+        for addr in probes:
+            assert rt.lookup(addr) == _oracle(rt.entries, addr)
+
+
+def test_nested_prefixes_sharing_an_end():
+    rt = parse_routes(NESTED)
+    assert rt.lookup(parse_ip("10.255.255.255")).prefix == Cidr.parse("10.255.255.255/32")
+    assert rt.lookup(parse_ip("10.255.255.254")).prefix == Cidr.parse("10.255.255.0/24")
+    assert rt.lookup(parse_ip("10.255.254.255")).prefix == Cidr.parse("10.255.0.0/16")
+    assert rt.lookup(parse_ip("11.0.0.0")).prefix == Cidr.parse("0.0.0.0/0")
+    assert rt.lookup(parse_ip("10.1.0.0")).prefix == Cidr.parse("10.0.0.0/8")
+    assert rt.lookup(0).prefix == Cidr.parse("0.0.0.0/32")
+    assert rt.lookup(0xFFFFFFFF).prefix == Cidr.parse("255.255.255.255/32")
+
+
+def test_duplicate_prefix_rejected_by_the_table():
+    entry = RouteEntry(Cidr.parse("10.0.0.0/8"), parse_ip("10.0.0.254"), "lan")
+    other = RouteEntry(Cidr.parse("10.0.0.0/16"), parse_ip("10.0.0.253"), "lan")
+    with pytest.raises(ValueError, match="duplicate prefix 10.0.0.0/8"):
+        RoutingTable([entry, other, RouteEntry(entry.prefix, parse_ip("10.9.9.9"), "lan2")])
+
+
+@pytest.mark.parametrize("count", [2, 4096])
+def test_lookup_is_one_binary_search(count, monkeypatch):
+    rng = random.Random(count)
+    prefixes = {(0, 0)}
+    while len(prefixes) < count:
+        plen = rng.randrange(1, 33)
+        prefixes.add((rng.randrange(2**32) & ((0xFFFFFFFF << (32 - plen)) & 0xFFFFFFFF), plen))
+    rt = RoutingTable([RouteEntry(Cidr(n, p), 1, "if") for n, p in prefixes])
+    calls = []
+    real = routing.bisect_right
+    monkeypatch.setattr(routing, "bisect_right", lambda a, x: calls.append(1) or real(a, x))
+    for _ in range(200):
+        calls.clear()
+        assert rt.lookup(rng.randrange(2**32)) is not None
+        assert len(calls) == 1

@@ -218,6 +218,21 @@ def test_refusal_at_the_same_instant_pops_nothing(kind, monkeypatch):
     assert pops == []
 
 
+@pytest.mark.parametrize("kind", ["StateTable", "SessionTable"])
+def test_live_udp_entries_are_not_popped_before_their_timeout(kind, monkeypatch):
+    """A non-TCP expiry is only written as t + non_tcp, so a sweep re-keys it there."""
+    cls, _, make = TABLES[kind]
+    t = cls()
+    for i in range(32):
+        t.insert(make(i, expiry=Timeouts().non_tcp, proto=UDP))  # written at t = 0
+    assert t.sweep_expired(now=1.0) == 0
+    pops = []
+    real_pop = session_table.heappop
+    monkeypatch.setattr(session_table, "heappop", lambda heap: pops.append(1) or real_pop(heap))
+    assert t.sweep_expired(now=7.0) == 0
+    assert pops == []
+
+
 def test_port_in_use_reflects_liveness():
     t = SessionTable()
     e = make_entry(expiry=10.0)
