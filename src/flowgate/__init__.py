@@ -21,20 +21,23 @@ from flowgate.nat import (
     NatConfig,
     NatPoolExhausted,
     NatTable,
+    inbound_sid,
+    outbound_sid,
     parse_nat_config,
-    translate_inbound,
-    translate_outbound,
 )
 from flowgate.packet import (
+    ACK,
+    FIN,
+    RST,
+    SYN,
     Cidr,
     Direction,
     Packet,
     SessionId,
-    TcpFlags,
     load_trace,
+    merge_dscp,
     parse_trace_record,
     render_trace_record,
-    set_dscp,
 )
 from flowgate.pipelines import (
     BaselinePipeline,

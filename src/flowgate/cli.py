@@ -57,7 +57,7 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
 def _read_config(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
@@ -102,16 +102,9 @@ def _trace_spec(args: argparse.Namespace) -> TraceSpec:
 def _read_trace(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read {path}: {exc}") from exc
     return load_trace(text)
-
-
-def _write(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 @contextmanager
@@ -132,15 +125,10 @@ def _output(path: str | None):
         yield out
 
 
-def _write_or_print(text: str, path: str | None) -> None:
-    if path:
-        _write(path, text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
-    _write_or_print(generate_trace(_trace_spec(args)), args.out)
+    spec = _trace_spec(args)
+    with _output(args.out) as out:
+        (out or sys.stdout).write(generate_trace(spec))
     return EXIT_OK
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from flowgate.errors import ConfigError
 from flowgate.matchers import FirstMatch, TupleMatcher, parse_matcher
-from flowgate.packet import SessionId
+from flowgate.packet import SessionId, content_lines
 
 
 class Action(enum.Enum):
@@ -36,11 +36,8 @@ class RuleSet:
 def parse_rules(text: str) -> RuleSet:
     """One rule per line: `<accept|drop> <proto> <src_cidr> <src_ports> <dst_cidr> <dst_ports>`."""
     rules: list[FilterRule] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split()
+    for lineno, line in content_lines(text):
+        fields = line.split()
         if len(fields) != 6:
             raise ConfigError(f"line {lineno}: expected 6 fields, got {len(fields)}")
         try:

@@ -9,13 +9,14 @@ from dataclasses import dataclass, field
 
 from flowgate.errors import ConfigError
 from flowgate.packet import (
+    ACK,
+    FIN,
+    SYN,
     TCP,
     UDP,
     Cidr,
-    NO_FLAGS,
     Packet,
     SessionId,
-    TcpFlags,
     format_ip,
     render_trace_record,
 )
@@ -28,11 +29,6 @@ from flowgate.pipelines import (
     RouterConfig,
     Verdict,
 )
-
-SYN = TcpFlags(syn=True)
-SYN_ACK = TcpFlags(syn=True, ack=True)
-ACK = TcpFlags(ack=True)
-FIN_ACK = TcpFlags(ack=True, fin=True)
 
 TCP_PEER_PORTS = (80, 443, 22, 25)
 UDP_PEER_PORTS = (53, 123, 5060)
@@ -49,9 +45,11 @@ class TraceSpec:
 
     Inbound packets on the wire target the flow's NATed public endpoint, so
     the generator carries the gateway's identity and mirrors the allocator's
-    deterministic lowest-free-port rule to address replies. The prediction is
-    exact for traces whose first packets are all accepted; when a run's config
-    rejects them, the replies simply miss in both pipelines alike.
+    deterministic lowest-free-port rule to address replies; a peer inside
+    `lan_prefix` is not translated, so its replies target the LAN endpoint.
+    The prediction is exact for traces whose first packets are all accepted;
+    when a run's config rejects them, the replies simply miss in both
+    pipelines alike.
     """
 
     sessions: int
@@ -70,25 +68,25 @@ def _session_packets(
     gwy: tuple[int, int],
     peer: tuple[int, int],
     count: int,
-) -> list[tuple[SessionId, TcpFlags]]:
+) -> list[tuple[SessionId, int]]:
     """Expand one session into (five-tuple, flags) pairs, in order.
 
-    Outbound packets carry the LAN source; inbound ones target the public
-    gateway endpoint. TCP: SYN, SYN+ACK, ACK, alternating data, and a closing
-    FIN exchange when at least 5 packets are requested. UDP: alternating
-    request/response.
+    Outbound packets carry the LAN source; inbound ones target `gwy`, the
+    flow's public endpoint. TCP: SYN, SYN+ACK, ACK, alternating data, and a
+    closing FIN exchange when at least 5 packets are requested. UDP:
+    alternating request/response.
     """
     out = SessionId(lan[0], lan[1], peer[0], peer[1], proto)
     inb = SessionId(peer[0], peer[1], gwy[0], gwy[1], proto)
     if proto != TCP:
-        return [((out, inb)[i % 2], NO_FLAGS) for i in range(count)]
-    plan: list[tuple[SessionId, TcpFlags]] = [(out, SYN), (inb, SYN_ACK), (out, ACK)][:count]
+        return [((out, inb)[i % 2], 0) for i in range(count)]
+    plan: list[tuple[SessionId, int]] = [(out, SYN), (inb, SYN | ACK), (out, ACK)][:count]
     data_count = count - 5 if count >= 5 else max(count - 3, 0)
     for i in range(data_count):
         plan.append(((out, inb)[i % 2], ACK))
     if count >= 5:
-        plan.append((out, FIN_ACK))
-        plan.append((inb, FIN_ACK))
+        plan.append((out, FIN | ACK))
+        plan.append((inb, FIN | ACK))
     return plan
 
 
@@ -112,10 +110,13 @@ def generate_packets(spec: TraceSpec) -> list[Packet]:
         lan = (lan_base + i % n_hosts, 10000 + (i // n_hosts) % 50000)
         peer_ports = TCP_PEER_PORTS if proto == TCP else UDP_PEER_PORTS
         peer = (spec.peers[i % len(spec.peers)], rng.choice(peer_ports))
-        peer_key = (peer[0], peer[1], proto)
-        offset = ports_taken.get(peer_key, 0)
-        ports_taken[peer_key] = offset + 1
-        gwy = (spec.nat_public, spec.nat_port_lo + offset)
+        if spec.lan_prefix.contains(peer[0]):
+            gwy = lan  # LAN to LAN is not translated
+        else:
+            peer_key = (peer[0], peer[1], proto)
+            offset = ports_taken.get(peer_key, 0)
+            ports_taken[peer_key] = offset + 1
+            gwy = (spec.nat_public, spec.nat_port_lo + offset)
         sessions.append(_session_packets(proto, lan, gwy, peer, spec.packets_per_session))
 
     packets: list[Packet] = []

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from flowgate.errors import ConfigError
-from flowgate.packet import Packet, SessionId, format_ip, parse_ip
+from flowgate.packet import SessionId, content_lines, format_ip, parse_ip
 from flowgate.session_table import DualIndexTable, Timeouts
 
 
@@ -30,11 +30,8 @@ def parse_nat_config(text: str) -> NatConfig:
     """Parse the two-line NAT config: `public <ip>` and `ports <lo>-<hi>`."""
     public_addr = None
     ports = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split()
+    for lineno, line in content_lines(text):
+        fields = line.split()
         if fields[0] == "public" and len(fields) == 2:
             try:
                 public_addr = parse_ip(fields[1])
@@ -145,18 +142,3 @@ def inbound_sid(sid: SessionId, mapping) -> SessionId:
     """A reply's five-tuple as it leaves: dst is back on the LAN endpoint."""
     return SessionId(sid.src_addr, sid.src_port, mapping.lan_addr, mapping.lan_port, sid.proto)
 
-
-def translate_outbound(packet: Packet, mapping) -> Packet:
-    """Rewrite src to the mapping's public identity. Nothing else changes."""
-    sid = packet.sid
-    if (sid.src_addr, sid.src_port) != (mapping.lan_addr, mapping.lan_port):
-        raise ValueError("packet does not match the mapping's LAN side")
-    return replace(packet, sid=outbound_sid(sid, mapping))
-
-
-def translate_inbound(packet: Packet, mapping) -> Packet:
-    """Rewrite dst back to the mapping's LAN endpoint."""
-    sid = packet.sid
-    if (sid.dst_addr, sid.dst_port) != (mapping.gwy_addr, mapping.gwy_port):
-        raise ValueError("packet does not match the mapping's public side")
-    return replace(packet, sid=inbound_sid(sid, mapping))

@@ -7,15 +7,21 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 from flowgate.errors import TraceError
 
 TCP = 6
 UDP = 17
 
-FLAG_LETTERS = "SAFR"  # rendered in this order, always
+# TCP flags are an int of these bits
+SYN, ACK, FIN, RST = 1, 2, 4, 8
+# each flag value's one spelling: the letters of its bits in SAFR order, '-' for none
+FLAG_TEXT = tuple(
+    "".join(c for bit, c in zip((SYN, ACK, FIN, RST), "SAFR") if v & bit) or "-" for v in range(16)
+)
+FLAG_BITS = {text: value for value, text in enumerate(FLAG_TEXT)}
 
 
 def parse_ip(text: str) -> int:
@@ -66,41 +72,6 @@ class Cidr:
         return f"{format_ip(self.network)}/{self.prefix_len}"
 
 
-@dataclass(frozen=True, slots=True)
-class TcpFlags:
-    syn: bool = False
-    ack: bool = False
-    fin: bool = False
-    rst: bool = False
-
-    @classmethod
-    def from_text(cls, text: str) -> "TcpFlags":
-        """Parse '-' or a subset of "SAFR" written in that canonical order."""
-        if text == "-":
-            return NO_FLAGS
-        if not text or any(c not in FLAG_LETTERS for c in text):
-            raise ValueError(f"bad flags {text!r}")
-        # reject duplicates and out-of-order spellings so render/parse is one-to-one
-        indexes = [FLAG_LETTERS.index(c) for c in text]
-        if indexes != sorted(set(indexes)):
-            raise ValueError(f"flags not in canonical SAFR order: {text!r}")
-        return cls("S" in text, "A" in text, "F" in text, "R" in text)
-
-    def to_text(self) -> str:
-        text = "".join(
-            letter
-            for letter, present in zip(FLAG_LETTERS, (self.syn, self.ack, self.fin, self.rst))
-            if present
-        )
-        return text or "-"
-
-    def __bool__(self) -> bool:
-        return self.syn or self.ack or self.fin or self.rst
-
-
-NO_FLAGS = TcpFlags()
-
-
 class SessionId(NamedTuple):
     """The five-tuple selecting one flow, as carried in a packet header.
 
@@ -126,12 +97,8 @@ class Packet:
     sid: SessionId
     tos: int
     ttl: int
-    flags: TcpFlags
+    flags: int  # SYN | ACK | FIN | RST bits
     payload_len: int
-
-    @property
-    def dscp(self) -> int:
-        return self.tos >> 2
 
 
 class Direction(enum.Enum):
@@ -144,10 +111,6 @@ def merge_dscp(tos: int, dscp: int) -> int:
     if not 0 <= dscp <= 63:
         raise ValueError(f"dscp {dscp} out of range 0..63")
     return (dscp << 2) | (tos & 0x03)
-
-
-def set_dscp(packet: Packet, dscp: int) -> Packet:
-    return replace(packet, tos=merge_dscp(packet.tos, dscp))
 
 
 def _parse_endpoint(token: str, column: str) -> tuple[int, int]:
@@ -172,7 +135,7 @@ def parse_trace_record(line: str) -> Packet:
     Grammar (whitespace separated):
         ts proto src_ip:src_port dst_ip:dst_port flags payload_len tos [ttl]
     proto is tcp, udp, or a decimal protocol number; flags is '-' or a subset
-    of "SAFR"; ttl is optional and defaults to 64.
+    of "SAFR" in that order; ttl is optional and defaults to 64.
     """
     fields = line.split()
     if len(fields) not in (7, 8):
@@ -200,10 +163,10 @@ def parse_trace_record(line: str) -> Packet:
     if proto not in (TCP, UDP) and (src_port or dst_port):
         raise TraceError(f"src/dst: ports must be 0 for protocol {proto}")
 
-    try:
-        flags = TcpFlags.from_text(fields[4])
-    except ValueError as exc:
-        raise TraceError(f"flags: {exc}") from exc
+    flags = FLAG_BITS.get(fields[4])
+    if flags is None:
+        # one spelling per value keeps render/parse one-to-one
+        raise TraceError(f"flags: not '-' or a subset of SAFR in that order: {fields[4]!r}")
     if flags and proto != TCP:
         raise TraceError(f"flags: TCP flags on protocol {proto}")
 
@@ -236,8 +199,20 @@ def render_trace_record(packet: Packet) -> str:
         f"{packet.ts} {proto}"
         f" {format_ip(sid.src_addr)}:{sid.src_port}"
         f" {format_ip(sid.dst_addr)}:{sid.dst_port}"
-        f" {packet.flags.to_text()} {packet.payload_len} {packet.tos} {packet.ttl}"
+        f" {FLAG_TEXT[packet.flags]} {packet.payload_len} {packet.tos} {packet.ttl}"
     )
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line that is neither blank nor a '#' comment.
+
+    Every text format flowgate reads (traces, rules, QoS, routes, NAT) skips
+    the same lines and numbers them the same way.
+    """
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped
 
 
 def load_trace(text: str) -> list[Packet]:
@@ -247,12 +222,9 @@ def load_trace(text: str) -> list[Packet]:
     """
     packets: list[Packet] = []
     last_ts = 0.0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         try:
-            packet = parse_trace_record(stripped)
+            packet = parse_trace_record(line)
         except TraceError as exc:
             raise TraceError(f"line {lineno}: {exc}") from exc
         if packet.ts < last_ts:

@@ -29,7 +29,7 @@ from flowgate.nat import (
     inbound_sid,
     outbound_sid,
 )
-from flowgate.packet import TCP, Cidr, Direction, Packet, SessionId, merge_dscp
+from flowgate.packet import SYN, TCP, Cidr, Direction, Packet, SessionId, merge_dscp
 from flowgate.qos import QosPolicy, classify
 from flowgate.routing import RoutingTable
 from flowgate.session_table import (
@@ -125,11 +125,6 @@ class RouterConfig:
     nat: NatConfig
     timeouts: Timeouts = field(default_factory=Timeouts)
     capacity: int = 65536
-
-
-def _pure_syn(packet: Packet) -> bool:
-    f = packet.flags
-    return f.syn and not (f.ack or f.fin or f.rst)
 
 
 # hit-path accounting never varies; shared instances keep the hot paths lean
@@ -249,7 +244,7 @@ class BaselinePipeline:
 
         if action is Action.DROP:
             return Verdict(Dropped(DropReason.RULE_DENIED), acct())
-        if sid.proto == TCP and not _pure_syn(packet):
+        if sid.proto == TCP and packet.flags != SYN:
             return Verdict(Dropped(DropReason.STATE_VIOLATION), acct())
         state = initial_state(sid.proto)
         expiry = now + entry_timeout(sid.proto, state, cfg.timeouts)
@@ -346,7 +341,7 @@ class IntegratedPipeline:
 
         if action is Action.DROP:
             return Verdict(Dropped(DropReason.RULE_DENIED), acct())
-        if sid.proto == TCP and not _pure_syn(packet):
+        if sid.proto == TCP and packet.flags != SYN:
             return Verdict(Dropped(DropReason.STATE_VIOLATION), acct())
         try:
             self.table.ensure_capacity(now)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from flowgate.errors import ConfigError
 from flowgate.matchers import FirstMatch, TupleMatcher, parse_matcher
-from flowgate.packet import SessionId
+from flowgate.packet import SessionId, content_lines
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,11 +30,8 @@ class QosPolicy:
 def parse_qos(text: str) -> QosPolicy:
     """One rule per line: `<proto> <src_cidr> <src_ports> <dst_cidr> <dst_ports> dscp <0-63>`."""
     rules: list[QosRule] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split()
+    for lineno, line in content_lines(text):
+        fields = line.split()
         if len(fields) != 7 or fields[5] != "dscp":
             raise ConfigError(f"line {lineno}: expected '<matcher...> dscp <value>'")
         if not fields[6].isdigit() or int(fields[6]) > 63:

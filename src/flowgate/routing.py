@@ -6,7 +6,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from flowgate.errors import ConfigError
-from flowgate.packet import Cidr, parse_ip
+from flowgate.packet import Cidr, content_lines, parse_ip
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,11 +64,8 @@ def parse_routes(text: str) -> RoutingTable:
     """One route per line: `<cidr> <next_hop_ip> <iface>`. Duplicate prefixes rejected."""
     entries: list[RouteEntry] = []
     seen: set[Cidr] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split()
+    for lineno, line in content_lines(text):
+        fields = line.split()
         if len(fields) != 3:
             raise ConfigError(f"line {lineno}: expected '<cidr> <next_hop> <iface>'")
         try:

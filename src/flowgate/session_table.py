@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from flowgate.packet import TCP, Direction, TcpFlags, format_ip
+from flowgate.packet import ACK, FIN, RST, SYN, TCP, Direction, format_ip
 
 
 class SessionState(enum.Enum):
@@ -57,26 +57,26 @@ def entry_timeout(proto: int, state: SessionState, timeouts: Timeouts) -> float:
 # in FinWait, plus the outbound ACK that completes the handshake. Everything
 # else is a violation (None).
 def next_tcp_state(
-    state: SessionState, flags: TcpFlags, direction: Direction
+    state: SessionState, flags: int, direction: Direction
 ) -> SessionState | None:
     if state is SessionState.CLOSED:
         return None
-    if flags.rst:
+    if flags & RST:
         return SessionState.CLOSED
-    if flags.syn and flags.fin:
+    if flags & SYN and flags & FIN:
         return None
-    if flags.fin:
+    if flags & FIN:
         if state is SessionState.FIN_WAIT:
             return SessionState.CLOSED
         return SessionState.FIN_WAIT
-    if flags.syn:
+    if flags & SYN:
         if state is SessionState.SYN_SENT:
-            if direction is Direction.INBOUND and flags.ack:
+            if direction is Direction.INBOUND and flags & ACK:
                 return SessionState.SYN_RECEIVED
-            if direction is Direction.OUTBOUND and not flags.ack:
+            if direction is Direction.OUTBOUND and not flags & ACK:
                 return SessionState.SYN_SENT  # retransmitted initial SYN
             return None
-        if state is SessionState.SYN_RECEIVED and direction is Direction.INBOUND and flags.ack:
+        if state is SessionState.SYN_RECEIVED and direction is Direction.INBOUND and flags & ACK:
             return SessionState.SYN_RECEIVED  # retransmitted SYN+ACK
         return None
     # no SYN/FIN/RST: plain data or ACK
@@ -84,36 +84,32 @@ def next_tcp_state(
         return SessionState.ESTABLISHED
     if state is SessionState.FIN_WAIT:
         return SessionState.FIN_WAIT
-    if state is SessionState.SYN_RECEIVED and direction is Direction.OUTBOUND and flags.ack:
+    if state is SessionState.SYN_RECEIVED and direction is Direction.OUTBOUND and flags & ACK:
         return SessionState.ESTABLISHED  # handshake-completing ACK
     return None
-
-
-def next_state(
-    proto: int, state: SessionState, flags: TcpFlags, direction: Direction
-) -> SessionState | None:
-    """Transition for any protocol; non-TCP sessions stay Open."""
-    if proto != TCP:
-        return SessionState.OPEN
-    return next_tcp_state(state, flags, direction)
 
 
 def initial_state(proto: int) -> SessionState:
     return SessionState.SYN_SENT if proto == TCP else SessionState.OPEN
 
 
-def advance(entry, flags: TcpFlags, direction: Direction, now: float, timeouts: Timeouts) -> bool:
+def advance(entry, flags: int, direction: Direction, now: float, timeouts: Timeouts) -> bool:
     """Apply one packet to an entry's state machine.
 
     Returns False on a state violation, leaving the entry untouched. On an
-    accepted packet the state is updated and expiry refreshed. Works on any
-    entry object with proto/state/expiry attributes.
+    accepted packet the state is updated and expiry refreshed; non-TCP
+    sessions stay Open. Works on any entry object with proto/state/expiry
+    attributes.
     """
-    new_state = next_state(entry.proto, entry.state, flags, direction)
-    if new_state is None:
-        return False
+    proto = entry.proto
+    if proto == TCP:
+        new_state = next_tcp_state(entry.state, flags, direction)
+        if new_state is None:
+            return False
+    else:
+        new_state = SessionState.OPEN
     entry.state = new_state
-    entry.expiry = now + entry_timeout(entry.proto, new_state, timeouts)
+    entry.expiry = now + entry_timeout(proto, new_state, timeouts)
     return True
 
 

@@ -82,6 +82,14 @@ def test_trace_error_exit_code(tmp_path):
     assert main(["run", *config_flags(), "--trace", str(bad_trace), "--pipeline", "baseline"]) == 3
 
 
+def test_trace_not_utf8_is_a_one_line_trace_error(tmp_path, capsys):
+    bad_trace = tmp_path / "trace.txt"
+    bad_trace.write_bytes(b"\xff")
+    assert main(["run", *config_flags(), "--trace", str(bad_trace), "--pipeline", "baseline"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("trace error: ") and err.count("\n") == 1
+
+
 def test_bench_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert main([
@@ -100,6 +108,7 @@ def test_gen_rejects_empty_peers():
 RUN_TRACE = ["run", *config_flags(), "--trace", "{tmp}/t.txt", "--pipeline", "baseline"]
 BAD_INPUT = {
     "gen-peers-malformed": ["gen", "--peers", "1.2.3"],
+    "gen-out-dir-missing": ["gen", "--out", "{tmp}/missing/t.txt"],
     "gen-nat-missing": ["gen", "--nat", "{tmp}/missing.txt"],
     "gen-sessions-negative": ["gen", "--sessions", "-3"],
     "gen-mix-above-one": ["gen", "--mix", "2"],
@@ -107,12 +116,14 @@ BAD_INPUT = {
     "run-out-dir-missing": [*RUN_TRACE, "--out", "{tmp}/missing/x.csv"],
     "run-verdicts-dir-missing": [*RUN_TRACE, "--verdicts", "{tmp}/missing/v.txt"],
     "bench-out-dir-missing": ["bench", *config_flags(), "--out", "{tmp}/missing/b.csv"],
+    "run-rules-not-utf8": [*RUN_TRACE[:2], "{tmp}/not-utf8.txt", *RUN_TRACE[3:]],
 }
 
 
 @pytest.mark.parametrize("argv", list(BAD_INPUT.values()), ids=list(BAD_INPUT))
 def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, monkeypatch, argv):
     main(["gen", "--sessions", "1", "--packets-per-session", "2", "--out", str(tmp_path / "t.txt")])
+    (tmp_path / "not-utf8.txt").write_bytes(b"\xff")
     capsys.readouterr()
     replays = []
     monkeypatch.setattr(cli, "run_pipeline", lambda *a: replays.append("run"))

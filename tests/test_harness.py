@@ -15,7 +15,7 @@ from flowgate.harness import (
     generate_trace,
     run_pipeline,
 )
-from flowgate.packet import TCP, TcpFlags, load_trace, parse_ip
+from flowgate.packet import ACK, FIN, SYN, TCP, load_trace, parse_ip
 from flowgate.pipelines import BaselinePipeline, IntegratedPipeline
 
 PEERS = (parse_ip("198.51.100.9"), parse_ip("203.0.113.77"))
@@ -31,12 +31,7 @@ def test_single_tcp_session_expansion():
     packets = generate_packets(spec())
     assert len(packets) == 4
     flags = [p.flags for p in packets]
-    assert flags == [
-        TcpFlags(syn=True),
-        TcpFlags(syn=True, ack=True),
-        TcpFlags(ack=True),
-        TcpFlags(ack=True),  # one data packet, no FIN budget at 4 packets
-    ]
+    assert flags == [SYN, SYN | ACK, ACK, ACK]  # one data packet, no FIN budget at 4 packets
     # handshake reply arrives at the gateway endpoint
     assert packets[1].sid.dst_addr == parse_ip("192.0.2.1")
     assert packets[1].sid.dst_port == 40000
@@ -44,7 +39,18 @@ def test_single_tcp_session_expansion():
 
 def test_fin_exchange_when_budget_allows():
     packets = generate_packets(spec(packets_per_session=6))
-    assert [p.flags.fin for p in packets] == [False] * 4 + [True, True]
+    assert [bool(p.flags & FIN) for p in packets] == [False] * 4 + [True, True]
+
+
+def test_lan_peer_replies_to_the_lan_endpoint():
+    """A LAN peer is not translated; the outside flow still gets the first pool port."""
+    lan_peer, outside_peer = parse_ip("10.0.0.9"), PEERS[0]
+    packets = generate_packets(spec(sessions=2, peers=(lan_peer, outside_peer)))
+    lan_reply, outside_reply = packets[2], packets[3]  # round 1: each session's SYN+ACK
+    assert lan_reply.sid.src_addr == lan_peer
+    assert lan_reply.sid[2:4] == packets[0].sid[:2]  # the LAN endpoint, 10.0.0.1:10000
+    assert outside_reply.sid.src_addr == outside_peer
+    assert outside_reply.sid[2:4] == (parse_ip("192.0.2.1"), 40000)  # nat_port_lo
 
 
 def test_generation_is_deterministic():
@@ -65,7 +71,7 @@ def test_generated_trace_round_trips_through_text():
 def test_session_count_and_distinct_tuples():
     packets = generate_packets(spec(sessions=10, packets_per_session=1000))
     assert len(packets) == 10_000
-    outbound_tuples = {p.sid for p in packets if p.sid.proto == TCP and p.flags.syn and not p.flags.ack}
+    outbound_tuples = {p.sid for p in packets if p.sid.proto == TCP and p.flags == SYN}
     assert len(outbound_tuples) == 10
     ts = [p.ts for p in packets]
     assert ts == sorted(ts) and len(set(ts)) == len(ts)  # strictly increasing

@@ -10,9 +10,9 @@ from flowgate.nat import (
     NatPoolExhausted,
     NatTable,
     find_free_port,
+    inbound_sid,
+    outbound_sid,
     parse_nat_config,
-    translate_inbound,
-    translate_outbound,
 )
 from flowgate.packet import TCP, UDP, parse_ip, parse_trace_record
 
@@ -85,23 +85,19 @@ def test_lookup_forward_reverse_and_expiry():
     assert len(tbl) == 0
 
 
-def test_translate_outbound_and_inbound():
+def test_outbound_and_inbound_sid():
     cfg = NatConfig(PUBLIC, 40000, 49999)
     tbl = NatTable()
     m = tbl.allocate(cfg, LAN, 1200, PEER, 80, TCP, now=0.0, expiry=60.0)
-    out = parse_trace_record("0 tcp 10.0.0.5:1200 198.51.100.9:80 S 0 7")
-    translated = translate_outbound(out, m)
-    assert (translated.sid.src_addr, translated.sid.src_port) == (PUBLIC, 40000)
-    assert (translated.sid.dst_addr, translated.sid.dst_port) == (PEER, 80)
-    assert translated.tos == out.tos and translated.ttl == out.ttl
+    out = parse_trace_record("0 tcp 10.0.0.5:1200 198.51.100.9:80 S 0 7").sid
+    translated = outbound_sid(out, m)
+    assert (translated.src_addr, translated.src_port) == (PUBLIC, 40000)
+    assert (translated.dst_addr, translated.dst_port) == (PEER, 80)
 
-    reply = parse_trace_record("1 tcp 198.51.100.9:80 192.0.2.1:40000 SA 0 0")
-    back = translate_inbound(reply, m)
-    assert (back.sid.dst_addr, back.sid.dst_port) == (LAN, 1200)
-    assert (back.sid.src_addr, back.sid.src_port) == (PEER, 80)
-
-    with pytest.raises(ValueError):
-        translate_outbound(reply, m)
+    reply = parse_trace_record("1 tcp 198.51.100.9:80 192.0.2.1:40000 SA 0 0").sid
+    back = inbound_sid(reply, m)
+    assert (back.dst_addr, back.dst_port) == (LAN, 1200)
+    assert (back.src_addr, back.src_port) == (PEER, 80)
 
 
 def test_translate_round_trip_property():
@@ -121,14 +117,14 @@ def test_translate_round_trip_property():
         flags = "S" if proto == TCP else "-"
         line = f"0 {'tcp' if proto == TCP else 'udp'} {_ip(lan_addr)}:{lan_port} {_ip(peer)}:{peer_port} {flags} 0 0"
         p = parse_trace_record(line)
-        outward = translate_outbound(p, m)
+        outward = outbound_sid(p.sid, m)
         # reflect: the peer answers the translated source
         reflected = parse_trace_record(
             f"1 {'tcp' if proto == TCP else 'udp'} {_ip(peer)}:{peer_port}"
-            f" {_ip(outward.sid.src_addr)}:{outward.sid.src_port} {flags if proto != TCP else 'SA'} 0 0"
+            f" {_ip(outward.src_addr)}:{outward.src_port} {flags if proto != TCP else 'SA'} 0 0"
         )
-        back = translate_inbound(reflected, m)
-        assert (back.sid.dst_addr, back.sid.dst_port) == (lan_addr, lan_port)
+        back = inbound_sid(reflected.sid, m)
+        assert (back.dst_addr, back.dst_port) == (lan_addr, lan_port)
 
 
 def _ip(addr: int) -> str:

@@ -1,23 +1,28 @@
 """Trace grammar, DSCP bit layout, and CIDR parsing."""
 
+import itertools
 import random
 
 import pytest
 
 from flowgate.errors import TraceError
 from flowgate.packet import (
+    ACK,
+    FIN,
+    FLAG_TEXT,
+    RST,
+    SYN,
     TCP,
     UDP,
     Cidr,
     Packet,
     SessionId,
-    TcpFlags,
     format_ip,
     load_trace,
+    merge_dscp,
     parse_ip,
     parse_trace_record,
     render_trace_record,
-    set_dscp,
 )
 
 
@@ -25,7 +30,7 @@ def test_parse_basic_tcp_syn():
     p = parse_trace_record("0.000 tcp 10.0.0.5:1200 198.51.100.9:80 S 0 0")
     assert p.ts == 0.0
     assert p.sid == SessionId(parse_ip("10.0.0.5"), 1200, parse_ip("198.51.100.9"), 80, TCP)
-    assert p.flags == TcpFlags(syn=True)
+    assert p.flags == SYN
     assert p.payload_len == 0 and p.tos == 0
     assert p.ttl == 64  # ttl column omitted -> default
 
@@ -33,7 +38,7 @@ def test_parse_basic_tcp_syn():
 def test_parse_udp_dash_flags():
     p = parse_trace_record("1.5 udp 10.0.0.5:53000 8.8.8.8:53 - 48 0")
     assert p.sid.proto == UDP
-    assert p.flags == TcpFlags()
+    assert p.flags == 0
     assert p.payload_len == 48
 
 
@@ -73,11 +78,27 @@ def test_non_tcp_udp_requires_zero_ports():
 
 
 def test_flags_must_be_canonical_order():
-    assert parse_trace_record("0 tcp 10.0.0.1:1 10.0.0.2:2 SAFR 0 0").flags == TcpFlags(
-        True, True, True, True
-    )
+    assert parse_trace_record("0 tcp 10.0.0.1:1 10.0.0.2:2 SAFR 0 0").flags == SYN | ACK | FIN | RST
     with pytest.raises(TraceError, match="flags"):
         parse_trace_record("0 tcp 10.0.0.1:1 10.0.0.2:2 AS 0 0")
+
+
+def test_exactly_the_canonical_flag_spellings_parse():
+    """Every 1-4 character string over SAFR-: 16 parse and round-trip, the rest are refused."""
+    parsed = {}
+    for length in range(1, 5):
+        for chars in itertools.product("SAFR-", repeat=length):
+            text = "".join(chars)
+            line = f"0.0 tcp 10.0.0.1:1 10.0.0.2:2 {text} 0 0 64"
+            try:
+                packet = parse_trace_record(line)
+            except TraceError as exc:
+                assert "flags" in str(exc), text
+                continue
+            parsed[text] = packet.flags
+            assert render_trace_record(packet) == line
+    assert parsed == {text: value for value, text in enumerate(FLAG_TEXT)}
+    assert parsed["-"] == 0 and parsed["SAFR"] == 15
 
 
 def _random_packet(rng: random.Random) -> Packet:
@@ -86,7 +107,10 @@ def _random_packet(rng: random.Random) -> Packet:
         sport, dport = rng.randrange(65536), rng.randrange(65536)
     else:
         sport = dport = 0
-    flags = TcpFlags(*(rng.random() < 0.3 for _ in range(4))) if proto == TCP else TcpFlags()
+    flags = 0
+    if proto == TCP:
+        for bit in (SYN, ACK, FIN, RST):
+            flags |= bit if rng.random() < 0.3 else 0
     return Packet(
         ts=round(rng.uniform(0, 1000), 6),
         sid=SessionId(rng.randrange(2**32), sport, rng.randrange(2**32), dport, proto),
@@ -111,31 +135,24 @@ def test_render_examples():
     assert parse_trace_record(line) == p
 
 
-def test_set_dscp_bit_layout():
-    p = parse_trace_record("0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 3")
-    assert set_dscp(p, 46).tos == 0b10111011  # 187: DSCP 46 over ECN 3
-    p0 = parse_trace_record("0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0")
-    assert set_dscp(p0, 0).tos == 0x00
-    pff = parse_trace_record("0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 255")
-    assert set_dscp(pff, 0).tos == 0x03  # DSCP cleared, ECN kept
+def test_merge_dscp_bit_layout():
+    assert merge_dscp(3, 46) == 0b10111011  # 187: DSCP 46 over ECN 3
+    assert merge_dscp(0x00, 0) == 0x00
+    assert merge_dscp(0xFF, 0) == 0x03  # DSCP cleared, ECN kept
 
 
-def test_set_dscp_rejects_out_of_range():
-    p = parse_trace_record("0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0")
+def test_merge_dscp_rejects_out_of_range():
     with pytest.raises(ValueError):
-        set_dscp(p, 64)
+        merge_dscp(0, 64)
 
 
-def test_set_dscp_idempotent_and_tos_only():
+def test_merge_dscp_idempotent():
     rng = random.Random(99)
     for _ in range(100):
-        p = _random_packet(rng)
+        tos = rng.randrange(256)
         dscp = rng.randrange(64)
-        once = set_dscp(p, dscp)
-        assert set_dscp(once, dscp) == once
-        assert (once.ts, once.sid, once.ttl, once.flags, once.payload_len) == (
-            p.ts, p.sid, p.ttl, p.flags, p.payload_len,
-        )
+        once = merge_dscp(tos, dscp)
+        assert merge_dscp(once, dscp) == once
 
 
 def test_cidr_parse_and_contains():

@@ -69,6 +69,8 @@ def test_integrated_inbound_one_shot_rewrites(config):
     assert format_ip(out.packet.sid.dst_addr) == "10.0.0.5"
     assert out.packet.sid.dst_port == 53000
     assert out.packet.tos >> 2 == 46  # udp/53 policy dscp, both directions
+    # the rest of the header is carried over; only TTL is decremented
+    assert (out.packet.ts, out.packet.ttl, out.packet.payload_len) == (0.1, 63, 64)
     assert format_ip(out.next_hop) == "10.0.0.254"
     assert out.iface == "lan"
 

@@ -6,7 +6,7 @@ import pytest
 
 from flowgate import session_table
 from flowgate.nat import NatConfig, NatMapping, NatTable
-from flowgate.packet import TCP, UDP, Direction, SessionId, TcpFlags, parse_trace_record
+from flowgate.packet import ACK, FIN, RST, SYN, TCP, UDP, Direction, SessionId, parse_trace_record
 from flowgate.pipelines import StateEntry, StateTable
 from flowgate.session_table import (
     DualIndexTable,
@@ -19,7 +19,6 @@ from flowgate.session_table import (
     advance,
     entry_timeout,
     initial_state,
-    next_state,
 )
 
 
@@ -155,8 +154,7 @@ def test_sweep_expired_counts_and_is_idempotent(kind):
 SHORT = Timeouts(tcp_established=8.0, tcp_transient=3.0, non_tcp=5.0, closed_grace=1.0)
 # SYN, SYN+ACK, ACK, FIN+ACK and RST: enough to walk a flow from the handshake to
 # Established and back down through FinWait and Closed, each step resetting expiry
-ORACLE_FLAGS = [TcpFlags(syn=True), TcpFlags(syn=True, ack=True), TcpFlags(ack=True),
-                TcpFlags(fin=True, ack=True), TcpFlags(rst=True)]
+ORACLE_FLAGS = [SYN, SYN | ACK, ACK, FIN | ACK, RST]
 
 
 @pytest.mark.parametrize("kind", ["StateTable", "SessionTable"])
@@ -283,17 +281,17 @@ def test_lookup_never_returns_expired():
 def test_advance_refreshes_expiry_and_state():
     timeouts = Timeouts()
     e = make_entry(expiry=30.0)
-    ok = advance(e, TcpFlags(syn=True, ack=True), Direction.INBOUND, now=1.0, timeouts=timeouts)
+    ok = advance(e, SYN | ACK, Direction.INBOUND, now=1.0, timeouts=timeouts)
     assert ok and e.state is SessionState.SYN_RECEIVED
     assert e.expiry == 1.0 + timeouts.tcp_transient
-    ok = advance(e, TcpFlags(ack=True), Direction.OUTBOUND, now=2.0, timeouts=timeouts)
+    ok = advance(e, ACK, Direction.OUTBOUND, now=2.0, timeouts=timeouts)
     assert ok and e.state is SessionState.ESTABLISHED
     assert e.expiry == 2.0 + timeouts.tcp_established
 
 
 def test_advance_violation_leaves_entry_unchanged():
     e = make_entry(expiry=30.0)
-    ok = advance(e, TcpFlags(ack=True), Direction.OUTBOUND, now=1.0, timeouts=Timeouts())
+    ok = advance(e, ACK, Direction.OUTBOUND, now=1.0, timeouts=Timeouts())
     assert not ok
     assert e.state is SessionState.SYN_SENT and e.expiry == 30.0
 
@@ -302,14 +300,15 @@ def test_rst_moves_to_closed_with_grace():
     timeouts = Timeouts(closed_grace=5.0)
     e = make_entry(expiry=300.0)
     e.state = SessionState.ESTABLISHED
-    assert advance(e, TcpFlags(rst=True), Direction.OUTBOUND, now=10.0, timeouts=timeouts)
+    assert advance(e, RST, Direction.OUTBOUND, now=10.0, timeouts=timeouts)
     assert e.state is SessionState.CLOSED
     assert e.expiry == 15.0
 
 
 def test_non_tcp_stays_open():
     e = make_entry(proto=UDP)
-    assert next_state(UDP, e.state, TcpFlags(), Direction.INBOUND) is SessionState.OPEN
+    assert advance(e, 0, Direction.INBOUND, now=1.0, timeouts=Timeouts())
+    assert e.state is SessionState.OPEN and e.expiry == 61.0
     assert entry_timeout(UDP, SessionState.OPEN, Timeouts()) == 60.0
 
 
