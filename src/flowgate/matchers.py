@@ -6,7 +6,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from flowgate.errors import ConfigError
-from flowgate.packet import TCP, UDP, Cidr, SessionId
+from flowgate.packet import Cidr, SessionId, is_decimal, parse_protocol
 
 ANY_CIDR = Cidr(0, 0)
 
@@ -25,7 +25,7 @@ def parse_ports(token: str) -> PortMatch:
     if token == "any":
         return ANY_PORTS
     lo_part, sep, hi_part = token.partition("-")
-    if not lo_part.isdigit() or (sep and not hi_part.isdigit()):
+    if not is_decimal(lo_part) or (sep and not is_decimal(hi_part)):
         raise ValueError(f"bad port spec {token!r}")
     lo = int(lo_part)
     hi = int(hi_part) if sep else lo
@@ -36,15 +36,7 @@ def parse_ports(token: str) -> PortMatch:
 
 def parse_proto(token: str) -> int | None:
     """'any' -> None (wildcard), else tcp/udp/decimal protocol number."""
-    if token == "any":
-        return None
-    if token == "tcp":
-        return TCP
-    if token == "udp":
-        return UDP
-    if token.isdigit() and int(token) <= 255:
-        return int(token)
-    raise ValueError(f"unknown protocol {token!r}")
+    return None if token == "any" else parse_protocol(token)
 
 
 def parse_cidr(token: str) -> Cidr:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from flowgate.errors import ConfigError
-from flowgate.packet import SessionId, content_lines, format_ip, parse_ip
+from flowgate.packet import SessionId, content_lines, format_ip, is_decimal, parse_ip
 from flowgate.session_table import DualIndexTable, Timeouts
 
 
@@ -39,7 +39,7 @@ def parse_nat_config(text: str) -> NatConfig:
                 raise ConfigError(f"line {lineno}: {exc}") from exc
         elif fields[0] == "ports" and len(fields) == 2:
             lo_part, sep, hi_part = fields[1].partition("-")
-            if not sep or not lo_part.isdigit() or not hi_part.isdigit():
+            if not sep or not is_decimal(lo_part) or not is_decimal(hi_part):
                 raise ConfigError(f"line {lineno}: bad port range {fields[1]!r}")
             ports = (int(lo_part), int(hi_part))
             if ports[0] > ports[1] or ports[1] > 65535:

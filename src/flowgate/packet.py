@@ -22,6 +22,14 @@ FLAG_TEXT = tuple(
     "".join(c for bit, c in zip((SYN, ACK, FIN, RST), "SAFR") if v & bit) or "-" for v in range(16)
 )
 FLAG_BITS = {text: value for value, text in enumerate(FLAG_TEXT)}
+PROTO_TEXT = {TCP: "tcp", UDP: "udp"}
+PROTO_NUMBER = {text: proto for proto, text in PROTO_TEXT.items()}
+OCTET_TEXT = tuple(str(octet) for octet in range(256))
+
+
+def is_decimal(text: str) -> bool:
+    """ASCII digits only: str.isdigit alone also passes '²', which int() refuses."""
+    return text.isascii() and text.isdigit()
 
 
 def parse_ip(text: str) -> int:
@@ -31,7 +39,7 @@ def parse_ip(text: str) -> int:
         raise ValueError(f"malformed IPv4 address {text!r}")
     value = 0
     for part in parts:
-        if not part.isdigit():
+        if not is_decimal(part):
             raise ValueError(f"malformed IPv4 address {text!r}")
         octet = int(part)
         if octet > 255:
@@ -40,8 +48,18 @@ def parse_ip(text: str) -> int:
     return value
 
 
+def parse_protocol(token: str) -> int:
+    """tcp, udp or a decimal protocol number."""
+    if token in PROTO_NUMBER:
+        return PROTO_NUMBER[token]
+    if is_decimal(token) and int(token) <= 255:
+        return int(token)
+    raise ValueError(f"unknown protocol {token!r}")
+
+
 def format_ip(addr: int) -> str:
-    return f"{(addr >> 24) & 0xFF}.{(addr >> 16) & 0xFF}.{(addr >> 8) & 0xFF}.{addr & 0xFF}"
+    o = OCTET_TEXT
+    return f"{o[addr >> 24 & 0xFF]}.{o[addr >> 16 & 0xFF]}.{o[addr >> 8 & 0xFF]}.{o[addr & 0xFF]}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +72,7 @@ class Cidr:
     @classmethod
     def parse(cls, text: str) -> "Cidr":
         addr_part, sep, len_part = text.partition("/")
-        if not sep or not len_part.isdigit():
+        if not sep or not is_decimal(len_part):
             raise ValueError(f"malformed CIDR {text!r}")
         prefix_len = int(len_part)
         if prefix_len > 32:
@@ -89,8 +107,7 @@ class SessionId(NamedTuple):
         return SessionId(self.dst_addr, self.dst_port, self.src_addr, self.src_port, self.proto)
 
 
-@dataclass(frozen=True, slots=True)
-class Packet:
+class Packet(NamedTuple):
     """One IP datagram's header fields plus its logical arrival time."""
 
     ts: float
@@ -121,7 +138,7 @@ def _parse_endpoint(token: str, column: str) -> tuple[int, int]:
         addr = parse_ip(addr_part)
     except ValueError as exc:
         raise TraceError(f"{column}: {exc}") from exc
-    if not port_part.isdigit():
+    if not is_decimal(port_part):
         raise TraceError(f"{column}: bad port {port_part!r}")
     port = int(port_part)
     if port > 65535:
@@ -129,14 +146,16 @@ def _parse_endpoint(token: str, column: str) -> tuple[int, int]:
     return addr, port
 
 
-def parse_trace_record(line: str) -> Packet:
-    """Parse one trace line.
+def _parse_number(token: str, limit: int, column: str) -> int:
+    if is_decimal(token):
+        value = int(token)
+        if value <= limit:
+            return value
+    raise TraceError(f"{column}: bad value {token!r}")
 
-    Grammar (whitespace separated):
-        ts proto src_ip:src_port dst_ip:dst_port flags payload_len tos [ttl]
-    proto is tcp, udp, or a decimal protocol number; flags is '-' or a subset
-    of "SAFR" in that order; ttl is optional and defaults to 64.
-    """
+
+def _parse_record(line: str, sids: dict[tuple[str, str, str], SessionId]) -> Packet:
+    """parse_trace_record, reusing the SessionId of proto/src/dst tokens that parsed before."""
     fields = line.split()
     if len(fields) not in (7, 8):
         raise TraceError(f"expected 7 or 8 columns, got {len(fields)}")
@@ -148,53 +167,53 @@ def parse_trace_record(line: str) -> Packet:
     if not math.isfinite(ts) or ts < 0:
         raise TraceError(f"ts: bad timestamp {fields[0]!r}")
 
-    proto_token = fields[1]
-    if proto_token == "tcp":
-        proto = TCP
-    elif proto_token == "udp":
-        proto = UDP
-    elif proto_token.isdigit() and int(proto_token) <= 255:
-        proto = int(proto_token)
-    else:
-        raise TraceError(f"proto: unknown protocol {proto_token!r}")
-
-    src_addr, src_port = _parse_endpoint(fields[2], "src")
-    dst_addr, dst_port = _parse_endpoint(fields[3], "dst")
-    if proto not in (TCP, UDP) and (src_port or dst_port):
-        raise TraceError(f"src/dst: ports must be 0 for protocol {proto}")
+    key = (fields[1], fields[2], fields[3])
+    sid = sids.get(key)
+    if sid is None:
+        try:
+            proto = parse_protocol(fields[1])
+        except ValueError as exc:
+            raise TraceError(f"proto: {exc}") from exc
+        src_addr, src_port = _parse_endpoint(fields[2], "src")
+        dst_addr, dst_port = _parse_endpoint(fields[3], "dst")
+        if proto not in (TCP, UDP) and (src_port or dst_port):
+            raise TraceError(f"src/dst: ports must be 0 for protocol {proto}")
+        sid = sids[key] = SessionId(src_addr, src_port, dst_addr, dst_port, proto)
 
     flags = FLAG_BITS.get(fields[4])
     if flags is None:
         # one spelling per value keeps render/parse one-to-one
         raise TraceError(f"flags: not '-' or a subset of SAFR in that order: {fields[4]!r}")
-    if flags and proto != TCP:
-        raise TraceError(f"flags: TCP flags on protocol {proto}")
+    if flags and sid.proto != TCP:
+        raise TraceError(f"flags: TCP flags on protocol {sid.proto}")
 
-    if not fields[5].isdigit() or int(fields[5]) > 65535:
-        raise TraceError(f"payload_len: bad value {fields[5]!r}")
-    payload_len = int(fields[5])
-
-    if not fields[6].isdigit() or int(fields[6]) > 255:
-        raise TraceError(f"tos: bad value {fields[6]!r}")
-    tos = int(fields[6])
-
+    payload_len = _parse_number(fields[5], 65535, "payload_len")
+    tos = _parse_number(fields[6], 255, "tos")
     if len(fields) == 8:
-        if not fields[7].isdigit() or int(fields[7]) > 255:
-            raise TraceError(f"ttl: bad value {fields[7]!r}")
-        ttl = int(fields[7])
+        ttl = _parse_number(fields[7], 255, "ttl")
         if ttl == 0:
             raise TraceError("ttl: must be >= 1 on ingress")
     else:
         ttl = 64
+    return Packet(ts, sid, tos, ttl, flags, payload_len)
 
-    sid = SessionId(src_addr, src_port, dst_addr, dst_port, proto)
-    return Packet(ts=ts, sid=sid, tos=tos, ttl=ttl, flags=flags, payload_len=payload_len)
+
+def parse_trace_record(line: str) -> Packet:
+    """Parse one trace line.
+
+    Grammar (whitespace separated):
+        ts proto src_ip:src_port dst_ip:dst_port flags payload_len tos [ttl]
+    proto is tcp, udp, or a decimal protocol number; flags is '-' or a subset
+    of "SAFR" in that order; ttl is optional and defaults to 64. Numbers are
+    ASCII decimal digits.
+    """
+    return _parse_record(line, {})
 
 
 def render_trace_record(packet: Packet) -> str:
     """Inverse of parse_trace_record: parse(render(p)) == p."""
     sid = packet.sid
-    proto = {TCP: "tcp", UDP: "udp"}.get(sid.proto, str(sid.proto))
+    proto = PROTO_TEXT.get(sid.proto) or str(sid.proto)
     return (
         f"{packet.ts} {proto}"
         f" {format_ip(sid.src_addr)}:{sid.src_port}"
@@ -218,13 +237,15 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
 def load_trace(text: str) -> list[Packet]:
     """Parse a whole trace. '#' lines and blank lines are skipped.
 
-    Timestamps must be non-decreasing across the file.
+    Timestamps must be non-decreasing across the file. The packets of one
+    flow share one SessionId, parsed once per call.
     """
     packets: list[Packet] = []
     last_ts = 0.0
+    sids: dict[tuple[str, str, str], SessionId] = {}
     for lineno, line in content_lines(text):
         try:
-            packet = parse_trace_record(line)
+            packet = _parse_record(line, sids)
         except TraceError as exc:
             raise TraceError(f"line {lineno}: {exc}") from exc
         if packet.ts < last_ts:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from flowgate.filters import Action, RuleSet, evaluate
 from flowgate.nat import (
@@ -55,8 +56,7 @@ class DropReason(enum.Enum):
     INBOUND_NO_SESSION = "inbound_no_session"
 
 
-@dataclass(frozen=True, slots=True)
-class LookupAccounting:
+class LookupAccounting(NamedTuple):
     """Table consultations made for one packet.
 
     `rules_scanned` is the first-match depth: the rules a linear scan would
@@ -82,20 +82,19 @@ class LookupAccounting:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Forwarded:
+# NamedTuples, the cheapest immutable values that compare and hash by field; outcomes
+# of different kinds differ in length, so they never compare equal.
+class Forwarded(NamedTuple):
     next_hop: int
     iface: str
     packet: Packet
 
 
-@dataclass(frozen=True, slots=True)
-class Dropped:
+class Dropped(NamedTuple):
     reason: DropReason
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     outcome: Forwarded | Dropped
     lookups: LookupAccounting
 

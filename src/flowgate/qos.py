@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from flowgate.errors import ConfigError
 from flowgate.matchers import FirstMatch, TupleMatcher, parse_matcher
-from flowgate.packet import SessionId, content_lines
+from flowgate.packet import SessionId, content_lines, is_decimal
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,7 +34,7 @@ def parse_qos(text: str) -> QosPolicy:
         fields = line.split()
         if len(fields) != 7 or fields[5] != "dscp":
             raise ConfigError(f"line {lineno}: expected '<matcher...> dscp <value>'")
-        if not fields[6].isdigit() or int(fields[6]) > 63:
+        if not is_decimal(fields[6]) or int(fields[6]) > 63:
             raise ConfigError(f"line {lineno}: dscp {fields[6]!r} out of range 0..63")
         rules.append(QosRule(parse_matcher(fields[:5], lineno), int(fields[6])))
     return QosPolicy(tuple(rules))

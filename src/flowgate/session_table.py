@@ -38,14 +38,19 @@ class Timeouts:
     closed_grace: float = 5.0  # keeps closed entries around to block key reuse
 
 
-def entry_timeout(proto: int, state: SessionState, timeouts: Timeouts) -> float:
+def timeout_field(proto: int, state: SessionState) -> str:
+    """The Timeouts field an entry in `state` expires by."""
     if proto != TCP:
-        return timeouts.non_tcp
+        return "non_tcp"
     if state is SessionState.ESTABLISHED:
-        return timeouts.tcp_established
+        return "tcp_established"
     if state is SessionState.CLOSED:
-        return timeouts.closed_grace
-    return timeouts.tcp_transient
+        return "closed_grace"
+    return "tcp_transient"
+
+
+def entry_timeout(proto: int, state: SessionState, timeouts: Timeouts) -> float:
+    return getattr(timeouts, timeout_field(proto, state))
 
 
 # TCP transition function, a pure function of (state, flags, direction).
@@ -93,6 +98,13 @@ def initial_state(proto: int) -> SessionState:
     return SessionState.SYN_SENT if proto == TCP else SessionState.OPEN
 
 
+# next_tcp_state compiled at import: per outbound, then inbound, flags value, None or
+# (new state, Timeouts field). A member attribute, as hashing an Enum member runs Python.
+for _state in SessionState:
+    _moves = [next_tcp_state(_state, f, d) for d in Direction for f in range(16)]
+    _state.tcp_moves = tuple(m and (m, timeout_field(TCP, m)) for m in _moves)
+
+
 def advance(entry, flags: int, direction: Direction, now: float, timeouts: Timeouts) -> bool:
     """Apply one packet to an entry's state machine.
 
@@ -101,15 +113,15 @@ def advance(entry, flags: int, direction: Direction, now: float, timeouts: Timeo
     sessions stay Open. Works on any entry object with proto/state/expiry
     attributes.
     """
-    proto = entry.proto
-    if proto == TCP:
-        new_state = next_tcp_state(entry.state, flags, direction)
-        if new_state is None:
-            return False
-    else:
-        new_state = SessionState.OPEN
-    entry.state = new_state
-    entry.expiry = now + entry_timeout(proto, new_state, timeouts)
+    if entry.proto != TCP:
+        entry.state = SessionState.OPEN
+        entry.expiry = now + timeouts.non_tcp
+        return True
+    move = entry.state.tcp_moves[flags + 16 if direction is Direction.INBOUND else flags]
+    if move is None:
+        return False
+    entry.state, timeout = move
+    entry.expiry = now + getattr(timeouts, timeout)
     return True
 
 

@@ -90,6 +90,14 @@ def test_trace_not_utf8_is_a_one_line_trace_error(tmp_path, capsys):
     assert err.startswith("trace error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("extra", [["compare"], ["run", "--pipeline", "baseline"]])
+def test_unicode_digit_in_trace_is_a_one_line_trace_error(tmp_path, capsys, extra):
+    bad_trace = tmp_path / "trace.txt"
+    bad_trace.write_text("0.0 tcp 10.0.0.1:1200 198.51.100.9:80 S ² 0\n", encoding="utf-8")
+    assert main([extra[0], *config_flags(), "--trace", str(bad_trace), *extra[1:]]) == 3
+    assert capsys.readouterr().err == "trace error: line 1: payload_len: bad value '²'\n"
+
+
 def test_bench_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     assert main([
@@ -117,6 +125,8 @@ BAD_INPUT = {
     "run-verdicts-dir-missing": [*RUN_TRACE, "--verdicts", "{tmp}/missing/v.txt"],
     "bench-out-dir-missing": ["bench", *config_flags(), "--out", "{tmp}/missing/b.csv"],
     "run-rules-not-utf8": [*RUN_TRACE[:2], "{tmp}/not-utf8.txt", *RUN_TRACE[3:]],
+    "run-nat-unicode-digit": [*RUN_TRACE[:6], "{tmp}/nat-sup.txt", *RUN_TRACE[7:]],
+    "run-qos-unicode-digit": [*RUN_TRACE[:8], "{tmp}/qos-sup.txt", *RUN_TRACE[9:]],
 }
 
 
@@ -124,6 +134,8 @@ BAD_INPUT = {
 def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, monkeypatch, argv):
     main(["gen", "--sessions", "1", "--packets-per-session", "2", "--out", str(tmp_path / "t.txt")])
     (tmp_path / "not-utf8.txt").write_bytes(b"\xff")
+    (tmp_path / "nat-sup.txt").write_text("public 192.0.2.1\nports 4²-5\n", encoding="utf-8")
+    (tmp_path / "qos-sup.txt").write_text("any any any any any dscp ²\n", encoding="utf-8")
     capsys.readouterr()
     replays = []
     monkeypatch.setattr(cli, "run_pipeline", lambda *a: replays.append("run"))

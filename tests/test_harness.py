@@ -13,10 +13,19 @@ from flowgate.harness import (
     first_divergence,
     generate_packets,
     generate_trace,
+    render_verdict,
     run_pipeline,
 )
-from flowgate.packet import ACK, FIN, SYN, TCP, load_trace, parse_ip
-from flowgate.pipelines import BaselinePipeline, IntegratedPipeline
+from flowgate.packet import ACK, FIN, SYN, TCP, Packet, SessionId, load_trace, parse_ip
+from flowgate.pipelines import (
+    BaselinePipeline,
+    Dropped,
+    DropReason,
+    Forwarded,
+    IntegratedPipeline,
+    LookupAccounting,
+    Verdict,
+)
 
 PEERS = (parse_ip("198.51.100.9"), parse_ip("203.0.113.77"))
 
@@ -145,6 +154,62 @@ def test_compare_reports_divergence_index():
     b, _ = run_pipeline(IntegratedPipeline(make_config()), generate_packets(spec()))
     assert first_divergence(a, b) is None
     assert first_divergence(a, b[:-1]) == 3  # length mismatch counts as divergence
+
+
+def _forward_verdict(ttl: int = 63) -> Verdict:
+    sid = SessionId(parse_ip("192.0.2.1"), 40000, parse_ip("198.51.100.9"), 80, TCP)
+    packet = Packet(0.5, sid, tos=184, ttl=ttl, flags=SYN | ACK, payload_len=64)
+    return Verdict(Forwarded(parse_ip("203.0.113.1"), "wan", packet), LookupAccounting(1, 1))
+
+
+def test_value_types_keep_their_fields_and_defaults():
+    assert Packet._fields == ("ts", "sid", "tos", "ttl", "flags", "payload_len")
+    assert Forwarded._fields == ("next_hop", "iface", "packet")
+    assert Dropped._fields == ("reason",)
+    assert Verdict._fields == ("outcome", "lookups")
+    assert LookupAccounting._fields == (
+        "nat_lookups", "session_lookups", "rule_evals", "rules_scanned",
+        "qos_classifications", "route_lookups",
+    )
+    assert LookupAccounting._field_defaults == dict.fromkeys(LookupAccounting._fields, 0)
+    for kind in (Packet, Forwarded, Dropped, Verdict):
+        assert kind._field_defaults == {}
+    assert LookupAccounting(1, 2, 3, 99, 4, 5).total_consultations() == 15
+
+
+def test_verdicts_compare_and_hash_by_value():
+    a, b = _forward_verdict(), _forward_verdict()
+    assert a == b and a.outcome is not b.outcome
+    assert hash(a.outcome) == hash(b.outcome)
+    assert a != _forward_verdict(ttl=62)
+    assert Dropped(DropReason.NO_ROUTE) == Dropped(DropReason.NO_ROUTE)
+    assert hash(Dropped(DropReason.NO_ROUTE)) == hash(Dropped(DropReason.NO_ROUTE))
+    assert Dropped(DropReason.NO_ROUTE) != Dropped(DropReason.TTL_EXPIRED)
+    for reason in DropReason:
+        assert Dropped(reason) != a.outcome and a.outcome != Dropped(reason)
+
+
+def test_first_divergence_finds_a_drop_against_a_forward():
+    forward = _forward_verdict()
+    drop = Verdict(Dropped(DropReason.TTL_EXPIRED), forward.lookups)
+    assert first_divergence([forward, forward], [forward, drop]) == 1
+    # lookup accounting is not observable
+    assert first_divergence([forward], [forward._replace(lookups=LookupAccounting())]) is None
+
+
+def test_render_verdict_golden_lines():
+    assert render_verdict(_forward_verdict()) == (
+        "forward 203.0.113.1 wan 0.5 tcp 192.0.2.1:40000 198.51.100.9:80 SA 64 184 63"
+    )
+    assert [render_verdict(Verdict(Dropped(r), LookupAccounting())) for r in DropReason] == [
+        "drop rule_denied",
+        "drop state_violation",
+        "drop no_route",
+        "drop nat_exhausted",
+        "drop table_full",
+        "drop ttl_expired",
+        "drop inbound_no_session",
+    ]
 
 
 def test_bench_rows_and_medians():

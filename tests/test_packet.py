@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from flowgate import packet as packet_module
 from flowgate.errors import TraceError
 from flowgate.packet import (
     ACK,
@@ -172,6 +173,8 @@ def test_ip_round_trip():
     for _ in range(200):
         addr = rng.randrange(2**32)
         assert parse_ip(format_ip(addr)) == addr
+    for addr, text in ((0, "0.0.0.0"), (0xFFFFFFFF, "255.255.255.255"), (0x0A00FF01, "10.0.255.1")):
+        assert format_ip(addr) == text
 
 
 def test_load_trace_skips_comments_and_checks_monotonicity():
@@ -181,3 +184,92 @@ def test_load_trace_skips_comments_and_checks_monotonicity():
     assert len(packets) == 2
     with pytest.raises(TraceError, match="line 3.*non-decreasing"):
         load_trace("1.0 udp 10.0.0.1:1 1.1.1.1:53 - 0 0\n# c\n0.5 udp 10.0.0.1:1 1.1.1.1:53 - 0 0")
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("0 tcp 10.0.0.1:1 10.0.0.2:2 S ² 0", "payload_len: bad value '²'"),
+        ("0 tcp 10.0.0.1:1 10.0.0.2:2 S ٣ 0", "payload_len: bad value '٣'"),
+        ("0 tcp 10.0.0.1:8² 10.0.0.2:2 S 0 0", "src: bad port '8²'"),
+        ("0 tcp 10.0.0.1:1 10.0.0.2:8² S 0 0", "dst: bad port '8²'"),
+        ("0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 ²", "tos: bad value '²'"),
+        ("0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0 ²", "ttl: bad value '²'"),
+        ("0 ² 10.0.0.1:0 10.0.0.2:0 - 0 0", "proto: unknown protocol '²'"),
+        ("0 tcp 10.0.0.²:1 10.0.0.2:2 S 0 0", "src: malformed IPv4 address '10.0.0.²'"),
+    ],
+)
+def test_numbers_are_ascii_digits(line, message):
+    """str.isdigit passes '²', which int() refuses, and '٣', which int() reads as 3."""
+    with pytest.raises(TraceError) as info:
+        parse_trace_record(line)
+    assert str(info.value) == message
+    with pytest.raises(TraceError) as info:
+        load_trace(f"# header\n{line}\n")
+    assert str(info.value) == f"line 2: {message}"
+
+
+def _random_trace_lines(rng: random.Random, count: int) -> list[str]:
+    """Rendered packets whose five-tuples come from a small pool, proto spelt both ways."""
+    pool = [_random_packet(rng).sid for _ in range(6)]
+    lines = []
+    for ts in sorted(round(rng.uniform(0, 100), 6) for _ in range(count)):
+        packet = _random_packet(rng)._replace(ts=ts, sid=rng.choice(pool))
+        if packet.sid.proto != TCP:
+            packet = packet._replace(flags=0)
+        line = render_trace_record(packet)
+        if rng.random() < 0.3:
+            line = line.replace(" tcp ", " 6 ", 1).replace(" udp ", " 17 ", 1)
+        lines.append(line)
+    return lines
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_load_trace_equals_parsing_each_line(seed):
+    lines = _random_trace_lines(random.Random(seed), 300)
+    assert load_trace("\n".join(lines)) == [parse_trace_record(line) for line in lines]
+
+
+GOOD_TCP = "0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0"
+GOOD_UDP = "0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"
+
+
+@pytest.mark.parametrize(
+    "good,bad,message",
+    [
+        (GOOD_TCP, "0 tcp 10.0.0.1:1 10.0.0.2:2 AS 0 0",
+         "flags: not '-' or a subset of SAFR in that order: 'AS'"),
+        (GOOD_UDP, "0 udp 10.0.0.1:1 10.0.0.2:2 S 0 0", "flags: TCP flags on protocol 17"),
+        (GOOD_TCP, "0 tcp 10.0.0.1:1 10.0.0.2:2 A 65536 0", "payload_len: bad value '65536'"),
+        (GOOD_TCP, "0 tcp 10.0.0.1:1 10.0.0.2:2 A 0 256", "tos: bad value '256'"),
+        (GOOD_TCP, "0 tcp 10.0.0.1:1 10.0.0.2:2 A 0 0 0", "ttl: must be >= 1 on ingress"),
+    ],
+)
+def test_a_seen_five_tuple_still_checks_the_other_columns(good, bad, message):
+    """The bad line repeats the good line's first four columns: only what follows is wrong."""
+    with pytest.raises(TraceError) as info:
+        load_trace(f"{good}\n{good}\n{bad}\n")
+    assert str(info.value) == f"line 3: {message}"
+
+
+def test_a_five_tuple_that_failed_is_not_remembered():
+    sids = {}
+    bad = "0 tcp 10.0.0.999:1 10.0.0.2:2 S 0 0"
+    for _ in range(2):
+        with pytest.raises(TraceError, match="src: malformed IPv4 address '10.0.0.999'"):
+            packet_module._parse_record(bad, sids)
+    assert sids == {}
+
+
+def test_one_flow_shares_one_session_id_within_a_call():
+    text = (
+        "0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0\n"
+        "1 tcp 10.0.0.2:2 10.0.0.1:1 SA 0 0\n"
+        "2 tcp 10.0.0.1:1 10.0.0.2:2 A 0 0\n"
+        "3 tcp 10.0.0.2:2 10.0.0.1:1 A 0 0\n"
+    )
+    first, second = load_trace(text), load_trace(text)
+    assert first[0].sid is first[2].sid and first[1].sid is first[3].sid
+    assert first[0].sid is not first[1].sid
+    assert first == second
+    assert not {id(p.sid) for p in first} & {id(p.sid) for p in second}

@@ -289,6 +289,27 @@ def test_advance_refreshes_expiry_and_state():
     assert e.expiry == 2.0 + timeouts.tcp_established
 
 
+def test_advance_follows_next_tcp_state_on_every_input():
+    """advance reads a table compiled from next_tcp_state: all 6 x 16 x 2 inputs agree."""
+    inputs = [
+        (state, flags, direction)
+        for state in SessionState
+        for flags in range(16)
+        for direction in Direction
+    ]
+    assert len(inputs) == 192
+    for state, flags, direction in inputs:
+        e = make_entry(expiry=30.0)
+        e.state = state
+        expected = session_table.next_tcp_state(state, flags, direction)
+        assert advance(e, flags, direction, now=10.0, timeouts=SHORT) is (expected is not None)
+        if expected is None:
+            assert e.state is state and e.expiry == 30.0
+        else:
+            assert e.state is expected
+            assert e.expiry == 10.0 + entry_timeout(TCP, expected, SHORT)
+
+
 def test_advance_violation_leaves_entry_unchanged():
     e = make_entry(expiry=30.0)
     ok = advance(e, ACK, Direction.OUTBOUND, now=1.0, timeouts=Timeouts())
