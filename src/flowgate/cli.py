@@ -61,13 +61,16 @@ def _read_config(path: str) -> str:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def load_config(args: argparse.Namespace) -> RouterConfig:
+def _lan_prefix(args: argparse.Namespace) -> Cidr:
     try:
-        lan_prefix = Cidr.parse(args.lan_prefix)
+        return Cidr.parse(args.lan_prefix)
     except ValueError as exc:
         raise ConfigError(f"--lan-prefix: {exc}") from exc
+
+
+def load_config(args: argparse.Namespace) -> RouterConfig:
     return RouterConfig(
-        lan_prefix=lan_prefix,
+        lan_prefix=_lan_prefix(args),
         rules=parse_rules(_read_config(args.rules)),
         qos=parse_qos(_read_config(args.qos)),
         routes=parse_routes(_read_config(args.routes)),
@@ -80,15 +83,11 @@ def _trace_spec(args: argparse.Namespace) -> TraceSpec:
         peers = tuple(parse_ip(p) for p in args.peers.split(",") if p)
     except ValueError as exc:
         raise ConfigError(f"--peers: {exc}") from exc
-    try:
-        lan_prefix = Cidr.parse(args.lan_prefix)
-    except ValueError as exc:
-        raise ConfigError(f"--lan-prefix: {exc}") from exc
     spec = TraceSpec(
         sessions=args.sessions,
         packets_per_session=args.packets_per_session,
         tcp_fraction=args.mix,
-        lan_prefix=lan_prefix,
+        lan_prefix=_lan_prefix(args),
         peers=peers,
         seed=args.seed,
     )

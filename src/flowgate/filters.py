@@ -26,7 +26,6 @@ class RuleSet:
     """Ordered rules, first match wins; no match falls through to default deny."""
 
     rules: tuple[FilterRule, ...]
-    default: Action = Action.DROP
     _index: FirstMatch = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -57,5 +56,5 @@ def evaluate(ruleset: RuleSet, sid: SessionId) -> tuple[Action, int | None, int]
     """
     index = ruleset._index.first(sid)
     if index is None:
-        return ruleset.default, None, len(ruleset.rules)
+        return Action.DROP, None, len(ruleset.rules)
     return ruleset.rules[index].action, index, index + 1

@@ -226,9 +226,12 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) for each line that is neither blank nor a '#' comment.
 
     Every text format flowgate reads (traces, rules, QoS, routes, NAT) skips
-    the same lines and numbers them the same way.
+    the same lines and numbers them the same way. Lines end at "\n" only:
+    `str.splitlines` would also break at form feed, \x1c-\x1e, \x85 and
+    U+2028/9, which a file's own line count does not. Files are read with
+    universal newlines, and strip() removes a trailing "\r".
     """
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             yield lineno, stripped

@@ -32,7 +32,7 @@ from flowgate.nat import (
 )
 from flowgate.packet import SYN, TCP, Cidr, Direction, Packet, SessionId, merge_dscp
 from flowgate.qos import QosPolicy, classify
-from flowgate.routing import RoutingTable
+from flowgate.routing import RouteEntry, RoutingTable
 from flowgate.session_table import (
     ExpiringTable,
     SessionEntry,
@@ -139,15 +139,10 @@ _BASELINE_LOCAL_HIT_ACCT = LookupAccounting(
 
 
 def _forward(
-    packet: Packet,
-    sid: SessionId,
-    dscp: int,
-    next_hop: int | None,
-    iface: str | None,
-    acct: LookupAccounting,
+    packet: Packet, sid: SessionId, dscp: int, route: RouteEntry | None, acct: LookupAccounting
 ) -> Verdict:
     """The egress step both pipelines share: NoRoute, then TTL, then the rewritten packet."""
-    if next_hop is None:
+    if route is None:
         return Verdict(Dropped(DropReason.NO_ROUTE), acct)
     ttl = packet.ttl - 1
     if ttl == 0:
@@ -155,7 +150,7 @@ def _forward(
     emitted = Packet(
         packet.ts, sid, merge_dscp(packet.tos, dscp), ttl, packet.flags, packet.payload_len
     )
-    return Verdict(Forwarded(next_hop, iface, emitted), acct)
+    return Verdict(Forwarded(route.next_hop, route.iface, emitted), acct)
 
 
 class BaselinePipeline:
@@ -224,9 +219,9 @@ class BaselinePipeline:
             return Verdict(Dropped(DropReason.STATE_VIOLATION), _NAT_AND_SESSION_LOOKUPS)
         mapping.expiry = entry.expiry
         dscp = classify(cfg.qos, session_sid)
-        route = cfg.routes.lookup(in_sid.dst_addr)
-        hop = (None, None) if route is None else (route.next_hop, route.iface)
-        return _forward(packet, in_sid, dscp, *hop, _BASELINE_HIT_ACCT)
+        return _forward(
+            packet, in_sid, dscp, cfg.routes.lookup(in_sid.dst_addr), _BASELINE_HIT_ACCT
+        )
 
     def _first_packet(
         self, packet: Packet, sid: SessionId, now: float, lan_to_lan: bool
@@ -235,16 +230,13 @@ class BaselinePipeline:
         cfg = self.config
         self.session_misses += 1
         nat_l = 0 if lan_to_lan else 1  # the forward lookup made in `process`
-        qos_c = route_l = 0
         action, _, rules_s = evaluate(cfg.rules, sid)
-
-        def acct() -> LookupAccounting:
-            return LookupAccounting(nat_l, 1, 1, rules_s, qos_c, route_l)
-
         if action is Action.DROP:
-            return Verdict(Dropped(DropReason.RULE_DENIED), acct())
+            return Verdict(Dropped(DropReason.RULE_DENIED), LookupAccounting(nat_l, 1, 1, rules_s))
         if sid.proto == TCP and packet.flags != SYN:
-            return Verdict(Dropped(DropReason.STATE_VIOLATION), acct())
+            return Verdict(
+                Dropped(DropReason.STATE_VIOLATION), LookupAccounting(nat_l, 1, 1, rules_s)
+            )
         state = initial_state(sid.proto)
         expiry = now + entry_timeout(sid.proto, state, cfg.timeouts)
         try:
@@ -262,14 +254,17 @@ class BaselinePipeline:
                     sid.dst_addr, sid.dst_port, sid.proto, now, expiry,
                 )
             except NatPoolExhausted:
-                return Verdict(Dropped(DropReason.NAT_EXHAUSTED), acct())
+                return Verdict(
+                    Dropped(DropReason.NAT_EXHAUSTED), LookupAccounting(1, 1, 1, rules_s)
+                )
         if full:
             if mapping is not None:
                 self.nat_table.remove(mapping)  # it only answered the pool question
-            return Verdict(Dropped(DropReason.TABLE_FULL), acct())
+            return Verdict(Dropped(DropReason.TABLE_FULL), LookupAccounting(nat_l, 1, 1, rules_s))
         self.state_table.insert(StateEntry(sid, sid.proto, state, expiry))
-        qos_c = route_l = 1
-        return self._outbound_egress(packet, sid, mapping, acct())
+        return self._outbound_egress(
+            packet, sid, mapping, LookupAccounting(nat_l, 1, 1, rules_s, 1, 1)
+        )
 
     def _outbound_egress(
         self, packet: Packet, sid: SessionId, mapping, acct: LookupAccounting
@@ -278,9 +273,7 @@ class BaselinePipeline:
         cfg = self.config
         dscp = classify(cfg.qos, sid)
         out_sid = sid if mapping is None else outbound_sid(sid, mapping)
-        route = cfg.routes.lookup(out_sid.dst_addr)
-        hop = (None, None) if route is None else (route.next_hop, route.iface)
-        return _forward(packet, out_sid, dscp, *hop, acct)
+        return _forward(packet, out_sid, dscp, cfg.routes.lookup(out_sid.dst_addr), acct)
 
 
 class IntegratedPipeline:
@@ -312,8 +305,7 @@ class IntegratedPipeline:
             if not advance(entry, packet.flags, Direction.OUTBOUND, now, self.config.timeouts):
                 return Verdict(Dropped(DropReason.STATE_VIOLATION), _ONE_SESSION_LOOKUP)
             return _forward(
-                packet, outbound_sid(sid, entry), entry.dscp,
-                entry.ext_next_hop, entry.ext_iface, _ONE_SESSION_LOOKUP,
+                packet, outbound_sid(sid, entry), entry.dscp, entry.ext_route, _ONE_SESSION_LOOKUP
             )
         entry = self.table.lookup_inbound(sid, now)
         if entry is None:
@@ -324,24 +316,18 @@ class IntegratedPipeline:
         if not advance(entry, packet.flags, Direction.INBOUND, now, self.config.timeouts):
             return Verdict(Dropped(DropReason.STATE_VIOLATION), _ONE_SESSION_LOOKUP)
         return _forward(
-            packet, inbound_sid(sid, entry), entry.dscp,
-            entry.lan_next_hop, entry.lan_iface, _ONE_SESSION_LOOKUP,
+            packet, inbound_sid(sid, entry), entry.dscp, entry.lan_route, _ONE_SESSION_LOOKUP
         )
 
     def _first_packet(self, packet: Packet, sid: SessionId, now: float) -> Verdict:
         """The slow path: validate, check capacity, allocate, classify and route, then insert."""
         cfg = self.config
         self.session_misses += 1
-        nat_l = qos_c = route_l = 0
         action, _, rules_s = evaluate(cfg.rules, sid)
-
-        def acct() -> LookupAccounting:
-            return LookupAccounting(nat_l, 1, 1, rules_s, qos_c, route_l)
-
         if action is Action.DROP:
-            return Verdict(Dropped(DropReason.RULE_DENIED), acct())
+            return Verdict(Dropped(DropReason.RULE_DENIED), LookupAccounting(0, 1, 1, rules_s))
         if sid.proto == TCP and packet.flags != SYN:
-            return Verdict(Dropped(DropReason.STATE_VIOLATION), acct())
+            return Verdict(Dropped(DropReason.STATE_VIOLATION), LookupAccounting(0, 1, 1, rules_s))
         try:
             self.table.ensure_capacity(now)
         except TableFullError:
@@ -350,9 +336,10 @@ class IntegratedPipeline:
             full = False
 
         if cfg.lan_prefix.contains(sid.dst_addr):  # LAN to LAN: no translation
+            nat_l = 0
             gwy_addr, gwy_port = sid.src_addr, sid.src_port
         else:
-            nat_l += 1  # one allocation probe against the session table
+            nat_l = 1  # one allocation probe against the session table
             gwy_addr = cfg.nat.public_addr
             # a pool of N ports cannot be exhausted by fewer than N entries
             if not full or len(self.table) >= cfg.nat.pool_size:
@@ -364,13 +351,13 @@ class IntegratedPipeline:
                             gwy_addr, p, ext_addr, ext_port, proto, now),
                     )
                 except NatPoolExhausted:
-                    return Verdict(Dropped(DropReason.NAT_EXHAUSTED), acct())
+                    return Verdict(
+                        Dropped(DropReason.NAT_EXHAUSTED), LookupAccounting(1, 1, 1, rules_s)
+                    )
         if full:
-            return Verdict(Dropped(DropReason.TABLE_FULL), acct())
+            return Verdict(Dropped(DropReason.TABLE_FULL), LookupAccounting(nat_l, 1, 1, rules_s))
 
-        qos_c += 1
         dscp = classify(cfg.qos, sid)
-        route_l += 2  # both next hops are resolved and cached at creation
         ext_route = cfg.routes.lookup(sid.dst_addr)
         lan_route = cfg.routes.lookup(sid.src_addr)
         state = initial_state(sid.proto)
@@ -385,12 +372,12 @@ class IntegratedPipeline:
             state=state,
             expiry=now + entry_timeout(sid.proto, state, cfg.timeouts),
             dscp=dscp,
-            ext_next_hop=ext_route.next_hop if ext_route else None,
-            lan_next_hop=lan_route.next_hop if lan_route else None,
-            ext_iface=ext_route.iface if ext_route else None,
-            lan_iface=lan_route.iface if lan_route else None,
+            ext_route=ext_route,
+            lan_route=lan_route,
         )
         self.table.insert(entry)
+        # one classification, and both directions' routes looked up and kept at creation
         return _forward(
-            packet, outbound_sid(sid, entry), dscp, entry.ext_next_hop, entry.ext_iface, acct()
+            packet, outbound_sid(sid, entry), dscp, ext_route,
+            LookupAccounting(nat_l, 1, 1, rules_s, 1, 2),
         )

@@ -20,7 +20,6 @@ class QosPolicy:
     """Ordered rules, first match wins; unmatched flows get best-effort (0)."""
 
     rules: tuple[QosRule, ...]
-    default_dscp: int = 0
     _index: FirstMatch = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -42,4 +41,4 @@ def parse_qos(text: str) -> QosPolicy:
 
 def classify(policy: QosPolicy, sid: SessionId) -> int:
     index = policy._index.first(sid)
-    return policy.default_dscp if index is None else policy.rules[index].dscp
+    return 0 if index is None else policy.rules[index].dscp

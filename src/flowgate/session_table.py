@@ -5,8 +5,8 @@ adds a second index over the same entries so one lookup serves either
 direction. The baseline's state table and NAT table and the integrated
 pipeline's session table are thin subclasses. One SessionEntry carries
 everything per-packet processing needs: the NAT identity (lan/gwy/ext
-endpoint triple), connection state and expiry, the flow's DSCP, and a cached
-next hop for each direction.
+endpoint triple), connection state and expiry, the flow's DSCP, and the
+route each direction looked up.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from flowgate.packet import ACK, FIN, RST, SYN, TCP, Direction, format_ip
+from flowgate.packet import ACK, FIN, RST, SYN, TCP, Direction
+from flowgate.routing import RouteEntry
 
 
 class SessionState(enum.Enum):
@@ -130,11 +131,10 @@ class SessionEntry:
     """One flow's complete processing record.
 
     gwy_* is the flow's public (NATed) identity; for LAN-to-LAN flows it
-    mirrors lan_*, so rewriting to it changes nothing. Next hops are resolved
-    once at creation; None means the routing table had no covering prefix,
-    which surfaces as a NoRoute drop when that direction is used. The iface
-    labels ride along so a forwarding verdict can be produced without a route
-    lookup.
+    mirrors lan_*, so rewriting to it changes nothing. Each direction's route
+    is looked up once at creation and kept whole, so a forwarding verdict
+    needs no route lookup; None means the routing table had no covering
+    prefix, which surfaces as a NoRoute drop when that direction is used.
     """
 
     lan_addr: int
@@ -147,10 +147,8 @@ class SessionEntry:
     state: SessionState
     expiry: float
     dscp: int = 0
-    ext_next_hop: int | None = None
-    lan_next_hop: int | None = None
-    ext_iface: str | None = None
-    lan_iface: str | None = None
+    ext_route: RouteEntry | None = None
+    lan_route: RouteEntry | None = None
 
     @property
     def outbound_key(self) -> tuple:
@@ -303,26 +301,7 @@ class DualIndexTable(ExpiringTable):
         return entry is not None and (entry.expiry > now or self._live(entry, now) is not None)
 
 
-DUMP_COLUMNS = (
-    "lan_addr,lan_port,gwy_addr,gwy_port,ext_addr,ext_port,"
-    "ip_proto,state,dscp,ext_next_hop,lan_next_hop,expiry"
-)
-
-
 class SessionTable(DualIndexTable):
     """The unified table: SessionEntry by either direction's five-tuple, capacity-bounded."""
 
     lookup_outbound = ExpiringTable.lookup
-
-    def dump_csv(self) -> str:
-        """Entries as CSV, columns in table order plus expiry. Debug aid."""
-        lines = [DUMP_COLUMNS]
-        for e in self._out.values():
-            lines.append(
-                f"{format_ip(e.lan_addr)},{e.lan_port},{format_ip(e.gwy_addr)},{e.gwy_port},"
-                f"{format_ip(e.ext_addr)},{e.ext_port},{e.proto},{e.state.value},{e.dscp},"
-                f"{format_ip(e.ext_next_hop) if e.ext_next_hop is not None else '-'},"
-                f"{format_ip(e.lan_next_hop) if e.lan_next_hop is not None else '-'},"
-                f"{e.expiry}"
-            )
-        return "\n".join(lines) + "\n"

@@ -127,6 +127,8 @@ BAD_INPUT = {
     "run-rules-not-utf8": [*RUN_TRACE[:2], "{tmp}/not-utf8.txt", *RUN_TRACE[3:]],
     "run-nat-unicode-digit": [*RUN_TRACE[:6], "{tmp}/nat-sup.txt", *RUN_TRACE[7:]],
     "run-qos-unicode-digit": [*RUN_TRACE[:8], "{tmp}/qos-sup.txt", *RUN_TRACE[9:]],
+    "gen-lan-prefix-malformed": ["gen", "--lan-prefix", "10.0.0/8"],
+    "run-lan-prefix-malformed": [*RUN_TRACE[:10], "10.0.0.0/33", *RUN_TRACE[11:]],
 }
 
 

@@ -39,6 +39,14 @@ def test_parse_errors_cite_lines(text, err):
         parse_rules(text)
 
 
+def test_rule_lines_end_at_newline_only():
+    """A form feed or \x1c inside the text neither splits a rule nor shifts line numbers."""
+    rules = "accept any any any any any\f\ndrop\x1ctcp any any any 23\n"
+    assert [rule.action for rule in parse_rules(rules).rules] == [Action.ACCEPT, Action.DROP]
+    with pytest.raises(ConfigError, match="^line 3: expected 6 fields, got 5$"):
+        parse_rules(rules + "accept tcp any any any\n")
+
+
 def test_first_match_wins():
     rs = parse_rules("drop tcp any any any 23\naccept any any any any any\n")
     assert evaluate(rs, sid(dport=23)) == (Action.DROP, 0, 1)
@@ -74,7 +82,7 @@ def _oracle(rs: RuleSet, s: SessionId):
         if not (m.dst_ports.lo <= s.dst_port <= m.dst_ports.hi):
             continue
         return rule.action, i, i + 1
-    return rs.default, None, len(rs.rules)
+    return Action.DROP, None, len(rs.rules)
 
 
 def _random_ruleset(rng: random.Random, count: int, **matcher_opts) -> RuleSet:

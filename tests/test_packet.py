@@ -209,6 +209,24 @@ def test_numbers_are_ascii_digits(line, message):
     assert str(info.value) == f"line 2: {message}"
 
 
+LINE_BREAKS_BUT_NOT_NEWLINES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS_BUT_NOT_NEWLINES)
+def test_only_newline_ends_a_line(sep):
+    """Other characters str.splitlines breaks at are whitespace, not line ends."""
+    good = "0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"
+    with pytest.raises(TraceError) as info:
+        load_trace(f"{good}{sep}\n0 udp 10.0.0.1:1 10.0.0.2:2 - 0 x\n")
+    assert str(info.value) == "line 2: tos: bad value 'x'"
+    assert load_trace(good.replace(" ", sep, 1)) == load_trace(good)
+
+
+def test_crlf_text_still_parses():
+    lines = ["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0", "1 udp 10.0.0.2:2 10.0.0.1:1 - 0 0"]
+    assert load_trace("\r\n".join(lines) + "\r\n") == load_trace("\n".join(lines))
+
+
 def _random_trace_lines(rng: random.Random, count: int) -> list[str]:
     """Rendered packets whose five-tuples come from a small pool, proto spelt both ways."""
     pool = [_random_packet(rng).sid for _ in range(6)]

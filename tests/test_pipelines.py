@@ -1,7 +1,13 @@
 """Per-packet flow behavior of both pipelines: accounting, drops, equivalence."""
 
+import random
+from dataclasses import replace
+
 from conftest import make_config, pkt, trace
-from flowgate.harness import compare, run_pipeline
+from test_acceptance import CORNER_CASES, _random_router_config, _random_trace_spec
+
+from flowgate import pipelines
+from flowgate.harness import compare, generate_packets, run_pipeline
 from flowgate.packet import format_ip, parse_ip
 from flowgate.pipelines import (
     BaselinePipeline,
@@ -11,6 +17,7 @@ from flowgate.pipelines import (
     IntegratedPipeline,
     LookupAccounting,
 )
+from flowgate.routing import RoutingTable
 
 HANDSHAKE = (
     "0.0 tcp 10.0.0.5:1200 198.51.100.9:80 S 0 0\n"
@@ -51,8 +58,8 @@ def test_integrated_miss_and_hit_accounting(config):
     entry = pipe.table.lookup_outbound(
         (parse_ip("10.0.0.5"), 1200, parse_ip("198.51.100.9"), 80, 6), now=0.0
     )
-    assert entry.ext_next_hop == parse_ip("203.0.113.1")
-    assert entry.lan_next_hop == parse_ip("10.0.0.254")
+    assert (entry.ext_route.next_hop, entry.ext_route.iface) == (parse_ip("203.0.113.1"), "wan")
+    assert (entry.lan_route.next_hop, entry.lan_route.iface) == (parse_ip("10.0.0.254"), "lan")
 
     hit = pipe.process(pkt("0.1 tcp 198.51.100.9:80 192.0.2.1:40000 SA 0 0"))
     assert isinstance(hit.outcome, Forwarded)
@@ -148,13 +155,14 @@ def test_unrouted_lan_host_drops_on_inbound(config):
 
 
 def test_lan_to_lan_bypasses_nat(config):
-    for pipe in (BaselinePipeline(config), IntegratedPipeline(config)):
+    baseline = BaselinePipeline(config)
+    for pipe in (baseline, IntegratedPipeline(config)):
         verdict = pipe.process(pkt("0.0 udp 10.0.0.5:1000 10.0.9.9:53 - 0 0"))
         out = verdict.outcome
         assert isinstance(out, Forwarded)
         assert format_ip(out.packet.sid.src_addr) == "10.0.0.5"  # no rewrite
         assert out.iface == "lan"
-    assert BaselinePipeline(config).nat_table.lookups == 0
+    assert baseline.nat_table.lookups == 0
 
 
 def test_baseline_lan_to_lan_skips_nat_lookup(config):
@@ -215,10 +223,8 @@ def test_entry_next_hops_match_fresh_route_lookups(config):
 
     assert len(pipe.table) == 12
     for entry in pipe.table._out.values():  # after inserts
-        ext = config.routes.lookup(entry.ext_addr)
-        lan = config.routes.lookup(entry.lan_addr)
-        assert entry.ext_next_hop == (ext.next_hop if ext else None)
-        assert entry.lan_next_hop == (lan.next_hop if lan else None)
+        assert entry.ext_route is config.routes.lookup(entry.ext_addr)
+        assert entry.lan_route is config.routes.lookup(entry.lan_addr)
 
 
 def test_marking_consistency_end_to_end(config):
@@ -237,3 +243,74 @@ def test_marking_consistency_end_to_end(config):
             assert isinstance(out, Forwarded)
             assert out.packet.tos >> 2 == classify(pipe.config.qos, session_sid)
             assert out.packet.tos & 0x03 == p.tos & 0x03  # ECN preserved per packet
+
+
+def _count_policy_calls(monkeypatch) -> dict[str, int]:
+    """Count the rule, QoS and route calls the pipelines make, and the scan depth evaluate reports."""
+    calls = dict.fromkeys(
+        ("rule_evals", "rules_scanned", "qos_classifications", "route_lookups"), 0
+    )
+    evaluate, classify, lookup = pipelines.evaluate, pipelines.classify, RoutingTable.lookup
+
+    def counted_evaluate(ruleset, sid):
+        result = evaluate(ruleset, sid)
+        calls["rule_evals"] += 1
+        calls["rules_scanned"] += result[2]
+        return result
+
+    def counted_classify(policy, sid):
+        calls["qos_classifications"] += 1
+        return classify(policy, sid)
+
+    def counted_lookup(table, dst):
+        calls["route_lookups"] += 1
+        return lookup(table, dst)
+
+    monkeypatch.setattr(pipelines, "evaluate", counted_evaluate)
+    monkeypatch.setattr(pipelines, "classify", counted_classify)
+    monkeypatch.setattr(RoutingTable, "lookup", counted_lookup)
+    return calls
+
+
+def _accounting_mismatches(config, packets, calls) -> list[str]:
+    """Packets whose reported accounting differs from the lookups and calls the pipeline made.
+
+    The integrated pipeline's `nat_lookups` is left out: it counts the decision to
+    allocate a port from the session table, which makes no table lookup, so
+    no counter can observe it.
+    """
+    mismatches = []
+    baseline, integrated = BaselinePipeline(config), IntegratedPipeline(config)
+    for pipe, tables in (
+        (baseline, {"nat_lookups": baseline.nat_table, "session_lookups": baseline.state_table}),
+        (integrated, {"session_lookups": integrated.table}),
+    ):
+        for index, packet in enumerate(packets):
+            before = {name: table.lookups for name, table in tables.items()} | calls
+            reported = pipe.process(packet).lookups._asdict()
+            observed = {name: table.lookups for name, table in tables.items()} | calls
+            done = {name: observed[name] - before[name] for name in observed}
+            if {name: reported[name] for name in done} != done:
+                mismatches.append(f"{pipe.name} packet {index}: reported {reported}, did {done}")
+    return mismatches
+
+
+def test_accounting_matches_the_work_done(monkeypatch):
+    """Every counted lookup is a real table lookup or policy call, packet by packet."""
+    calls = _count_policy_calls(monkeypatch)
+    # no corner trace refuses a LAN-to-LAN flow, which makes no NAT lookup, at a full table
+    lan_to_lan_full = (
+        "lan_to_lan_into_a_full_table", dict(capacity=1),
+        "0.0 udp 10.0.0.5:1 10.0.9.9:53 - 0 0\n0.1 udp 10.0.0.6:1 10.0.9.9:53 - 0 0\n", [],
+    )
+    mismatches = []
+    for name, cfg_kwargs, text, _ in [*CORNER_CASES, lan_to_lan_full]:
+        found = _accounting_mismatches(make_config(**cfg_kwargs), trace(text), calls)
+        mismatches += [f"{name}: {m}" for m in found]
+    for seed in range(20):
+        rng = random.Random(0xFEED ^ seed)
+        config = _random_router_config(rng)
+        spec = replace(_random_trace_spec(rng, seed), sessions=200, packets_per_session=20)
+        found = _accounting_mismatches(config, generate_packets(spec), calls)
+        mismatches += [f"seed {seed}: {m}" for m in found]
+    assert not mismatches, f"{len(mismatches)} mismatches, first: {mismatches[:3]}"

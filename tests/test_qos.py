@@ -58,7 +58,7 @@ def _oracle(qp: QosPolicy, s: SessionId) -> int:
         if not (m.dst_ports.lo <= s.dst_port <= m.dst_ports.hi):
             continue
         return rule.dscp
-    return qp.default_dscp
+    return 0
 
 
 def test_classify_matches_linear_scan_oracle():
