@@ -108,10 +108,11 @@ def _read_trace(path: str):
 
 @contextmanager
 def _output(path: str | None):
-    """`path` opened for writing, or None when it is not given.
+    """A function that writes its text to `path` and closes it, or None when `path` is not given.
 
     Callers open it before the replay that fills it, so a bad path fails
-    before any packet work is done.
+    before any packet work is done. A failed open, write or close is a
+    config error naming the path.
     """
     if not path:
         yield None
@@ -120,26 +121,34 @@ def _output(path: str | None):
         out = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+    def write(text: str) -> None:
+        try:
+            with out:
+                out.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+
     with out:
-        yield out
+        yield write
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = _trace_spec(args)
-    with _output(args.out) as out:
-        (out or sys.stdout).write(generate_trace(spec))
+    with _output(args.out) as write:
+        (write or sys.stdout.write)(generate_trace(spec))
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args)
     packets = _read_trace(args.trace)
-    with _output(args.verdicts) as verdicts_out, _output(args.out) as csv_out:
+    with _output(args.verdicts) as write_verdicts, _output(args.out) as write_csv:
         verdicts, report = run_pipeline(make_pipeline(args.pipeline, config), packets)
-        if verdicts_out:
-            verdicts_out.write("".join(render_verdict(v) + "\n" for v in verdicts))
-        if csv_out:
-            csv_out.write(f"{CSV_HEADER}\n{csv_row(report)}\n")
+        if write_verdicts:
+            write_verdicts("".join(render_verdict(v) + "\n" for v in verdicts))
+        if write_csv:
+            write_csv(f"{CSV_HEADER}\n{csv_row(report)}\n")
     print(report.summary())
     return EXIT_OK
 
@@ -159,10 +168,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError(f"--reps: must be >= 1, got {args.reps}")
     config = load_config(args)
     packets = generate_packets(_trace_spec(args))
-    with _output(args.out) as csv_out:
+    with _output(args.out) as write_csv:
         reports, medians = bench(config, packets, args.reps)
         csv_text = "\n".join([CSV_HEADER] + [csv_row(r) for r in reports]) + "\n"
-        (csv_out or sys.stdout).write(csv_text)
+        (write_csv or sys.stdout.write)(csv_text)
     ratio = medians["baseline"] / medians["integrated"] if medians["integrated"] else float("inf")
     print(
         f"median wall_ns: baseline={medians['baseline']} integrated={medians['integrated']}"

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from flowgate.errors import ConfigError
-from flowgate.packet import SessionId, content_lines, format_ip, is_decimal, parse_ip
-from flowgate.session_table import DualIndexTable, Timeouts
+from flowgate.packet import content_lines, format_ip, is_decimal, parse_ip
+from flowgate.session_table import DualIndexTable, FlowIdentity, Timeouts
 
 
 class NatPoolExhausted(RuntimeError):
@@ -73,23 +73,8 @@ def find_free_port(
 
 
 @dataclass(slots=True)
-class NatMapping:
-    lan_addr: int
-    lan_port: int
-    gwy_addr: int
-    gwy_port: int
-    ext_addr: int
-    ext_port: int
-    proto: int
+class NatMapping(FlowIdentity):
     expiry: float
-
-    @property
-    def outbound_key(self) -> tuple:
-        return (self.lan_addr, self.lan_port, self.ext_addr, self.ext_port, self.proto)
-
-    @property
-    def inbound_key(self) -> tuple:
-        return (self.ext_addr, self.ext_port, self.gwy_addr, self.gwy_port, self.proto)
 
 
 class NatTable(DualIndexTable):
@@ -131,14 +116,3 @@ class NatTable(DualIndexTable):
         )
         self.insert(mapping)
         return mapping
-
-
-def outbound_sid(sid: SessionId, mapping) -> SessionId:
-    """An outbound packet's five-tuple as it leaves: src is the public identity."""
-    return SessionId(mapping.gwy_addr, mapping.gwy_port, sid.dst_addr, sid.dst_port, sid.proto)
-
-
-def inbound_sid(sid: SessionId, mapping) -> SessionId:
-    """A reply's five-tuple as it leaves: dst is back on the LAN endpoint."""
-    return SessionId(sid.src_addr, sid.src_port, mapping.lan_addr, mapping.lan_port, sid.proto)
-

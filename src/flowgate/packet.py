@@ -103,9 +103,6 @@ class SessionId(NamedTuple):
     dst_port: int
     proto: int
 
-    def reversed(self) -> "SessionId":
-        return SessionId(self.dst_addr, self.dst_port, self.src_addr, self.src_port, self.proto)
-
 
 class Packet(NamedTuple):
     """One IP datagram's header fields plus its logical arrival time."""
@@ -154,48 +151,63 @@ def _parse_number(token: str, limit: int, column: str) -> int:
     raise TraceError(f"{column}: bad value {token!r}")
 
 
-def _parse_record(line: str, sids: dict[tuple[str, str, str], SessionId]) -> Packet:
-    """parse_trace_record, reusing the SessionId of proto/src/dst tokens that parsed before."""
-    fields = line.split()
-    if len(fields) not in (7, 8):
-        raise TraceError(f"expected 7 or 8 columns, got {len(fields)}")
+def _parse_record(line: str, sids: dict, tails: dict) -> Packet:
+    """parse_trace_record, reusing what earlier lines of one `load_trace` call parsed to.
+
+    `tails` maps the text after a good line's timestamp column to its
+    (sid, tos, ttl, flags, payload_len), so a line that repeats one parses
+    only its timestamp; `sids` maps proto/src/dst tokens to their SessionId.
+    Only a line that parses whole is remembered, and the columns are checked
+    in the same order either way.
+    """
+    head = line.split(None, 1)
+    # every key has six or seven columns, so a line of one column (or none) misses
+    values = tails.get(head[-1]) if head else None
+    if values is None:
+        fields = line.split()
+        if len(fields) not in (7, 8):
+            raise TraceError(f"expected 7 or 8 columns, got {len(fields)}")
 
     try:
-        ts = float(fields[0])
+        ts = float(head[0])
     except ValueError as exc:
-        raise TraceError(f"ts: not a number: {fields[0]!r}") from exc
+        raise TraceError(f"ts: not a number: {head[0]!r}") from exc
     if not math.isfinite(ts) or ts < 0:
-        raise TraceError(f"ts: bad timestamp {fields[0]!r}")
+        raise TraceError(f"ts: bad timestamp {head[0]!r}")
 
-    key = (fields[1], fields[2], fields[3])
-    sid = sids.get(key)
-    if sid is None:
-        try:
-            proto = parse_protocol(fields[1])
-        except ValueError as exc:
-            raise TraceError(f"proto: {exc}") from exc
-        src_addr, src_port = _parse_endpoint(fields[2], "src")
-        dst_addr, dst_port = _parse_endpoint(fields[3], "dst")
-        if proto not in (TCP, UDP) and (src_port or dst_port):
-            raise TraceError(f"src/dst: ports must be 0 for protocol {proto}")
-        sid = sids[key] = SessionId(src_addr, src_port, dst_addr, dst_port, proto)
+    if values is None:
+        key = (fields[1], fields[2], fields[3])
+        sid = sids.get(key)
+        if sid is None:
+            try:
+                proto = parse_protocol(fields[1])
+            except ValueError as exc:
+                raise TraceError(f"proto: {exc}") from exc
+            src_addr, src_port = _parse_endpoint(fields[2], "src")
+            dst_addr, dst_port = _parse_endpoint(fields[3], "dst")
+            if proto not in (TCP, UDP) and (src_port or dst_port):
+                raise TraceError(f"src/dst: ports must be 0 for protocol {proto}")
+            sid = SessionId(src_addr, src_port, dst_addr, dst_port, proto)
 
-    flags = FLAG_BITS.get(fields[4])
-    if flags is None:
-        # one spelling per value keeps render/parse one-to-one
-        raise TraceError(f"flags: not '-' or a subset of SAFR in that order: {fields[4]!r}")
-    if flags and sid.proto != TCP:
-        raise TraceError(f"flags: TCP flags on protocol {sid.proto}")
+        flags = FLAG_BITS.get(fields[4])
+        if flags is None:
+            # one spelling per value keeps render/parse one-to-one
+            raise TraceError(f"flags: not '-' or a subset of SAFR in that order: {fields[4]!r}")
+        if flags and sid.proto != TCP:
+            raise TraceError(f"flags: TCP flags on protocol {sid.proto}")
 
-    payload_len = _parse_number(fields[5], 65535, "payload_len")
-    tos = _parse_number(fields[6], 255, "tos")
-    if len(fields) == 8:
-        ttl = _parse_number(fields[7], 255, "ttl")
-        if ttl == 0:
-            raise TraceError("ttl: must be >= 1 on ingress")
-    else:
-        ttl = 64
-    return Packet(ts, sid, tos, ttl, flags, payload_len)
+        payload_len = _parse_number(fields[5], 65535, "payload_len")
+        tos = _parse_number(fields[6], 255, "tos")
+        if len(fields) == 8:
+            ttl = _parse_number(fields[7], 255, "ttl")
+            if ttl == 0:
+                raise TraceError("ttl: must be >= 1 on ingress")
+        else:
+            ttl = 64
+        sids[key] = sid
+        values = tails[head[1]] = (sid, tos, ttl, flags, payload_len)
+    # the fields in order, without the Python-level __new__ a NamedTuple call runs
+    return tuple.__new__(Packet, (ts,) + values)
 
 
 def parse_trace_record(line: str) -> Packet:
@@ -207,7 +219,7 @@ def parse_trace_record(line: str) -> Packet:
     of "SAFR" in that order; ttl is optional and defaults to 64. Numbers are
     ASCII decimal digits.
     """
-    return _parse_record(line, {})
+    return _parse_record(line, {}, {})
 
 
 def render_trace_record(packet: Packet) -> str:
@@ -241,14 +253,15 @@ def load_trace(text: str) -> list[Packet]:
     """Parse a whole trace. '#' lines and blank lines are skipped.
 
     Timestamps must be non-decreasing across the file. The packets of one
-    flow share one SessionId, parsed once per call.
+    flow share one SessionId, parsed once per call, and a line that differs
+    from an earlier one only in its timestamp parses only that column.
     """
     packets: list[Packet] = []
     last_ts = 0.0
-    sids: dict[tuple[str, str, str], SessionId] = {}
+    sids, tails = {}, {}  # what `_parse_record` remembers, for this call only
     for lineno, line in content_lines(text):
         try:
-            packet = _parse_record(line, sids)
+            packet = _parse_record(line, sids, tails)
         except TraceError as exc:
             raise TraceError(f"line {lineno}: {exc}") from exc
         if packet.ts < last_ts:

@@ -22,14 +22,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from flowgate.filters import Action, RuleSet, evaluate
-from flowgate.nat import (
-    NatConfig,
-    NatPoolExhausted,
-    NatTable,
-    find_free_port,
-    inbound_sid,
-    outbound_sid,
-)
+from flowgate.nat import NatConfig, NatPoolExhausted, NatTable, find_free_port
 from flowgate.packet import SYN, TCP, Cidr, Direction, Packet, SessionId, merge_dscp
 from flowgate.qos import QosPolicy, classify
 from flowgate.routing import RouteEntry, RoutingTable
@@ -207,9 +200,7 @@ class BaselinePipeline:
         mapping = self.nat_table.lookup_reverse(sid, now)
         if mapping is None:
             return Verdict(Dropped(DropReason.INBOUND_NO_SESSION), _ONE_NAT_LOOKUP)
-        in_sid = inbound_sid(sid, mapping)
-        session_sid = in_sid.reversed()
-        entry = self.state_table.lookup(session_sid, now)
+        entry = self.state_table.lookup(mapping.outbound_key, now)
         if entry is None:
             # unreachable while mapping expiry mirrors the state entry's
             self.session_misses += 1
@@ -218,9 +209,9 @@ class BaselinePipeline:
         if not advance(entry, packet.flags, Direction.INBOUND, now, cfg.timeouts):
             return Verdict(Dropped(DropReason.STATE_VIOLATION), _NAT_AND_SESSION_LOOKUPS)
         mapping.expiry = entry.expiry
-        dscp = classify(cfg.qos, session_sid)
+        dscp = classify(cfg.qos, mapping.outbound_key)
         return _forward(
-            packet, in_sid, dscp, cfg.routes.lookup(in_sid.dst_addr), _BASELINE_HIT_ACCT
+            packet, mapping.in_sid, dscp, cfg.routes.lookup(mapping.lan_addr), _BASELINE_HIT_ACCT
         )
 
     def _first_packet(
@@ -272,7 +263,7 @@ class BaselinePipeline:
         """QoS and routing on the post-NAT five-tuple, repeated for every outbound packet."""
         cfg = self.config
         dscp = classify(cfg.qos, sid)
-        out_sid = sid if mapping is None else outbound_sid(sid, mapping)
+        out_sid = sid if mapping is None else mapping.out_sid
         return _forward(packet, out_sid, dscp, cfg.routes.lookup(out_sid.dst_addr), acct)
 
 
@@ -304,9 +295,7 @@ class IntegratedPipeline:
             self.session_hits += 1
             if not advance(entry, packet.flags, Direction.OUTBOUND, now, self.config.timeouts):
                 return Verdict(Dropped(DropReason.STATE_VIOLATION), _ONE_SESSION_LOOKUP)
-            return _forward(
-                packet, outbound_sid(sid, entry), entry.dscp, entry.ext_route, _ONE_SESSION_LOOKUP
-            )
+            return _forward(packet, entry.out_sid, entry.dscp, entry.ext_route, _ONE_SESSION_LOOKUP)
         entry = self.table.lookup_inbound(sid, now)
         if entry is None:
             # inbound-initiated flows are not accepted; the miss is terminal
@@ -315,9 +304,7 @@ class IntegratedPipeline:
         self.session_hits += 1
         if not advance(entry, packet.flags, Direction.INBOUND, now, self.config.timeouts):
             return Verdict(Dropped(DropReason.STATE_VIOLATION), _ONE_SESSION_LOOKUP)
-        return _forward(
-            packet, inbound_sid(sid, entry), entry.dscp, entry.lan_route, _ONE_SESSION_LOOKUP
-        )
+        return _forward(packet, entry.in_sid, entry.dscp, entry.lan_route, _ONE_SESSION_LOOKUP)
 
     def _first_packet(self, packet: Packet, sid: SessionId, now: float) -> Verdict:
         """The slow path: validate, check capacity, allocate, classify and route, then insert."""
@@ -378,6 +365,5 @@ class IntegratedPipeline:
         self.table.insert(entry)
         # one classification, and both directions' routes looked up and kept at creation
         return _forward(
-            packet, outbound_sid(sid, entry), dscp, ext_route,
-            LookupAccounting(nat_l, 1, 1, rules_s, 1, 2),
+            packet, entry.out_sid, dscp, ext_route, LookupAccounting(nat_l, 1, 1, rules_s, 1, 2)
         )

@@ -5,18 +5,18 @@ adds a second index over the same entries so one lookup serves either
 direction. The baseline's state table and NAT table and the integrated
 pipeline's session table are thin subclasses. One SessionEntry carries
 everything per-packet processing needs: the NAT identity (lan/gwy/ext
-endpoint triple), connection state and expiry, the flow's DSCP, and the
-route each direction looked up.
+endpoint triple, with its keys and rewritten five-tuples), connection state
+and expiry, the flow's DSCP, and the route each direction looked up.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from flowgate.packet import ACK, FIN, RST, SYN, TCP, Direction
+from flowgate.packet import ACK, FIN, RST, SYN, TCP, Direction, SessionId
 from flowgate.routing import RouteEntry
 
 
@@ -127,14 +127,13 @@ def advance(entry, flags: int, direction: Direction, now: float, timeouts: Timeo
 
 
 @dataclass(slots=True)
-class SessionEntry:
-    """One flow's complete processing record.
+class FlowIdentity:
+    """A flow's lan/gwy/ext endpoints, and the five-tuples it is found by and rewritten to.
 
-    gwy_* is the flow's public (NATed) identity; for LAN-to-LAN flows it
-    mirrors lan_*, so rewriting to it changes nothing. Each direction's route
-    is looked up once at creation and kept whole, so a forwarding verdict
-    needs no route lookup; None means the routing table had no covering
-    prefix, which surfaces as a NoRoute drop when that direction is used.
+    Built once per entry, like conntrack's original and reply tuples, so no
+    packet builds one: a LAN packet's `outbound_key`, a reply's `inbound_key`
+    as it arrives, `out_sid` (src is the public identity) and `in_sid` (dst is
+    back on the LAN endpoint) as they leave. Endpoints never change.
     """
 
     lan_addr: int
@@ -144,19 +143,37 @@ class SessionEntry:
     ext_addr: int
     ext_port: int
     proto: int
+    outbound_key: SessionId = field(init=False, repr=False)
+    inbound_key: SessionId = field(init=False, repr=False)
+    out_sid: SessionId = field(init=False, repr=False)
+    in_sid: SessionId = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        lan, lan_port, gwy, gwy_port = self.lan_addr, self.lan_port, self.gwy_addr, self.gwy_port
+        ext, ext_port, proto = self.ext_addr, self.ext_port, self.proto
+        new = tuple.__new__  # what SessionId(...) runs, without its Python-level __new__
+        self.outbound_key = new(SessionId, (lan, lan_port, ext, ext_port, proto))
+        self.inbound_key = new(SessionId, (ext, ext_port, gwy, gwy_port, proto))
+        self.out_sid = new(SessionId, (gwy, gwy_port, ext, ext_port, proto))
+        self.in_sid = new(SessionId, (ext, ext_port, lan, lan_port, proto))
+
+
+@dataclass(slots=True)
+class SessionEntry(FlowIdentity):
+    """One flow's complete processing record.
+
+    gwy_* is the flow's public (NATed) identity; for LAN-to-LAN flows it
+    mirrors lan_*, so rewriting to it changes nothing. Each direction's route
+    is looked up once at creation and kept whole, so a forwarding verdict
+    needs no route lookup; None means the routing table had no covering
+    prefix, which surfaces as a NoRoute drop when that direction is used.
+    """
+
     state: SessionState
     expiry: float
     dscp: int = 0
     ext_route: RouteEntry | None = None
     lan_route: RouteEntry | None = None
-
-    @property
-    def outbound_key(self) -> tuple:
-        return (self.lan_addr, self.lan_port, self.ext_addr, self.ext_port, self.proto)
-
-    @property
-    def inbound_key(self) -> tuple:
-        return (self.ext_addr, self.ext_port, self.gwy_addr, self.gwy_port, self.proto)
 
 
 class DuplicateKeyError(RuntimeError):

@@ -26,14 +26,7 @@ from flowgate.harness import (
     generate_packets,
     run_pipeline,
 )
-from flowgate.nat import (
-    NatConfig,
-    NatPoolExhausted,
-    NatTable,
-    inbound_sid,
-    outbound_sid,
-    parse_nat_config,
-)
+from flowgate.nat import NatConfig, NatPoolExhausted, NatTable, parse_nat_config
 from flowgate.packet import (
     FLAG_BITS,
     Cidr,
@@ -739,10 +732,13 @@ def test_criterion_5_nat_round_trip():
             except NatPoolExhausted:
                 continue
             count += 1
-            # the rewrites both pipelines run: out, the peer's reply, and back in
-            outward = outbound_sid(SessionId(*flow), mapping)
-            back = inbound_sid(outward.reversed(), mapping)
-            assert (back.dst_addr, back.dst_port) == (lan_addr, lan_port)
+            # the rewrites both pipelines run: out, then the peer's reply, found by its
+            # wire five-tuple, back in
+            public = (cfg.public_addr, mapping.gwy_port)
+            assert mapping.out_sid == SessionId(*public, ext_addr, ext_port, proto)
+            found = table.lookup_reverse(SessionId(ext_addr, ext_port, *public, proto), 0.0)
+            assert found is mapping
+            assert found.in_sid == SessionId(ext_addr, ext_port, lan_addr, lan_port, proto)
 
         assert len(table._out) == len(table._in) == 10_000
         for m in table._out.values():

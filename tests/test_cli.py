@@ -1,5 +1,6 @@
 """CLI end-to-end: subcommands, exit codes, output files."""
 
+import errno
 from pathlib import Path
 
 import pytest
@@ -146,3 +147,24 @@ def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, monkeypatch, arg
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert replays == []  # bad input is refused before any packet is replayed
+
+
+WRITES_TO = {
+    "run-verdicts": [*RUN_TRACE, "--verdicts", "/dev/full"],
+    "run-out": [*RUN_TRACE, "--out", "/dev/full"],
+    "run-verdicts-beside-out": [*RUN_TRACE, "--verdicts", "/dev/full", "--out", "{tmp}/x.csv"],
+    "gen-out": ["gen", "--out", "/dev/full"],
+    "bench-out": ["bench", *config_flags(), "--reps", "1", "--out", "/dev/full"],
+}
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", list(WRITES_TO.values()), ids=list(WRITES_TO))
+def test_an_output_that_cannot_be_written_is_a_one_line_config_error(tmp_path, capsys, argv):
+    """/dev/full opens, but every write to it fails: the work is done, and then refused."""
+    main(["gen", "--sessions", "1", "--packets-per-session", "2", "--out", str(tmp_path / "t.txt")])
+    capsys.readouterr()
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write /dev/full: ") and err.count("\n") == 1
+    assert f"[Errno {errno.ENOSPC}]" in err

@@ -10,8 +10,6 @@ from flowgate.nat import (
     NatPoolExhausted,
     NatTable,
     find_free_port,
-    inbound_sid,
-    outbound_sid,
     parse_nat_config,
 )
 from flowgate.packet import TCP, UDP, parse_ip, parse_trace_record
@@ -90,12 +88,16 @@ def test_outbound_and_inbound_sid():
     tbl = NatTable()
     m = tbl.allocate(cfg, LAN, 1200, PEER, 80, TCP, now=0.0, expiry=60.0)
     out = parse_trace_record("0 tcp 10.0.0.5:1200 198.51.100.9:80 S 0 7").sid
-    translated = outbound_sid(out, m)
+    assert m.outbound_key == out
+    translated = m.out_sid
     assert (translated.src_addr, translated.src_port) == (PUBLIC, 40000)
     assert (translated.dst_addr, translated.dst_port) == (PEER, 80)
 
     reply = parse_trace_record("1 tcp 198.51.100.9:80 192.0.2.1:40000 SA 0 0").sid
-    back = inbound_sid(reply, m)
+    assert m.inbound_key == reply
+    found = tbl.lookup_reverse(reply, now=1.0)
+    assert found is m
+    back = found.in_sid
     assert (back.dst_addr, back.dst_port) == (LAN, 1200)
     assert (back.src_addr, back.src_port) == (PEER, 80)
 
@@ -117,13 +119,18 @@ def test_translate_round_trip_property():
         flags = "S" if proto == TCP else "-"
         line = f"0 {'tcp' if proto == TCP else 'udp'} {_ip(lan_addr)}:{lan_port} {_ip(peer)}:{peer_port} {flags} 0 0"
         p = parse_trace_record(line)
-        outward = outbound_sid(p.sid, m)
-        # reflect: the peer answers the translated source
+        assert tbl.lookup_forward(p.sid, 0.0) is m
+        outward = m.out_sid
+        assert (outward.dst_addr, outward.dst_port) == (p.sid.dst_addr, p.sid.dst_port)
+        # reflect: the peer answers the translated source, and the reply finds the mapping
         reflected = parse_trace_record(
             f"1 {'tcp' if proto == TCP else 'udp'} {_ip(peer)}:{peer_port}"
             f" {_ip(outward.src_addr)}:{outward.src_port} {flags if proto != TCP else 'SA'} 0 0"
         )
-        back = inbound_sid(reflected.sid, m)
+        found = tbl.lookup_reverse(reflected.sid, 0.0)
+        assert found is m
+        back = found.in_sid
+        assert (back.src_addr, back.src_port) == (peer, peer_port)
         assert (back.dst_addr, back.dst_port) == (lan_addr, lan_port)
 
 

@@ -186,19 +186,19 @@ def test_load_trace_skips_comments_and_checks_monotonicity():
         load_trace("1.0 udp 10.0.0.1:1 1.1.1.1:53 - 0 0\n# c\n0.5 udp 10.0.0.1:1 1.1.1.1:53 - 0 0")
 
 
-@pytest.mark.parametrize(
-    "line,message",
-    [
-        ("0 tcp 10.0.0.1:1 10.0.0.2:2 S ² 0", "payload_len: bad value '²'"),
-        ("0 tcp 10.0.0.1:1 10.0.0.2:2 S ٣ 0", "payload_len: bad value '٣'"),
-        ("0 tcp 10.0.0.1:8² 10.0.0.2:2 S 0 0", "src: bad port '8²'"),
-        ("0 tcp 10.0.0.1:1 10.0.0.2:8² S 0 0", "dst: bad port '8²'"),
-        ("0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 ²", "tos: bad value '²'"),
-        ("0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0 ²", "ttl: bad value '²'"),
-        ("0 ² 10.0.0.1:0 10.0.0.2:0 - 0 0", "proto: unknown protocol '²'"),
-        ("0 tcp 10.0.0.²:1 10.0.0.2:2 S 0 0", "src: malformed IPv4 address '10.0.0.²'"),
-    ],
-)
+NON_ASCII_DIGITS = [
+    ("0 tcp 10.0.0.1:1 10.0.0.2:2 S ² 0", "payload_len: bad value '²'"),
+    ("0 tcp 10.0.0.1:1 10.0.0.2:2 S ٣ 0", "payload_len: bad value '٣'"),
+    ("0 tcp 10.0.0.1:8² 10.0.0.2:2 S 0 0", "src: bad port '8²'"),
+    ("0 tcp 10.0.0.1:1 10.0.0.2:8² S 0 0", "dst: bad port '8²'"),
+    ("0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 ²", "tos: bad value '²'"),
+    ("0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0 ²", "ttl: bad value '²'"),
+    ("0 ² 10.0.0.1:0 10.0.0.2:0 - 0 0", "proto: unknown protocol '²'"),
+    ("0 tcp 10.0.0.²:1 10.0.0.2:2 S 0 0", "src: malformed IPv4 address '10.0.0.²'"),
+]
+
+
+@pytest.mark.parametrize("line,message", NON_ASCII_DIGITS)
 def test_numbers_are_ascii_digits(line, message):
     """str.isdigit passes '²', which int() refuses, and '٣', which int() reads as 3."""
     with pytest.raises(TraceError) as info:
@@ -252,17 +252,17 @@ GOOD_TCP = "0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0"
 GOOD_UDP = "0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"
 
 
-@pytest.mark.parametrize(
-    "good,bad,message",
-    [
-        (GOOD_TCP, "0 tcp 10.0.0.1:1 10.0.0.2:2 AS 0 0",
-         "flags: not '-' or a subset of SAFR in that order: 'AS'"),
-        (GOOD_UDP, "0 udp 10.0.0.1:1 10.0.0.2:2 S 0 0", "flags: TCP flags on protocol 17"),
-        (GOOD_TCP, "0 tcp 10.0.0.1:1 10.0.0.2:2 A 65536 0", "payload_len: bad value '65536'"),
-        (GOOD_TCP, "0 tcp 10.0.0.1:1 10.0.0.2:2 A 0 256", "tos: bad value '256'"),
-        (GOOD_TCP, "0 tcp 10.0.0.1:1 10.0.0.2:2 A 0 0 0", "ttl: must be >= 1 on ingress"),
-    ],
-)
+SEEN_FIVE_TUPLE = [
+    (GOOD_TCP, "0 tcp 10.0.0.1:1 10.0.0.2:2 AS 0 0",
+     "flags: not '-' or a subset of SAFR in that order: 'AS'"),
+    (GOOD_UDP, "0 udp 10.0.0.1:1 10.0.0.2:2 S 0 0", "flags: TCP flags on protocol 17"),
+    (GOOD_TCP, "0 tcp 10.0.0.1:1 10.0.0.2:2 A 65536 0", "payload_len: bad value '65536'"),
+    (GOOD_TCP, "0 tcp 10.0.0.1:1 10.0.0.2:2 A 0 256", "tos: bad value '256'"),
+    (GOOD_TCP, "0 tcp 10.0.0.1:1 10.0.0.2:2 A 0 0 0", "ttl: must be >= 1 on ingress"),
+]
+
+
+@pytest.mark.parametrize("good,bad,message", SEEN_FIVE_TUPLE)
 def test_a_seen_five_tuple_still_checks_the_other_columns(good, bad, message):
     """The bad line repeats the good line's first four columns: only what follows is wrong."""
     with pytest.raises(TraceError) as info:
@@ -270,13 +270,107 @@ def test_a_seen_five_tuple_still_checks_the_other_columns(good, bad, message):
     assert str(info.value) == f"line 3: {message}"
 
 
+# one line failing in each column, in the order the columns are checked
+BAD_IN_EACH_COLUMN = [
+    ("0 tcp 10.0.0.1:1 10.0.0.2:2 S 0", "expected 7 or 8 columns, got 6"),
+    ("x tcp 10.0.0.1:1 10.0.0.2:2 S 0 0", "ts: not a number: 'x'"),
+    ("-1 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0", "ts: bad timestamp '-1'"),
+    ("inf tcp 10.0.0.1:1 10.0.0.2:2 S 0 0", "ts: bad timestamp 'inf'"),
+    ("nan tcp 10.0.0.1:1 10.0.0.2:2 S 0 0", "ts: bad timestamp 'nan'"),
+    ("0 icmp 10.0.0.1:0 10.0.0.2:0 - 0 0", "proto: unknown protocol 'icmp'"),
+    ("0 tcp 10.0.0.999:1 10.0.0.2:2 S 0 0", "src: malformed IPv4 address '10.0.0.999'"),
+    ("0 tcp 10.0.0.1 10.0.0.2:2 S 0 0", "src: expected ip:port, got '10.0.0.1'"),
+    ("0 tcp 10.0.0.1:1 10.0.0.2:65536 S 0 0", "dst: port 65536 out of range"),
+    ("0 1 10.0.0.1:5 10.0.0.2:0 - 0 0", "src/dst: ports must be 0 for protocol 1"),
+    *((bad, message) for _, bad, message in SEEN_FIVE_TUPLE),
+    ("0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0 256", "ttl: bad value '256'"),
+]
+EVERY_BAD_LINE = BAD_IN_EACH_COLUMN + NON_ASCII_DIGITS
+
+
 def test_a_five_tuple_that_failed_is_not_remembered():
-    sids = {}
-    bad = "0 tcp 10.0.0.999:1 10.0.0.2:2 S 0 0"
-    for _ in range(2):
-        with pytest.raises(TraceError, match="src: malformed IPv4 address '10.0.0.999'"):
-            packet_module._parse_record(bad, sids)
-    assert sids == {}
+    """A line that fails in any column leaves both of the parser's memos empty."""
+    for bad, message in BAD_IN_EACH_COLUMN:
+        sids, tails = {}, {}
+        for _ in range(2):
+            with pytest.raises(TraceError) as info:
+                packet_module._parse_record(bad, sids, tails)
+            assert str(info.value) == message
+        assert sids == {} and tails == {}, bad
+
+
+def _good_twins(bad: str) -> list[str]:
+    """Good lines repeating the bad line's tail (all after its ts) or its five-tuple."""
+    columns = bad.split()
+    candidates = ["0 " + bad.split(None, 1)[-1]]
+    candidates += [f"0 {' '.join(columns[1:4])} {rest}" for rest in ("- 0 0", "S 0 0")]
+    twins = []
+    for line in candidates:
+        try:
+            parse_trace_record(line)
+        except TraceError:
+            continue
+        twins.append(line)
+    return twins
+
+
+@pytest.mark.parametrize("bad,message", EVERY_BAD_LINE)
+def test_an_earlier_good_twin_leaves_the_error_as_it_was(bad, message):
+    """What an earlier good line left in the memos changes no later line's error."""
+    twins = _good_twins(bad)
+    # only a line whose five-tuple is bad has no good line repeating any of it
+    assert twins or message.split(":")[0] in ("proto", "src", "dst", "src/dst")
+    for twin in twins:
+        with pytest.raises(TraceError) as info:
+            load_trace(f"# header\n{twin}\n{twin}\n{bad}\n")
+        assert str(info.value) == f"line 4: {message}"
+
+
+def test_a_seen_tail_with_a_new_timestamp_is_a_new_packet():
+    tail = "udp 10.0.0.1:1 10.0.0.2:2 - 64 3"
+    first, second, third = load_trace(f"0 {tail}\n1.5 {tail}\n1.5\t{tail}\n")
+    assert first == parse_trace_record(f"0 {tail}")
+    assert second == first._replace(ts=1.5) and second is not first
+    assert second.sid is first.sid
+    assert third == second
+    sids, tails = {}, {}
+    for ts in (0, 1.5, 1.5):
+        packet = packet_module._parse_record(f"{ts} {tail}", sids, tails)
+        assert packet == second._replace(ts=ts)
+    assert tails == {tail: (packet.sid, 3, 64, 0, 64)}
+    assert sids == {("udp", "10.0.0.1:1", "10.0.0.2:2"): packet.sid}
+    with pytest.raises(TraceError) as info:
+        load_trace(f"2 {tail}\n1 {tail}\n")
+    assert str(info.value) == "line 2: ts: timestamps must be non-decreasing"
+    with pytest.raises(TraceError) as info:
+        load_trace(f"2 {tail}\n2e {tail}\n")
+    assert str(info.value) == "line 2: ts: not a number: '2e'"
+
+
+SEPARATORS = (" ", "\t", "   ", " \t ")
+
+
+def _repeating_tail_lines(rng: random.Random, count: int) -> list[str]:
+    """Lines of a few flows with a few values per column and a few separators, so tails repeat."""
+    pool = [_random_packet(rng).sid for _ in range(4)]
+    lines = []
+    for ts in sorted(round(rng.uniform(0, 100), 3) for _ in range(count)):
+        sid = rng.choice(pool)
+        flags = rng.choice((SYN, ACK, SYN | ACK)) if sid.proto == TCP else 0
+        packet = Packet(ts, sid, rng.choice((0, 185)), rng.choice((1, 64)), flags, 64)
+        columns = render_trace_record(packet).split(" ")
+        if packet.ttl == 64 and rng.random() < 0.5:
+            columns.pop()  # the default ttl, left out
+        lines.append(rng.choice(SEPARATORS).join(columns))
+    return lines
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_load_trace_equals_parsing_each_line_when_tails_repeat(seed):
+    lines = _repeating_tail_lines(random.Random(seed), 400)
+    tails = {line.split(None, 1)[1] for line in lines}
+    assert len(tails) < len(lines) / 2  # most lines repeat an earlier tail
+    assert load_trace("\n".join(lines)) == [parse_trace_record(line) for line in lines]
 
 
 def test_one_flow_shares_one_session_id_within_a_call():

@@ -8,7 +8,7 @@ from test_acceptance import CORNER_CASES, _random_router_config, _random_trace_s
 
 from flowgate import pipelines
 from flowgate.harness import compare, generate_packets, run_pipeline
-from flowgate.packet import format_ip, parse_ip
+from flowgate.packet import SessionId, format_ip, parse_ip
 from flowgate.pipelines import (
     BaselinePipeline,
     Dropped,
@@ -314,3 +314,46 @@ def test_accounting_matches_the_work_done(monkeypatch):
         found = _accounting_mismatches(config, generate_packets(spec), calls)
         mismatches += [f"seed {seed}: {m}" for m in found]
     assert not mismatches, f"{len(mismatches)} mismatches, first: {mismatches[:3]}"
+
+
+def _rewritten_by_formula(sid: SessionId, flow, outbound: bool) -> SessionId:
+    """What the deleted `nat.outbound_sid`/`nat.inbound_sid` computed for a packet of `flow`."""
+    if outbound:
+        return SessionId(flow.gwy_addr, flow.gwy_port, sid.dst_addr, sid.dst_port, sid.proto)
+    return SessionId(sid.src_addr, sid.src_port, flow.lan_addr, flow.lan_port, sid.proto)
+
+
+def test_forwards_carry_the_stored_rewrite():
+    """Each forwarded five-tuple is the rewrite formula's; one flow direction reuses one object."""
+    cases = [(name, make_config(**kwargs), trace(text)) for name, kwargs, text, _ in CORNER_CASES]
+    for seed in range(8):
+        rng = random.Random(0xFEED ^ seed)
+        config = _random_router_config(rng)
+        spec = replace(_random_trace_spec(rng, seed), sessions=100, packets_per_session=20)
+        cases.append((f"seed {seed}", config, generate_packets(spec)))
+    repeats = 0  # integrated forwards of a flow direction that had forwarded before
+    for name, config, packets in cases:
+        baseline, integrated = BaselinePipeline(config), IntegratedPipeline(config)
+        emitted = {}  # (id of a flow's entry, outbound) -> (the entry, its first forwarded sid)
+        for packet in packets:
+            sid = packet.sid
+            outbound = config.lan_prefix.contains(sid.src_addr)
+            lan_to_lan = outbound and config.lan_prefix.contains(sid.dst_addr)
+            for pipe in (baseline, integrated):
+                out = pipe.process(packet).outcome
+                if not isinstance(out, Forwarded):
+                    continue
+                if pipe is baseline:
+                    tables = (pipe.nat_table._out, pipe.nat_table._in)
+                    flow = None if lan_to_lan else tables[not outbound][sid]
+                else:
+                    tables = (pipe.table._out, pipe.table._in)
+                    flow = tables[not outbound][sid]
+                want = sid if flow is None else _rewritten_by_formula(sid, flow, outbound)
+                assert out.packet.sid == want, (name, pipe.name, packet)
+                if pipe is integrated:
+                    key = (id(flow), outbound)
+                    repeats += key in emitted
+                    _, first = emitted.setdefault(key, (flow, out.packet.sid))
+                    assert out.packet.sid is first, (name, packet)
+    assert repeats > 1000
