@@ -343,12 +343,9 @@ def test_forwards_carry_the_stored_rewrite():
                 out = pipe.process(packet).outcome
                 if not isinstance(out, Forwarded):
                     continue
-                if pipe is baseline:
-                    tables = (pipe.nat_table._out, pipe.nat_table._in)
-                    flow = None if lan_to_lan else tables[not outbound][sid]
-                else:
-                    tables = (pipe.table._out, pipe.table._in)
-                    flow = tables[not outbound][sid]
+                table = pipe.nat_table if pipe is baseline else pipe.table
+                index = table._out if outbound else table._in
+                flow = None if pipe is baseline and lan_to_lan else index[sid]
                 want = sid if flow is None else _rewritten_by_formula(sid, flow, outbound)
                 assert out.packet.sid == want, (name, pipe.name, packet)
                 if pipe is integrated:
