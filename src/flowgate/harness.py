@@ -17,7 +17,6 @@ from flowgate.packet import (
     Cidr,
     Packet,
     SessionId,
-    format_ip,
     render_trace_record,
 )
 from flowgate.pipelines import (
@@ -248,10 +247,7 @@ def render_verdict(verdict: Verdict) -> str:
     outcome = verdict.outcome
     if isinstance(outcome, Dropped):
         return f"drop {outcome.reason.value}"
-    return (
-        f"forward {format_ip(outcome.next_hop)} {outcome.iface}"
-        f" {render_trace_record(outcome.packet)}"
-    )
+    return f"forward {outcome.route.label} {render_trace_record(outcome.packet)}"
 
 
 def first_divergence(a: list[Verdict], b: list[Verdict]) -> int | None:

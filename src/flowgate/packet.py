@@ -82,9 +82,8 @@ class Cidr:
         return cls(addr & mask, prefix_len)
 
     def contains(self, addr: int) -> bool:
-        if self.prefix_len == 0:
-            return True
-        return (addr >> (32 - self.prefix_len)) == (self.network >> (32 - self.prefix_len))
+        # no bit above the host bits differs; a /0 has none, so any 32-bit address passes
+        return (addr ^ self.network) >> (32 - self.prefix_len) == 0
 
     def __str__(self) -> str:
         return f"{format_ip(self.network)}/{self.prefix_len}"

@@ -78,8 +78,7 @@ class LookupAccounting(NamedTuple):
 # NamedTuples, the cheapest immutable values that compare and hash by field; outcomes
 # of different kinds differ in length, so they never compare equal.
 class Forwarded(NamedTuple):
-    next_hop: int
-    iface: str
+    route: RouteEntry  # the next hop and iface, as the routing table holds them
     packet: Packet
 
 
@@ -137,13 +136,13 @@ def _forward(
     """The egress step both pipelines share: NoRoute, then TTL, then the rewritten packet."""
     if route is None:
         return Verdict(Dropped(DropReason.NO_ROUTE), acct)
-    ttl = packet.ttl - 1
+    ts, _, tos, ttl, flags, payload_len = packet
+    ttl -= 1
     if ttl == 0:
         return Verdict(Dropped(DropReason.TTL_EXPIRED), acct)
-    emitted = Packet(
-        packet.ts, sid, merge_dscp(packet.tos, dscp), ttl, packet.flags, packet.payload_len
-    )
-    return Verdict(Forwarded(route.next_hop, route.iface, emitted), acct)
+    new = tuple.__new__  # a NamedTuple call without its Python-level __new__: fields in order
+    emitted = new(Packet, (ts, sid, merge_dscp(tos, dscp), ttl, flags, payload_len))
+    return new(Verdict, (new(Forwarded, (route, emitted)), acct))
 
 
 class BaselinePipeline:

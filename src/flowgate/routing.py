@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from flowgate.errors import ConfigError
-from flowgate.packet import Cidr, content_lines, parse_ip
+from flowgate.packet import Cidr, content_lines, format_ip, parse_ip
 
 
 @dataclass(frozen=True, slots=True)
 class RouteEntry:
+    """One route; `label` is its "<next hop> <iface>" text, formatted once for every forward."""
+
     prefix: Cidr
     next_hop: int
     iface: str
+    label: str = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "label", f"{format_ip(self.next_hop)} {self.iface}")
 
 
 class RoutingTable:

@@ -229,7 +229,11 @@ class ExpiringTable:
 
     def lookup(self, key: tuple, now: float):
         self.lookups += 1
-        return self._live(self._out.get(key), now)
+        entry = self._out.get(key)
+        # a miss or a live hit is answered without a call: every packet makes a lookup
+        if entry is None or entry.expiry > now:
+            return entry
+        return self._live(entry, now)
 
     def insert(self, entry) -> None:
         key = entry.outbound_key
@@ -297,7 +301,10 @@ class DualIndexTable(ExpiringTable):
 
     def lookup_inbound(self, key: tuple, now: float):
         self.lookups += 1
-        return self._live(self._in.get(key), now)
+        entry = self._in.get(key)
+        if entry is None or entry.expiry > now:
+            return entry
+        return self._live(entry, now)
 
     def insert(self, entry) -> None:
         if entry.inbound_key in self._in:

@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import make_config
+from test_pipelines import differential_cases
 from flowgate.errors import ConfigError
 from flowgate.harness import (
     CSV_HEADER,
@@ -16,7 +17,20 @@ from flowgate.harness import (
     render_verdict,
     run_pipeline,
 )
-from flowgate.packet import ACK, FIN, SYN, TCP, Packet, SessionId, load_trace, parse_ip
+from flowgate.packet import (
+    ACK,
+    FIN,
+    SYN,
+    TCP,
+    Cidr,
+    Packet,
+    SessionId,
+    format_ip,
+    load_trace,
+    parse_ip,
+    parse_trace_record,
+    render_trace_record,
+)
 from flowgate.pipelines import (
     BaselinePipeline,
     Dropped,
@@ -26,6 +40,7 @@ from flowgate.pipelines import (
     LookupAccounting,
     Verdict,
 )
+from flowgate.routing import RouteEntry
 
 PEERS = (parse_ip("198.51.100.9"), parse_ip("203.0.113.77"))
 
@@ -159,12 +174,13 @@ def test_compare_reports_divergence_index():
 def _forward_verdict(ttl: int = 63) -> Verdict:
     sid = SessionId(parse_ip("192.0.2.1"), 40000, parse_ip("198.51.100.9"), 80, TCP)
     packet = Packet(0.5, sid, tos=184, ttl=ttl, flags=SYN | ACK, payload_len=64)
-    return Verdict(Forwarded(parse_ip("203.0.113.1"), "wan", packet), LookupAccounting(1, 1))
+    route = RouteEntry(Cidr.parse("0.0.0.0/0"), parse_ip("203.0.113.1"), "wan")
+    return Verdict(Forwarded(route, packet), LookupAccounting(1, 1))
 
 
 def test_value_types_keep_their_fields_and_defaults():
     assert Packet._fields == ("ts", "sid", "tos", "ttl", "flags", "payload_len")
-    assert Forwarded._fields == ("next_hop", "iface", "packet")
+    assert Forwarded._fields == ("route", "packet")
     assert Dropped._fields == ("reason",)
     assert Verdict._fields == ("outcome", "lookups")
     assert LookupAccounting._fields == (
@@ -179,7 +195,7 @@ def test_value_types_keep_their_fields_and_defaults():
 
 def test_verdicts_compare_and_hash_by_value():
     a, b = _forward_verdict(), _forward_verdict()
-    assert a == b and a.outcome is not b.outcome
+    assert a == b and a.outcome is not b.outcome and a.outcome.route is not b.outcome.route
     assert hash(a.outcome) == hash(b.outcome)
     assert a != _forward_verdict(ttl=62)
     assert Dropped(DropReason.NO_ROUTE) == Dropped(DropReason.NO_ROUTE)
@@ -210,6 +226,30 @@ def test_render_verdict_golden_lines():
         "drop ttl_expired",
         "drop inbound_no_session",
     ]
+
+
+def test_render_verdict_writes_the_canonical_next_hop():
+    config = make_config(routes="0.0.0.0/0 203.000.113.001 wan\n10.0.0.0/8 010.000.000.254 lan\n")
+    pipe = IntegratedPipeline(config)
+    pipe.process(parse_trace_record("0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0"))
+    reply = pipe.process(parse_trace_record("0.1 udp 8.8.8.8:53 192.0.2.1:40000 - 0 0"))
+    assert render_verdict(reply) == "forward 10.0.0.254 lan 0.1 udp 8.8.8.8:53 10.0.0.5:1000 - 0 184 63"
+
+
+def test_render_verdict_matches_formatting_the_route_each_time():
+    verdicts = 0
+    for _, config, packets in differential_cases():
+        for pipe in (BaselinePipeline(config), IntegratedPipeline(config)):
+            for verdict in map(pipe.process, packets):
+                out = verdict.outcome
+                if isinstance(out, Dropped):
+                    want = f"drop {out.reason.value}"
+                else:
+                    hop, iface = out.route.next_hop, out.route.iface
+                    want = f"forward {format_ip(hop)} {iface} {render_trace_record(out.packet)}"
+                assert render_verdict(verdict) == want
+                verdicts += 1
+    assert verdicts > 20_000
 
 
 def test_bench_rows_and_medians():

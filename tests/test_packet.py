@@ -168,6 +168,29 @@ def test_cidr_parse_and_contains():
         Cidr.parse("10.0.0.0")
 
 
+def _two_shift_contains(cidr: Cidr, addr: int) -> bool:
+    """The two-branch formula `Cidr.contains` used before its one-expression form."""
+    if cidr.prefix_len == 0:
+        return True
+    return (addr >> (32 - cidr.prefix_len)) == (cidr.network >> (32 - cidr.prefix_len))
+
+
+@pytest.mark.parametrize("prefix_len", range(33))
+def test_cidr_contains_matches_the_two_shift_formula(prefix_len):
+    rng = random.Random(prefix_len)
+    host_bits = 0xFFFFFFFF >> prefix_len
+    for _ in range(20):
+        cidr = Cidr.parse(f"{format_ip(rng.randrange(2**32))}/{prefix_len}")
+        last = cidr.network | host_bits
+        probes = [0, 0xFFFFFFFF, cidr.network, (cidr.network - 1) & 0xFFFFFFFF, last,
+                  (last + 1) & 0xFFFFFFFF]
+        probes += [rng.randrange(2**32) for _ in range(20)]
+        probes += [cidr.network | rng.randrange(host_bits + 1) for _ in range(20)]
+        for addr in probes:
+            assert cidr.contains(addr) is _two_shift_contains(cidr, addr), (str(cidr), addr)
+        assert cidr.contains(cidr.network) and cidr.contains(last)
+
+
 def test_ip_round_trip():
     rng = random.Random(5)
     for _ in range(200):

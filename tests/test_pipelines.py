@@ -8,7 +8,7 @@ from test_acceptance import CORNER_CASES, _random_router_config, _random_trace_s
 
 from flowgate import pipelines
 from flowgate.harness import compare, generate_packets, run_pipeline
-from flowgate.packet import SessionId, format_ip, parse_ip
+from flowgate.packet import Packet, SessionId, format_ip, merge_dscp, parse_ip
 from flowgate.pipelines import (
     BaselinePipeline,
     Dropped,
@@ -16,8 +16,9 @@ from flowgate.pipelines import (
     Forwarded,
     IntegratedPipeline,
     LookupAccounting,
+    Verdict,
 )
-from flowgate.routing import RoutingTable
+from flowgate.routing import RouteEntry, RoutingTable
 
 HANDSHAKE = (
     "0.0 tcp 10.0.0.5:1200 198.51.100.9:80 S 0 0\n"
@@ -78,8 +79,8 @@ def test_integrated_inbound_one_shot_rewrites(config):
     assert out.packet.tos >> 2 == 46  # udp/53 policy dscp, both directions
     # the rest of the header is carried over; only TTL is decremented
     assert (out.packet.ts, out.packet.ttl, out.packet.payload_len) == (0.1, 63, 64)
-    assert format_ip(out.next_hop) == "10.0.0.254"
-    assert out.iface == "lan"
+    assert format_ip(out.route.next_hop) == "10.0.0.254"
+    assert out.route.iface == "lan"
 
 
 def test_rule_denied_creates_no_state(config):
@@ -161,7 +162,7 @@ def test_lan_to_lan_bypasses_nat(config):
         out = verdict.outcome
         assert isinstance(out, Forwarded)
         assert format_ip(out.packet.sid.src_addr) == "10.0.0.5"  # no rewrite
-        assert out.iface == "lan"
+        assert out.route.iface == "lan"
     assert baseline.nat_table.lookups == 0
 
 
@@ -323,16 +324,21 @@ def _rewritten_by_formula(sid: SessionId, flow, outbound: bool) -> SessionId:
     return SessionId(sid.src_addr, sid.src_port, flow.lan_addr, flow.lan_port, sid.proto)
 
 
-def test_forwards_carry_the_stored_rewrite():
-    """Each forwarded five-tuple is the rewrite formula's; one flow direction reuses one object."""
+def differential_cases() -> list[tuple[str, object, list]]:
+    """(name, config, packets): every corner trace, then 8 seeded differential traces."""
     cases = [(name, make_config(**kwargs), trace(text)) for name, kwargs, text, _ in CORNER_CASES]
     for seed in range(8):
         rng = random.Random(0xFEED ^ seed)
         config = _random_router_config(rng)
         spec = replace(_random_trace_spec(rng, seed), sessions=100, packets_per_session=20)
         cases.append((f"seed {seed}", config, generate_packets(spec)))
+    return cases
+
+
+def test_forwards_carry_the_stored_rewrite():
+    """Each forwarded five-tuple is the rewrite formula's; one flow direction reuses one object."""
     repeats = 0  # integrated forwards of a flow direction that had forwarded before
-    for name, config, packets in cases:
+    for name, config, packets in differential_cases():
         baseline, integrated = BaselinePipeline(config), IntegratedPipeline(config)
         emitted = {}  # (id of a flow's entry, outbound) -> (the entry, its first forwarded sid)
         for packet in packets:
@@ -354,3 +360,38 @@ def test_forwards_carry_the_stored_rewrite():
                     _, first = emitted.setdefault(key, (flow, out.packet.sid))
                     assert out.packet.sid is first, (name, packet)
     assert repeats > 1000
+
+
+def _whole(value, kind) -> bool:
+    """`value` is exactly a `kind`, of its arity, equal to the NamedTuple call that rebuilds it."""
+    return type(value) is kind and len(value) == len(kind._fields) and kind(*value) == value
+
+
+def test_verdicts_are_whole_namedtuples():
+    """`_forward` builds with `tuple.__new__`, which checks neither arity nor field order."""
+    forwards = 0
+    for name, config, packets in differential_cases():
+        for pipe in (BaselinePipeline(config), IntegratedPipeline(config)):
+            for packet in packets:
+                verdict = pipe.process(packet)
+                where = (name, pipe.name, packet)
+                assert _whole(verdict, Verdict), where
+                assert _whole(verdict.lookups, LookupAccounting), where
+                out = verdict.outcome
+                if type(out) is Dropped:
+                    assert _whole(out, Dropped) and type(out.reason) is DropReason, where
+                    continue
+                assert _whole(out, Forwarded) and type(out.route) is RouteEntry, where
+                emitted = out.packet
+                assert _whole(emitted, Packet) and type(emitted.sid) is SessionId, where
+                # each field by name: only the five-tuple and the DSCP bits may be rewritten
+                assert emitted == Packet(
+                    ts=packet.ts,
+                    sid=emitted.sid,
+                    tos=merge_dscp(packet.tos, emitted.tos >> 2),
+                    ttl=packet.ttl - 1,
+                    flags=packet.flags,
+                    payload_len=packet.payload_len,
+                ), where
+                forwards += 1
+    assert forwards > 10_000

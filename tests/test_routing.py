@@ -152,6 +152,17 @@ def test_duplicate_prefix_rejected_by_the_table():
         RoutingTable([entry, other, RouteEntry(entry.prefix, parse_ip("10.9.9.9"), "lan2")])
 
 
+def test_route_label_is_canonical_text_outside_equality():
+    written = parse_routes("010.000.000.000/8 010.000.000.254 lan\n").lookup(parse_ip("10.1.2.3"))
+    built = RouteEntry(Cidr.parse("10.0.0.0/8"), parse_ip("10.0.0.254"), "lan")
+    assert written is not built
+    assert written.label == built.label == "10.0.0.254 lan"
+    assert written == built and hash(written) == hash(built)
+    assert repr(written) == repr(built) and "label" not in repr(built)
+    with pytest.raises(TypeError):
+        RouteEntry(built.prefix, built.next_hop, built.iface, "10.0.0.254 lan")
+
+
 @pytest.mark.parametrize("count", [2, 4096])
 def test_lookup_is_one_binary_search(count, monkeypatch):
     rng = random.Random(count)
