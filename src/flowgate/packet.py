@@ -25,6 +25,10 @@ FLAG_BITS = {text: value for value, text in enumerate(FLAG_TEXT)}
 PROTO_TEXT = {TCP: "tcp", UDP: "udp"}
 PROTO_NUMBER = {text: proto for proto, text in PROTO_TEXT.items()}
 OCTET_TEXT = tuple(str(octet) for octet in range(256))
+OCTET_VALUE = {text: octet for octet, text in enumerate(OCTET_TEXT)}
+# each prefix length's canonical spelling, and its netmask
+PREFIX_LEN = {str(n): n for n in range(33)}
+NETMASK = tuple(0xFFFFFFFF << (32 - n) & 0xFFFFFFFF for n in range(33))
 
 
 def is_decimal(text: str) -> bool:
@@ -34,6 +38,16 @@ def is_decimal(text: str) -> bool:
 
 def parse_ip(text: str) -> int:
     """Dotted quad -> host-order int. Raises ValueError on malformed input."""
+    octet = OCTET_VALUE
+    try:
+        a, b, c, d = text.split(".")
+        return octet[a] << 24 | octet[b] << 16 | octet[c] << 8 | octet[d]
+    except (ValueError, KeyError):
+        # not four canonical octets: the strict reading gives the value or the error
+        return _parse_ip_strict(text)
+
+
+def _parse_ip_strict(text: str) -> int:
     parts = text.split(".")
     if len(parts) != 4:
         raise ValueError(f"malformed IPv4 address {text!r}")
@@ -72,14 +86,15 @@ class Cidr:
     @classmethod
     def parse(cls, text: str) -> "Cidr":
         addr_part, sep, len_part = text.partition("/")
-        if not sep or not is_decimal(len_part):
-            raise ValueError(f"malformed CIDR {text!r}")
-        prefix_len = int(len_part)
-        if prefix_len > 32:
-            raise ValueError(f"prefix length out of range in {text!r}")
-        addr = parse_ip(addr_part)
-        mask = 0xFFFFFFFF << (32 - prefix_len) & 0xFFFFFFFF if prefix_len else 0
-        return cls(addr & mask, prefix_len)
+        prefix_len = PREFIX_LEN.get(len_part)
+        if prefix_len is None:
+            # not a canonical length: the strict reading gives the length or the error
+            if not sep or not is_decimal(len_part):
+                raise ValueError(f"malformed CIDR {text!r}")
+            prefix_len = int(len_part)
+            if prefix_len > 32:
+                raise ValueError(f"prefix length out of range in {text!r}")
+        return cls(parse_ip(addr_part) & NETMASK[prefix_len], prefix_len)
 
     def contains(self, addr: int) -> bool:
         # no bit above the host bits differs; a /0 has none, so any 32-bit address passes
@@ -150,51 +165,73 @@ def _parse_number(token: str, limit: int, column: str) -> int:
     raise TraceError(f"{column}: bad value {token!r}")
 
 
-def _parse_record(line: str, sids: dict, tails: dict) -> Packet:
-    """parse_trace_record, reusing what earlier lines of one `load_trace` call parsed to.
+class _TraceMemo:
+    """What the good lines of one `load_trace` call parsed to, keyed by their text.
 
-    `tails` maps the text after a good line's timestamp column to its
-    (sid, tos, ttl, flags, payload_len), so a line that repeats one parses
-    only its timestamp; `sids` maps proto/src/dst tokens to their SessionId.
-    Only a line that parses whole is remembered, and the columns are checked
-    in the same order either way.
+    tails: the text after a line's timestamp -> (sid, tos, ttl, flags, payload_len)
+    sids:  the proto, src and dst tokens -> their SessionId
+    ends:  an ip:port token -> (addr, port)
+    cols:  the text after dst -> (tos, ttl, flags, payload_len)
+
+    A line adds to them only once it has parsed whole.
     """
-    head = line.split(None, 1)
-    # every key has six or seven columns, so a line of one column (or none) misses
-    values = tails.get(head[-1]) if head else None
-    if values is None:
+
+    __slots__ = ("tails", "sids", "ends", "cols")
+
+    def __init__(self) -> None:
+        self.tails: dict[str, tuple] = {}
+        self.sids: dict[tuple[str, str, str], SessionId] = {}
+        self.ends: dict[str, tuple[int, int]] = {}
+        self.cols: dict[str, tuple[int, int, int, int]] = {}
+
+
+def _parse_record(line: str, head: list[str], memo: _TraceMemo) -> Packet:
+    """parse_trace_record, reusing what earlier good lines of one `load_trace` call parsed to.
+
+    `head` is `line.split(None, 1)`. The columns are checked in the same
+    order, and fail with the same message, whatever `memo` holds.
+    """
+    # proto, src, dst and the text after dst, if the line has that many columns
+    parts = head[1].split(None, 3) if len(head) == 2 else head
+    cols = memo.cols.get(parts[3]) if len(parts) == 4 else None
+    if cols is None:
         fields = line.split()
         if len(fields) not in (7, 8):
             raise TraceError(f"expected 7 or 8 columns, got {len(fields)}")
+    # else the text after dst holds the 3 or 4 columns of a good line, so this one has 7 or 8
 
     try:
         ts = float(head[0])
     except ValueError as exc:
         raise TraceError(f"ts: not a number: {head[0]!r}") from exc
-    if not math.isfinite(ts) or ts < 0:
+    if not 0 <= ts < math.inf:  # also false for nan
         raise TraceError(f"ts: bad timestamp {head[0]!r}")
 
-    if values is None:
-        key = (fields[1], fields[2], fields[3])
-        sid = sids.get(key)
-        if sid is None:
-            try:
-                proto = parse_protocol(fields[1])
-            except ValueError as exc:
-                raise TraceError(f"proto: {exc}") from exc
-            src_addr, src_port = _parse_endpoint(fields[2], "src")
-            dst_addr, dst_port = _parse_endpoint(fields[3], "dst")
-            if proto not in (TCP, UDP) and (src_port or dst_port):
-                raise TraceError(f"src/dst: ports must be 0 for protocol {proto}")
-            sid = SessionId(src_addr, src_port, dst_addr, dst_port, proto)
+    proto_token, src_token, dst_token, rest = parts
+    key = (proto_token, src_token, dst_token)
+    sid = memo.sids.get(key)
+    fresh = sid is None
+    if fresh:
+        try:
+            proto = parse_protocol(proto_token)
+        except ValueError as exc:
+            raise TraceError(f"proto: {exc}") from exc
+        src = memo.ends.get(src_token) or _parse_endpoint(src_token, "src")
+        dst = memo.ends.get(dst_token) or _parse_endpoint(dst_token, "dst")
+        if proto not in (TCP, UDP) and (src[1] or dst[1]):
+            raise TraceError(f"src/dst: ports must be 0 for protocol {proto}")
+        sid = tuple.__new__(SessionId, src + dst + (proto,))
 
+    if cols is None:
         flags = FLAG_BITS.get(fields[4])
         if flags is None:
             # one spelling per value keeps render/parse one-to-one
             raise TraceError(f"flags: not '-' or a subset of SAFR in that order: {fields[4]!r}")
-        if flags and sid.proto != TCP:
-            raise TraceError(f"flags: TCP flags on protocol {sid.proto}")
-
+    else:
+        flags = cols[2]
+    if flags and sid.proto != TCP:
+        raise TraceError(f"flags: TCP flags on protocol {sid.proto}")
+    if cols is None:
         payload_len = _parse_number(fields[5], 65535, "payload_len")
         tos = _parse_number(fields[6], 255, "tos")
         if len(fields) == 8:
@@ -203,8 +240,13 @@ def _parse_record(line: str, sids: dict, tails: dict) -> Packet:
                 raise TraceError("ttl: must be >= 1 on ingress")
         else:
             ttl = 64
-        sids[key] = sid
-        values = tails[head[1]] = (sid, tos, ttl, flags, payload_len)
+        cols = (tos, ttl, flags, payload_len)
+
+    if fresh:
+        memo.sids[key] = sid
+        memo.ends[src_token], memo.ends[dst_token] = src, dst
+    memo.cols[rest] = cols
+    values = memo.tails[head[1]] = (sid,) + cols
     # the fields in order, without the Python-level __new__ a NamedTuple call runs
     return tuple.__new__(Packet, (ts,) + values)
 
@@ -218,7 +260,7 @@ def parse_trace_record(line: str) -> Packet:
     of "SAFR" in that order; ttl is optional and defaults to 64. Numbers are
     ASCII decimal digits.
     """
-    return _parse_record(line, {}, {})
+    return _parse_record(line, line.split(None, 1), _TraceMemo())
 
 
 def render_trace_record(packet: Packet) -> str:
@@ -251,20 +293,41 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
 def load_trace(text: str) -> list[Packet]:
     """Parse a whole trace. '#' lines and blank lines are skipped.
 
-    Timestamps must be non-decreasing across the file. The packets of one
-    flow share one SessionId, parsed once per call, and a line that differs
-    from an earlier one only in its timestamp parses only that column.
+    Timestamps must be non-decreasing across the file. Within one call each
+    distinct piece of text is parsed once: a line that repeats an earlier
+    one but for its timestamp parses only that column, and the packets of
+    one flow share one SessionId.
     """
     packets: list[Packet] = []
+    append = packets.append
     last_ts = 0.0
-    sids, tails = {}, {}  # what `_parse_record` remembers, for this call only
-    for lineno, line in content_lines(text):
+    memo = _TraceMemo()  # for this call only
+    tails = memo.tails
+    new, inf = tuple.__new__, math.inf
+    # the lines `content_lines` yields, read here without a generator's resume per line
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        head = line.split(None, 1)
+        # every remembered tail has six or seven columns, so a line of one column misses
+        values = tails.get(head[-1])
+        if values is not None:
+            try:
+                ts = float(head[0])
+            except ValueError:
+                ts = math.nan  # fails the test below; _parse_record reports it
+            # false for nan, inf, a negative ts (last_ts >= 0) and a decrease
+            if last_ts <= ts < inf:
+                append(new(Packet, (ts,) + values))
+                last_ts = ts
+                continue
         try:
-            packet = _parse_record(line, sids, tails)
+            packet = _parse_record(line, head, memo)
         except TraceError as exc:
             raise TraceError(f"line {lineno}: {exc}") from exc
         if packet.ts < last_ts:
             raise TraceError(f"line {lineno}: ts: timestamps must be non-decreasing")
         last_ts = packet.ts
-        packets.append(packet)
+        append(packet)
     return packets

@@ -21,6 +21,25 @@ class RouteEntry:
     def __post_init__(self) -> None:
         object.__setattr__(self, "label", f"{format_ip(self.next_hop)} {self.iface}")
 
+    @classmethod
+    def _labelled(cls, prefix: Cidr, next_hop: int, iface: str, label: str) -> "RouteEntry":
+        """cls(prefix, next_hop, iface) given its label, without the Python-level __init__."""
+        entry = object.__new__(cls)
+        set_field = object.__setattr__
+        set_field(entry, "prefix", prefix)
+        set_field(entry, "next_hop", next_hop)
+        set_field(entry, "iface", iface)
+        set_field(entry, "label", label)
+        return entry
+
+
+class DuplicatePrefix(ValueError):
+    """Two routes share a prefix; `index` is the later one's place in the table's entries."""
+
+    def __init__(self, index: int, prefix: Cidr):
+        super().__init__(f"duplicate prefix {prefix}")
+        self.index = index
+
 
 class RoutingTable:
     """Immutable after construction; lookup returns the longest covering prefix.
@@ -33,31 +52,33 @@ class RoutingTable:
 
     def __init__(self, entries: list[RouteEntry]):
         self.entries = tuple(entries)
-        self._edges = [0]  # sorted piece starts; piece i answers self._hits[i]
-        self._hits: list[RouteEntry | None] = [None]
-        # one sweep in address order; a covering prefix sorts before what it covers
-        ordered = sorted(entries, key=lambda e: (e.prefix.network, e.prefix.prefix_len))
+        # each prefix as one int, ordered by network and then length, so a covering prefix sorts first
+        keys = [e.prefix.network << 6 | e.prefix.prefix_len for e in self.entries]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        # the sort is stable: a prefix's repeats follow its first entry, in entry order
+        repeats = [j for i, j in zip(order, order[1:]) if keys[i] == keys[j]]
+        if repeats:
+            index = min(repeats)
+            raise DuplicatePrefix(index, self.entries[index].prefix)
+        # piece start -> the innermost prefix covering it; starts only grow, and a
+        # later piece at the same start replaces the earlier one
+        pieces: dict[int, RouteEntry | None] = {0: None}
         covering: list[tuple[int, RouteEntry]] = []  # (last address, entry), innermost last
-        for entry in ordered:
-            lo = entry.prefix.network
+        for i in order:
+            key = keys[i]
+            lo = key >> 6
             while covering and covering[-1][0] < lo:
-                self._cut(covering.pop()[0] + 1, covering[-1][1] if covering else None)
-            if covering and covering[-1][1].prefix == entry.prefix:
-                raise ValueError(f"duplicate prefix {entry.prefix}")
-            covering.append((lo | (0xFFFFFFFF >> entry.prefix.prefix_len), entry))
-            self._cut(lo, entry)
+                end = covering.pop()[0]
+                pieces[end + 1] = covering[-1][1] if covering else None
+            entry = self.entries[i]
+            covering.append((lo | (0xFFFFFFFF >> (key & 63)), entry))
+            pieces[lo] = entry
         while covering:
             end = covering.pop()[0]
             if end < 0xFFFFFFFF:
-                self._cut(end + 1, covering[-1][1] if covering else None)
-
-    def _cut(self, start: int, hit: RouteEntry | None) -> None:
-        """Start a piece answered by `hit`; one starting at the same address is replaced."""
-        if self._edges[-1] == start:
-            self._hits[-1] = hit
-        else:
-            self._edges.append(start)
-            self._hits.append(hit)
+                pieces[end + 1] = covering[-1][1] if covering else None
+        self._edges = list(pieces)  # sorted piece starts; piece i answers self._hits[i]
+        self._hits = list(pieces.values())
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -69,18 +90,29 @@ class RoutingTable:
 def parse_routes(text: str) -> RoutingTable:
     """One route per line: `<cidr> <next_hop_ip> <iface>`. Duplicate prefixes rejected."""
     entries: list[RouteEntry] = []
-    seen: set[Cidr] = set()
+    linenos: list[int] = []
+    hops: dict[str, tuple[int, str]] = {}  # next-hop token -> (addr, canonical text), this call only
+    bad = None  # (line number, error) of the first line that does not parse
     for lineno, line in content_lines(text):
         fields = line.split()
-        if len(fields) != 3:
-            raise ConfigError(f"line {lineno}: expected '<cidr> <next_hop> <iface>'")
         try:
+            if len(fields) != 3:
+                raise ValueError("expected '<cidr> <next_hop> <iface>'")
             prefix = Cidr.parse(fields[0])
-            next_hop = parse_ip(fields[1])
+            hop = hops.get(fields[1])
+            if hop is None:
+                addr = parse_ip(fields[1])
+                hop = hops[fields[1]] = (addr, format_ip(addr))
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from exc
-        if prefix in seen:
-            raise ConfigError(f"line {lineno}: duplicate prefix {prefix}")
-        seen.add(prefix)
-        entries.append(RouteEntry(prefix, next_hop, fields[2]))
-    return RoutingTable(entries)
+            bad = lineno, exc
+            break
+        entries.append(RouteEntry._labelled(prefix, hop[0], fields[2], f"{hop[1]} {fields[2]}"))
+        linenos.append(lineno)
+    try:
+        table = RoutingTable(entries)
+    except DuplicatePrefix as exc:
+        # the repeat is on a line before any bad one, so it is the first error in the file
+        raise ConfigError(f"line {linenos[exc.index]}: {exc}") from exc
+    if bad:
+        raise ConfigError(f"line {bad[0]}: {bad[1]}") from bad[1]
+    return table

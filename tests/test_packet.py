@@ -18,6 +18,7 @@ from flowgate.packet import (
     Cidr,
     Packet,
     SessionId,
+    content_lines,
     format_ip,
     load_trace,
     merge_dscp,
@@ -200,6 +201,77 @@ def test_ip_round_trip():
         assert format_ip(addr) == text
 
 
+def _per_octet_parse_ip(text: str) -> int:
+    """The strict per-octet reading `parse_ip` had before its canonical-octet table."""
+    parts = text.split(".")
+    if len(parts) != 4:
+        raise ValueError(f"malformed IPv4 address {text!r}")
+    value = 0
+    for part in parts:
+        if not (part.isascii() and part.isdigit()):
+            raise ValueError(f"malformed IPv4 address {text!r}")
+        octet = int(part)
+        if octet > 255:
+            raise ValueError(f"malformed IPv4 address {text!r}")
+        value = (value << 8) | octet
+    return value
+
+
+def _per_octet_cidr(text: str) -> tuple[int, int]:
+    """`Cidr.parse` as it read the prefix length before its tables, as (network, length)."""
+    addr_part, sep, len_part = text.partition("/")
+    if not sep or not (len_part.isascii() and len_part.isdigit()):
+        raise ValueError(f"malformed CIDR {text!r}")
+    prefix_len = int(len_part)
+    if prefix_len > 32:
+        raise ValueError(f"prefix length out of range in {text!r}")
+    mask = 0xFFFFFFFF << (32 - prefix_len) & 0xFFFFFFFF if prefix_len else 0
+    return _per_octet_parse_ip(addr_part) & mask, prefix_len
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+ODD_ADDRESSES = [
+    "010.0.0.1", "10.0.0.²", "١.2.3.4", "256.0.0.1", "1..2.3", "1.2.3", "1.2.3.4.5", "+1.2.3.4",
+    " 1.2.3.4", "1_0.0.0.1", "00.0.0.0", "0.0.0.000", "1.2.3.4 ", "1.2.3.-4", "", "...", "0x1.0.0.0",
+    "255.255.255.255", "0.0.0.0", "1.2.3.4\n", "1.2.3.255\u0660",
+]
+
+
+def test_parse_ip_matches_the_per_octet_reading():
+    rng = random.Random(2026)
+    canonical = [format_ip(rng.randrange(2**32)) for _ in range(2000)]
+    octets = [".".join(str(rng.randrange(256)) for _ in range(4)) for _ in range(500)]
+    for text in canonical + octets + ODD_ADDRESSES:
+        assert _outcome(parse_ip, text) == _outcome(_per_octet_parse_ip, text), text
+    assert _outcome(parse_ip, "010.0.0.1") == 0x0A000001
+    assert _outcome(parse_ip, "256.0.0.1")[0] == "error"
+
+
+def _cidr_fields(text: str) -> tuple[int, int]:
+    cidr = Cidr.parse(text)
+    return cidr.network, cidr.prefix_len
+
+
+ODD_PREFIXES = ["10.0.0.0/08", "10.0.0.0/033", "10.0.0.0/33", "10.0.0.0/", "10.0.0.0", "/8",
+                "10.0.0.0/8/8", "10.0.0.0/ 8", "10.0.0.0/+8", "10.0.0.0/²", "010.0.0.0/8",
+                "10.0.0.256/8", "10.0.0.256/33", "10.1.0.0/8", "0.0.0.0/00", "1.2.3.4/032"]
+
+
+@pytest.mark.parametrize("prefix_len", range(33))
+def test_cidr_parse_matches_the_strict_reading(prefix_len):
+    rng = random.Random(prefix_len)
+    texts = [f"{format_ip(rng.randrange(2**32))}/{prefix_len}" for _ in range(50)]
+    texts += [f"0.0.0.0/{prefix_len}", f"255.255.255.255/{prefix_len}", f"1.2.3.4/0{prefix_len}"]
+    for text in texts + ODD_PREFIXES:
+        assert _outcome(_cidr_fields, text) == _outcome(_per_octet_cidr, text), text
+
+
 def test_load_trace_skips_comments_and_checks_monotonicity():
     packets = load_trace(
         "# header\n\n0.0 tcp 10.0.0.1:1 1.1.1.1:80 S 0 0\n0.5 tcp 10.0.0.1:1 1.1.1.1:80 A 0 0\n"
@@ -311,15 +383,23 @@ BAD_IN_EACH_COLUMN = [
 EVERY_BAD_LINE = BAD_IN_EACH_COLUMN + NON_ASCII_DIGITS
 
 
+def _parse_with(memo, line: str) -> Packet:
+    return packet_module._parse_record(line, line.split(None, 1), memo)
+
+
+def _memo_contents(memo) -> tuple[dict, ...]:
+    return memo.tails, memo.sids, memo.ends, memo.cols
+
+
 def test_a_five_tuple_that_failed_is_not_remembered():
-    """A line that fails in any column leaves both of the parser's memos empty."""
+    """A line that fails in any column leaves every one of the parser's memos empty."""
     for bad, message in BAD_IN_EACH_COLUMN:
-        sids, tails = {}, {}
+        memo = packet_module._TraceMemo()
         for _ in range(2):
             with pytest.raises(TraceError) as info:
-                packet_module._parse_record(bad, sids, tails)
+                _parse_with(memo, bad)
             assert str(info.value) == message
-        assert sids == {} and tails == {}, bad
+        assert _memo_contents(memo) == ({}, {}, {}, {}), bad
 
 
 def _good_twins(bad: str) -> list[str]:
@@ -349,25 +429,142 @@ def test_an_earlier_good_twin_leaves_the_error_as_it_was(bad, message):
         assert str(info.value) == f"line 4: {message}"
 
 
-def test_a_seen_tail_with_a_new_timestamp_is_a_new_packet():
+def _recorded_memos(monkeypatch) -> list:
+    """Every memo `load_trace` makes from now on, in the order it makes them."""
+    made = []
+
+    class Recorded(packet_module._TraceMemo):
+        __slots__ = ()
+
+        def __init__(self) -> None:
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(packet_module, "_TraceMemo", Recorded)
+    return made
+
+
+def test_a_seen_tail_with_a_new_timestamp_is_a_new_packet(monkeypatch):
     tail = "udp 10.0.0.1:1 10.0.0.2:2 - 64 3"
+    made = _recorded_memos(monkeypatch)
     first, second, third = load_trace(f"0 {tail}\n1.5 {tail}\n1.5\t{tail}\n")
+    (memo,) = made
     assert first == parse_trace_record(f"0 {tail}")
     assert second == first._replace(ts=1.5) and second is not first
     assert second.sid is first.sid
     assert third == second
-    sids, tails = {}, {}
-    for ts in (0, 1.5, 1.5):
-        packet = packet_module._parse_record(f"{ts} {tail}", sids, tails)
-        assert packet == second._replace(ts=ts)
-    assert tails == {tail: (packet.sid, 3, 64, 0, 64)}
-    assert sids == {("udp", "10.0.0.1:1", "10.0.0.2:2"): packet.sid}
+    remembered = (
+        {tail: (first.sid, 3, 64, 0, 64)},
+        {("udp", "10.0.0.1:1", "10.0.0.2:2"): first.sid},
+        {"10.0.0.1:1": (0x0A000001, 1), "10.0.0.2:2": (0x0A000002, 2)},
+        {"- 64 3": (3, 64, 0, 64)},
+    )
+    assert _memo_contents(memo) == remembered
+    # a line that fails after its five-tuple and endpoints parsed adds nothing
+    made.clear()
+    with pytest.raises(TraceError) as info:
+        load_trace(f"0 {tail}\n1 tcp 10.0.0.2:2 10.0.0.3:3 S 64 3 0\n")
+    assert str(info.value) == "line 2: ttl: must be >= 1 on ingress"
+    assert _memo_contents(made[0]) == remembered
     with pytest.raises(TraceError) as info:
         load_trace(f"2 {tail}\n1 {tail}\n")
     assert str(info.value) == "line 2: ts: timestamps must be non-decreasing"
     with pytest.raises(TraceError) as info:
         load_trace(f"2 {tail}\n2e {tail}\n")
     assert str(info.value) == "line 2: ts: not a number: '2e'"
+
+
+# a line that reuses what earlier good lines left in the memos, but is bad
+# elsewhere: (earlier lines, bad line, the bad line's error on its own)
+MEMO_HIT_ERRORS = [
+    # the text after dst is remembered from a TCP line: flags are still checked against proto
+    (["0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0"], "1 udp 10.0.0.1:1 10.0.0.2:2 S 0 0",
+     "flags: TCP flags on protocol 17"),
+    # ... and with the five-tuple remembered too
+    (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0", "0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0"],
+     "1 udp 10.0.0.1:1 10.0.0.2:2 S 0 0", "flags: TCP flags on protocol 17"),
+    (["0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0"], "1 47 10.0.0.1:1 10.0.0.2:2 - 0 0",
+     "src/dst: ports must be 0 for protocol 47"),
+    # a ttl of 0 after the five-tuple, and after both endpoints, were remembered
+    (["0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0 1"], "1 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0 0",
+     "ttl: must be >= 1 on ingress"),
+    (["0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0"], "1 tcp 10.0.0.2:2 10.0.0.1:1 SA 0 0 0",
+     "ttl: must be >= 1 on ingress"),
+    # a remembered endpoint beside a bad one
+    (["0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0"], "1 tcp 10.0.0.2:2 10.0.0.256:1 SA 0 0",
+     "dst: malformed IPv4 address '10.0.0.256'"),
+    (["0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0"], "1 tcp 10.0.0.01:1 10.0.0.2:2 S 0 0 0",
+     "ttl: must be >= 1 on ingress"),
+    # a remembered tail with a timestamp that is bad, or smaller than the last
+    (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"], "nan udp 10.0.0.1:1 10.0.0.2:2 - 0 0",
+     "ts: bad timestamp 'nan'"),
+    (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"], "-1 udp 10.0.0.1:1 10.0.0.2:2 - 0 0",
+     "ts: bad timestamp '-1'"),
+    (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"], "inf udp 10.0.0.1:1 10.0.0.2:2 - 0 0",
+     "ts: bad timestamp 'inf'"),
+    (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"], "0x1 udp 10.0.0.1:1 10.0.0.2:2 - 0 0",
+     "ts: not a number: '0x1'"),
+    (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0", "5 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"],
+     "4 udp 10.0.0.1:1 10.0.0.2:2 - 0 0", None),
+    # the text after dst is remembered, but this line has a column too few or too many
+    (["0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0"], "1 10.0.0.1:1 10.0.0.2:2 S 0 0",
+     "expected 7 or 8 columns, got 6"),
+    (["0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0 64"], "1 tcp tcp 10.0.0.1:1 10.0.0.2:2 S 0 0 64",
+     "expected 7 or 8 columns, got 9"),
+]
+
+
+@pytest.mark.parametrize("earlier,bad,message", MEMO_HIT_ERRORS)
+def test_an_error_on_a_memo_hit_is_the_cold_error(earlier, bad, message):
+    if message is None:  # the line itself is good, its place in the file is not
+        parse_trace_record(bad)
+        message = "ts: timestamps must be non-decreasing"
+    else:
+        with pytest.raises(TraceError) as info:
+            parse_trace_record(bad)
+        assert str(info.value) == message
+    with pytest.raises(TraceError) as info:
+        load_trace("\n".join([*earlier, bad]))
+    assert str(info.value) == f"line {len(earlier) + 1}: {message}"
+
+
+def test_a_negative_zero_timestamp_on_a_remembered_tail_is_a_packet():
+    tail = "udp 10.0.0.1:1 10.0.0.2:2 - 0 0"
+    packets = load_trace(f"0 {tail}\n-0 {tail}\n-0.0 {tail}\n")
+    assert packets == [parse_trace_record(f"{ts} {tail}") for ts in ("0", "-0", "-0.0")]
+
+
+# a bad token for each column after ts, none of which any text format accepts there
+BAD_TOKENS = {
+    1: ["icmp", "256", "tcp6", "٦"],
+    2: ["10.0.0.1", "10.0.0.256:1", "10.0.0.1:65536", "1.2.3:4", "10.0.0.1:-1"],
+    3: ["10.0.0.2", "010.0.0.2:x", "::1", "10.0.0.2:1²"],
+    4: ["AS", "s", "SS", ""],
+    5: ["65536", "-1", "٣", "1.0"],
+    6: ["256", "x", "+1"],
+    7: ["0", "256", "²"],
+}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_an_error_after_warm_memos_is_the_cold_error(seed):
+    """Good lines of a few flows and their replies, then one bad line built from their columns."""
+    rng = random.Random(seed)
+    lines = _reply_lines(rng, 60)
+    for _ in range(40):
+        columns = rng.choice(lines).split()
+        column = rng.randrange(1, len(columns) + (len(columns) == 7))
+        if column == len(columns):
+            columns.append("64")  # a ttl column to spoil
+        columns[column] = rng.choice(BAD_TOKENS[column])
+        columns[0] = "100"
+        bad = " ".join(c for c in columns if c)
+        with pytest.raises(TraceError) as info:
+            parse_trace_record(bad)
+        cold = str(info.value)
+        with pytest.raises(TraceError) as info:
+            load_trace("\n".join([*lines, bad]))
+        assert str(info.value) == f"line {len(lines) + 1}: {cold}"
 
 
 SEPARATORS = (" ", "\t", "   ", " \t ")
@@ -394,6 +591,39 @@ def test_load_trace_equals_parsing_each_line_when_tails_repeat(seed):
     tails = {line.split(None, 1)[1] for line in lines}
     assert len(tails) < len(lines) / 2  # most lines repeat an earlier tail
     assert load_trace("\n".join(lines)) == [parse_trace_record(line) for line in lines]
+
+
+def _reply_lines(rng: random.Random, count: int) -> list[str]:
+    """Good lines of a few flows and their replies, so endpoints, five-tuples and columns repeat."""
+    pool = [_random_packet(rng).sid for _ in range(3)]
+    pool += [sid._replace(src_addr=sid.dst_addr, src_port=sid.dst_port,
+                          dst_addr=sid.src_addr, dst_port=sid.src_port) for sid in pool]
+    lines = []
+    for ts in sorted(round(rng.uniform(0, 100), 3) for _ in range(count)):
+        sid = rng.choice(pool)
+        flags = rng.choice((SYN, ACK, SYN | ACK)) if sid.proto == TCP else 0
+        packet = Packet(ts, sid, rng.choice((0, 185)), rng.choice((1, 64)), flags, 64)
+        columns = render_trace_record(packet).split(" ")
+        if packet.ttl == 64 and rng.random() < 0.5:
+            columns.pop()
+        lines.append(rng.choice(SEPARATORS).join(columns))
+    return lines
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_load_trace_equals_parsing_each_content_line(seed):
+    """Tabs, runs of spaces, CRLF, comments and blank lines: each line as parse_trace_record reads it."""
+    rng = random.Random(seed)
+    lines = []
+    for line in _reply_lines(rng, 400):
+        lines.append(rng.choice(("", "  ", "\t")) + line + rng.choice(("", " ", "\r", "\t\r")))
+        if rng.random() < 0.1:
+            lines.append(rng.choice(("", "# note", "  # indented note", "\r", " \t ")))
+    text = "\n".join(lines)
+    expected = [parse_trace_record(line) for _, line in content_lines(text)]
+    assert len(expected) == 400
+    assert load_trace(text) == expected
+    assert load_trace(text.replace("\r", "")) == expected
 
 
 def test_one_flow_shares_one_session_id_within_a_call():

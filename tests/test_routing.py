@@ -7,7 +7,7 @@ from conftest import edge_probes
 
 from flowgate import routing
 from flowgate.errors import ConfigError
-from flowgate.packet import Cidr, format_ip, parse_ip
+from flowgate.packet import Cidr, content_lines, format_ip, parse_ip
 from flowgate.routing import RouteEntry, RoutingTable, parse_routes
 
 THREE_TIER = "0.0.0.0/0 203.0.113.1 wan\n10.0.0.0/8 10.0.0.254 lan\n10.1.0.0/16 10.1.0.254 dmz\n"
@@ -148,12 +148,89 @@ def test_nested_prefixes_sharing_an_end():
 def test_duplicate_prefix_rejected_by_the_table():
     entry = RouteEntry(Cidr.parse("10.0.0.0/8"), parse_ip("10.0.0.254"), "lan")
     other = RouteEntry(Cidr.parse("10.0.0.0/16"), parse_ip("10.0.0.253"), "lan")
-    with pytest.raises(ValueError, match="duplicate prefix 10.0.0.0/8"):
+    with pytest.raises(ValueError, match="duplicate prefix 10.0.0.0/8") as info:
         RoutingTable([entry, other, RouteEntry(entry.prefix, parse_ip("10.9.9.9"), "lan2")])
+    assert info.value.index == 2
+
+
+def test_the_table_names_the_first_entry_that_repeats_a_prefix():
+    """In entry order, not address order: 20/8 repeats at entry 2, before 10/8 at entry 3."""
+    prefixes = ["20.0.0.0/8", "10.0.0.0/8", "20.0.0.0/8", "10.0.0.0/8", "20.0.0.0/8"]
+    with pytest.raises(routing.DuplicatePrefix) as info:
+        RoutingTable([RouteEntry(Cidr.parse(p), 1, "if") for p in prefixes])
+    assert (info.value.index, str(info.value)) == (2, "duplicate prefix 20.0.0.0/8")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # the same prefix written another way: a padded length, and host bits set
+        ("10.0.0.0/8 10.0.0.254 lan\n10.0.0.0/08 10.0.0.253 lan", "line 2: duplicate prefix 10.0.0.0/8"),
+        ("10.0.0.0/8 10.0.0.254 lan\n# c\n10.1.0.0/8 10.0.0.253 lan", "line 3: duplicate prefix 10.0.0.0/8"),
+        ("010.0.0.0/8 1.1.1.1 a\n10.255.1.2/8 1.1.1.1 b", "line 2: duplicate prefix 10.0.0.0/8"),
+        # whichever comes first in the file: a repeat or a line that does not parse
+        ("10.0.0.0/8 1.1.1.1 a\n10.0.0.0/8 1.1.1.1 a\nbanana/8 1.1.1.1 a",
+         "line 2: duplicate prefix 10.0.0.0/8"),
+        ("10.0.0.0/8 1.1.1.1 a\nbanana/8 1.1.1.1 a\n10.0.0.0/8 1.1.1.1 a",
+         "line 2: malformed IPv4 address 'banana'"),
+        ("10.0.0.0/8 1.1.1.1 a\n10.0.0.0/8 1.1.1.1\n10.0.0.0/8 1.1.1.1 a",
+         "line 2: expected '<cidr> <next_hop> <iface>'"),
+        ("20.0.0.0/8 1.1.1.1 a\n10.0.0.0/8 1.1.1.1 a\n20.0.0.0/8 1.1.1.1 a\n10.0.0.0/8 1.1.1.1 a",
+         "line 3: duplicate prefix 20.0.0.0/8"),
+        ("10.0.0.0/8 1.1.1.1 a\n10.0.0.0/8 1.1.1.256 a", "line 2: malformed IPv4 address '1.1.1.256'"),
+    ],
+)
+def test_parse_routes_reports_the_first_error_in_the_file(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_routes(text)
+    assert str(info.value) == message
+    assert str(info.value) == _first_error_line_by_line(text)
+
+
+def _first_error_line_by_line(text: str) -> str | None:
+    """parse_routes' first error as it read the file before the table checked for repeats."""
+    seen = set()
+    for lineno, line in content_lines(text):
+        fields = line.split()
+        if len(fields) != 3:
+            return f"line {lineno}: expected '<cidr> <next_hop> <iface>'"
+        try:
+            prefix = Cidr.parse(fields[0])
+            parse_ip(fields[1])
+        except ValueError as exc:
+            return f"line {lineno}: {exc}"
+        if prefix in seen:
+            return f"line {lineno}: duplicate prefix {prefix}"
+        seen.add(prefix)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_parse_routes_errors_match_reading_line_by_line(seed):
+    """Files of a few prefixes spelt several ways, with now and then a bad line."""
+    rng = random.Random(seed)
+    spellings = ["10.0.0.0/8", "10.0.0.0/08", "10.1.2.3/8", "010.0.0.0/8", "10.0.0.0/16", "0.0.0.0/0",
+                 "192.0.2.0/24", "192.0.2.128/25", "192.0.2.7/24", "0.0.0.0/00"]
+    bad_lines = ["10.0.0.0/33 1.1.1.1 a", "10.0.0.0 1.1.1.1 a", "10.0.0.0/8 1.1.1.999 a", "10.0.0.0/8 a"]
+    for _ in range(60):
+        lines = [f"{rng.choice(spellings)} {rng.choice(('1.1.1.1', '01.1.1.1', '2.2.2.2'))} if"
+                 for _ in range(rng.randrange(1, 6))]
+        if rng.random() < 0.5:
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(bad_lines))
+        text = "\n".join(lines)
+        expected = _first_error_line_by_line(text)
+        if expected is None:
+            assert len(parse_routes(text)) == len(lines)
+            continue
+        with pytest.raises(ConfigError) as info:
+            parse_routes(text)
+        assert str(info.value) == expected, text
 
 
 def test_route_label_is_canonical_text_outside_equality():
-    written = parse_routes("010.000.000.000/8 010.000.000.254 lan\n").lookup(parse_ip("10.1.2.3"))
+    table = parse_routes("010.000.000.000/8 010.000.000.254 lan\n10.1.0.0/16 010.000.000.254 dmz\n")
+    written = table.lookup(parse_ip("10.2.3.4"))
+    assert table.lookup(parse_ip("10.1.2.3")).label == "10.0.0.254 dmz"
     built = RouteEntry(Cidr.parse("10.0.0.0/8"), parse_ip("10.0.0.254"), "lan")
     assert written is not built
     assert written.label == built.label == "10.0.0.254 lan"
