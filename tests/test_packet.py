@@ -383,10 +383,6 @@ BAD_IN_EACH_COLUMN = [
 EVERY_BAD_LINE = BAD_IN_EACH_COLUMN + NON_ASCII_DIGITS
 
 
-def _parse_with(memo, line: str) -> Packet:
-    return packet_module._parse_record(line, line.split(None, 1), memo)
-
-
 def _memo_contents(memo) -> tuple[dict, ...]:
     return memo.tails, memo.sids, memo.ends, memo.cols
 
@@ -397,7 +393,7 @@ def test_a_five_tuple_that_failed_is_not_remembered():
         memo = packet_module._TraceMemo()
         for _ in range(2):
             with pytest.raises(TraceError) as info:
-                _parse_with(memo, bad)
+                packet_module._parse_record(bad, bad.split(None, 1), memo)
             assert str(info.value) == message
         assert _memo_contents(memo) == ({}, {}, {}, {}), bad
 
@@ -550,7 +546,7 @@ BAD_TOKENS = {
 def test_an_error_after_warm_memos_is_the_cold_error(seed):
     """Good lines of a few flows and their replies, then one bad line built from their columns."""
     rng = random.Random(seed)
-    lines = _reply_lines(rng, 60)
+    lines = _repeating_tail_lines(rng, 60, _flows_and_replies(rng, 3))
     for _ in range(40):
         columns = rng.choice(lines).split()
         column = rng.randrange(1, len(columns) + (len(columns) == 7))
@@ -570,9 +566,8 @@ def test_an_error_after_warm_memos_is_the_cold_error(seed):
 SEPARATORS = (" ", "\t", "   ", " \t ")
 
 
-def _repeating_tail_lines(rng: random.Random, count: int) -> list[str]:
-    """Lines of a few flows with a few values per column and a few separators, so tails repeat."""
-    pool = [_random_packet(rng).sid for _ in range(4)]
+def _repeating_tail_lines(rng: random.Random, count: int, pool: list[SessionId]) -> list[str]:
+    """Lines of the flows in `pool` with a few values per column and a few separators, so tails repeat."""
     lines = []
     for ts in sorted(round(rng.uniform(0, 100), 3) for _ in range(count)):
         sid = rng.choice(pool)
@@ -585,29 +580,19 @@ def _repeating_tail_lines(rng: random.Random, count: int) -> list[str]:
     return lines
 
 
+def _flows_and_replies(rng: random.Random, flows: int) -> list[SessionId]:
+    """So lines share endpoints, and columns after dst, without sharing a five-tuple."""
+    pool = [_random_packet(rng).sid for _ in range(flows)]
+    return pool + [SessionId(s.dst_addr, s.dst_port, s.src_addr, s.src_port, s.proto) for s in pool]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_load_trace_equals_parsing_each_line_when_tails_repeat(seed):
-    lines = _repeating_tail_lines(random.Random(seed), 400)
+    rng = random.Random(seed)
+    lines = _repeating_tail_lines(rng, 400, [_random_packet(rng).sid for _ in range(4)])
     tails = {line.split(None, 1)[1] for line in lines}
     assert len(tails) < len(lines) / 2  # most lines repeat an earlier tail
     assert load_trace("\n".join(lines)) == [parse_trace_record(line) for line in lines]
-
-
-def _reply_lines(rng: random.Random, count: int) -> list[str]:
-    """Good lines of a few flows and their replies, so endpoints, five-tuples and columns repeat."""
-    pool = [_random_packet(rng).sid for _ in range(3)]
-    pool += [sid._replace(src_addr=sid.dst_addr, src_port=sid.dst_port,
-                          dst_addr=sid.src_addr, dst_port=sid.src_port) for sid in pool]
-    lines = []
-    for ts in sorted(round(rng.uniform(0, 100), 3) for _ in range(count)):
-        sid = rng.choice(pool)
-        flags = rng.choice((SYN, ACK, SYN | ACK)) if sid.proto == TCP else 0
-        packet = Packet(ts, sid, rng.choice((0, 185)), rng.choice((1, 64)), flags, 64)
-        columns = render_trace_record(packet).split(" ")
-        if packet.ttl == 64 and rng.random() < 0.5:
-            columns.pop()
-        lines.append(rng.choice(SEPARATORS).join(columns))
-    return lines
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -615,7 +600,7 @@ def test_load_trace_equals_parsing_each_content_line(seed):
     """Tabs, runs of spaces, CRLF, comments and blank lines: each line as parse_trace_record reads it."""
     rng = random.Random(seed)
     lines = []
-    for line in _reply_lines(rng, 400):
+    for line in _repeating_tail_lines(rng, 400, _flows_and_replies(rng, 3)):
         lines.append(rng.choice(("", "  ", "\t")) + line + rng.choice(("", " ", "\r", "\t\r")))
         if rng.random() < 0.1:
             lines.append(rng.choice(("", "# note", "  # indented note", "\r", " \t ")))
