@@ -15,6 +15,9 @@ class Action(enum.Enum):
     DROP = "drop"
 
 
+DROP = Action.DROP  # bound once for per-packet code (see `packet.OUTBOUND`)
+
+
 @dataclass(frozen=True, slots=True)
 class FilterRule:
     action: Action
@@ -56,5 +59,5 @@ def evaluate(ruleset: RuleSet, sid: SessionId) -> tuple[Action, int | None, int]
     """
     index = ruleset._index.first(sid)
     if index is None:
-        return Action.DROP, None, len(ruleset.rules)
+        return DROP, None, len(ruleset.rules)
     return ruleset.rules[index].action, index, index + 1

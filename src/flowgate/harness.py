@@ -243,10 +243,16 @@ def run_pipeline(pipeline, packets: list[Packet]) -> tuple[list[Verdict], Metric
     return verdicts, report
 
 
+# each drop's verdict line, a member attribute set at import: `reason.value` is a
+# Python-level property on CPython 3.11, read on every rendered drop
+for _reason in DropReason:
+    _reason.verdict_line = f"drop {_reason.value}"
+
+
 def render_verdict(verdict: Verdict) -> str:
     outcome = verdict.outcome
     if isinstance(outcome, Dropped):
-        return f"drop {outcome.reason.value}"
+        return outcome.reason.verdict_line
     return f"forward {outcome.route.label} {render_trace_record(outcome.packet)}"
 
 

@@ -21,9 +21,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from flowgate.filters import Action, RuleSet, evaluate
+from flowgate.filters import DROP, RuleSet, evaluate
 from flowgate.nat import NatConfig, NatPoolExhausted, NatTable, find_free_port
-from flowgate.packet import SYN, TCP, Cidr, Direction, Packet, SessionId, merge_dscp
+from flowgate.packet import INBOUND, OUTBOUND, SYN, TCP, Cidr, Packet, SessionId, merge_dscp
 from flowgate.qos import QosPolicy, classify
 from flowgate.routing import RouteEntry, RoutingTable
 from flowgate.session_table import (
@@ -120,6 +120,7 @@ class RouterConfig:
 
 # hit-path accounting never varies; shared instances keep the hot paths lean
 _ONE_SESSION_LOOKUP = LookupAccounting(session_lookups=1)
+_TWO_SESSION_LOOKUPS = LookupAccounting(session_lookups=2)  # a LAN peer's reply
 _ONE_NAT_LOOKUP = LookupAccounting(nat_lookups=1)
 _NAT_AND_SESSION_LOOKUPS = LookupAccounting(nat_lookups=1, session_lookups=1)
 _BASELINE_HIT_ACCT = LookupAccounting(
@@ -128,6 +129,21 @@ _BASELINE_HIT_ACCT = LookupAccounting(
 _BASELINE_LOCAL_HIT_ACCT = LookupAccounting(
     session_lookups=1, qos_classifications=1, route_lookups=1
 )
+_BASELINE_LAN_REPLY_ACCT = LookupAccounting(
+    session_lookups=2, qos_classifications=1, route_lookups=1
+)
+
+# each drop outcome, built once and shared the same way: a drop builds no Dropped and
+# reads no Enum member (see `packet.OUTBOUND`)
+_RULE_DENIED = Dropped(DropReason.RULE_DENIED)
+_STATE_VIOLATION = Dropped(DropReason.STATE_VIOLATION)
+_NO_ROUTE = Dropped(DropReason.NO_ROUTE)
+_NAT_EXHAUSTED = Dropped(DropReason.NAT_EXHAUSTED)
+_TABLE_FULL = Dropped(DropReason.TABLE_FULL)
+_TTL_EXPIRED = Dropped(DropReason.TTL_EXPIRED)
+_INBOUND_NO_SESSION = Dropped(DropReason.INBOUND_NO_SESSION)
+
+_new = tuple.__new__  # a NamedTuple call without its Python-level __new__: fields in order
 
 
 def _forward(
@@ -135,14 +151,13 @@ def _forward(
 ) -> Verdict:
     """The egress step both pipelines share: NoRoute, then TTL, then the rewritten packet."""
     if route is None:
-        return Verdict(Dropped(DropReason.NO_ROUTE), acct)
+        return _new(Verdict, (_NO_ROUTE, acct))
     ts, _, tos, ttl, flags, payload_len = packet
     ttl -= 1
     if ttl == 0:
-        return Verdict(Dropped(DropReason.TTL_EXPIRED), acct)
-    new = tuple.__new__  # a NamedTuple call without its Python-level __new__: fields in order
-    emitted = new(Packet, (ts, sid, merge_dscp(tos, dscp), ttl, flags, payload_len))
-    return new(Verdict, (new(Forwarded, (route, emitted)), acct))
+        return _new(Verdict, (_TTL_EXPIRED, acct))
+    emitted = _new(Packet, (ts, sid, merge_dscp(tos, dscp), ttl, flags, payload_len))
+    return _new(Verdict, (_new(Forwarded, (route, emitted)), acct))
 
 
 class BaselinePipeline:
@@ -165,9 +180,11 @@ class BaselinePipeline:
         """Run one packet through the multi-table flow.
 
         Per packet, in order: NAT table lookup (inbound miss drops right
-        here); state-table lookup; on miss, rule validation, NAT allocation
-        and state insert; then QoS classification and a route lookup on the
-        post-NAT destination, every packet; TTL is decremented last.
+        here); state-table lookup; on a LAN-to-LAN miss, a state-table lookup
+        of the reversed five-tuple, as the packet may be a LAN peer's reply;
+        on a miss, rule validation, NAT allocation and state insert; then QoS
+        classification and a route lookup on the post-NAT destination, every
+        packet; TTL is decremented last.
         """
         if now is None:
             now = packet.ts
@@ -180,15 +197,20 @@ class BaselinePipeline:
             mapping = None if lan_to_lan else self.nat_table.lookup_forward(sid, now)
             entry = self.state_table.lookup(sid, now)
             if entry is None:
+                if lan_to_lan:
+                    src, src_port, dst, dst_port, proto = sid
+                    entry = self.state_table.lookup((dst, dst_port, src, src_port, proto), now)
+                    if entry is not None:
+                        return self._lan_reply(packet, entry, now)
                 return self._first_packet(packet, sid, now, lan_to_lan)
             self.session_hits += 1
             if not lan_to_lan and mapping is None:
                 raise RuntimeError("live state entry without a live NAT mapping")
-            if not advance(entry, packet.flags, Direction.OUTBOUND, now, cfg.timeouts):
-                return Verdict(
-                    Dropped(DropReason.STATE_VIOLATION),
+            if not advance(entry, packet.flags, OUTBOUND, now, cfg.timeouts):
+                return _new(Verdict, (
+                    _STATE_VIOLATION,
                     _ONE_SESSION_LOOKUP if lan_to_lan else _NAT_AND_SESSION_LOOKUPS,
-                )
+                ))
             if mapping is not None:
                 mapping.expiry = entry.expiry
             return self._outbound_egress(
@@ -198,19 +220,31 @@ class BaselinePipeline:
         # --- inbound ---
         mapping = self.nat_table.lookup_reverse(sid, now)
         if mapping is None:
-            return Verdict(Dropped(DropReason.INBOUND_NO_SESSION), _ONE_NAT_LOOKUP)
+            return _new(Verdict, (_INBOUND_NO_SESSION, _ONE_NAT_LOOKUP))
         entry = self.state_table.lookup(mapping.outbound_key, now)
         if entry is None:
             # unreachable while mapping expiry mirrors the state entry's
             self.session_misses += 1
-            return Verdict(Dropped(DropReason.INBOUND_NO_SESSION), _NAT_AND_SESSION_LOOKUPS)
+            return _new(Verdict, (_INBOUND_NO_SESSION, _NAT_AND_SESSION_LOOKUPS))
         self.session_hits += 1
-        if not advance(entry, packet.flags, Direction.INBOUND, now, cfg.timeouts):
-            return Verdict(Dropped(DropReason.STATE_VIOLATION), _NAT_AND_SESSION_LOOKUPS)
+        if not advance(entry, packet.flags, INBOUND, now, cfg.timeouts):
+            return _new(Verdict, (_STATE_VIOLATION, _NAT_AND_SESSION_LOOKUPS))
         mapping.expiry = entry.expiry
         dscp = classify(cfg.qos, mapping.outbound_key)
         return _forward(
             packet, mapping.in_sid, dscp, cfg.routes.lookup(mapping.lan_addr), _BASELINE_HIT_ACCT
+        )
+
+    def _lan_reply(self, packet: Packet, entry: StateEntry, now: float) -> Verdict:
+        """A LAN peer's reply, found by its reversed five-tuple: inbound, and not translated."""
+        cfg = self.config
+        self.session_hits += 1
+        if not advance(entry, packet.flags, INBOUND, now, cfg.timeouts):
+            return _new(Verdict, (_STATE_VIOLATION, _TWO_SESSION_LOOKUPS))
+        flow = entry.outbound_key  # the originator's five-tuple, which rules and QoS key on
+        return _forward(
+            packet, packet.sid, classify(cfg.qos, flow), cfg.routes.lookup(flow.src_addr),
+            _BASELINE_LAN_REPLY_ACCT,
         )
 
     def _first_packet(
@@ -219,14 +253,13 @@ class BaselinePipeline:
         """The outbound miss: validate, check capacity, allocate, then create state."""
         cfg = self.config
         self.session_misses += 1
-        nat_l = 0 if lan_to_lan else 1  # the forward lookup made in `process`
+        # the lookups made in `process`: a forward NAT lookup, or a LAN-to-LAN reply lookup
+        nat_l, sess_l = (0, 2) if lan_to_lan else (1, 1)
         action, _, rules_s = evaluate(cfg.rules, sid)
-        if action is Action.DROP:
-            return Verdict(Dropped(DropReason.RULE_DENIED), LookupAccounting(nat_l, 1, 1, rules_s))
+        if action is DROP:
+            return _new(Verdict, (_RULE_DENIED, LookupAccounting(nat_l, sess_l, 1, rules_s)))
         if sid.proto == TCP and packet.flags != SYN:
-            return Verdict(
-                Dropped(DropReason.STATE_VIOLATION), LookupAccounting(nat_l, 1, 1, rules_s)
-            )
+            return _new(Verdict, (_STATE_VIOLATION, LookupAccounting(nat_l, sess_l, 1, rules_s)))
         state = initial_state(sid.proto)
         expiry = now + entry_timeout(sid.proto, state, cfg.timeouts)
         try:
@@ -244,16 +277,14 @@ class BaselinePipeline:
                     sid.dst_addr, sid.dst_port, sid.proto, now, expiry,
                 )
             except NatPoolExhausted:
-                return Verdict(
-                    Dropped(DropReason.NAT_EXHAUSTED), LookupAccounting(1, 1, 1, rules_s)
-                )
+                return _new(Verdict, (_NAT_EXHAUSTED, LookupAccounting(1, 1, 1, rules_s)))
         if full:
             if mapping is not None:
                 self.nat_table.remove(mapping)  # it only answered the pool question
-            return Verdict(Dropped(DropReason.TABLE_FULL), LookupAccounting(nat_l, 1, 1, rules_s))
+            return _new(Verdict, (_TABLE_FULL, LookupAccounting(nat_l, sess_l, 1, rules_s)))
         self.state_table.insert(StateEntry(sid, sid.proto, state, expiry))
         return self._outbound_egress(
-            packet, sid, mapping, LookupAccounting(nat_l, 1, 1, rules_s, 1, 1)
+            packet, sid, mapping, LookupAccounting(nat_l, sess_l, 1, rules_s, 1, 1)
         )
 
     def _outbound_egress(
@@ -272,7 +303,8 @@ class IntegratedPipeline:
     A flow's first packet pays the full slow path (rules, NAT allocation,
     classification, and a route lookup for each direction) to populate the
     entry; every later packet in either direction needs exactly one table
-    lookup, keyed by the packet's own five-tuple.
+    lookup, keyed by the packet's own five-tuple. A LAN peer's reply needs
+    two: it misses as a flow's first direction, then is found as its reply.
     """
 
     name = "integrated"
@@ -287,33 +319,46 @@ class IntegratedPipeline:
         if now is None:
             now = packet.ts
         sid = packet.sid
-        if self.config.lan_prefix.contains(sid.src_addr):
+        lan = self.config.lan_prefix
+        if lan.contains(sid.src_addr):
             entry = self.table.lookup_outbound(sid, now)
+            if entry is not None:
+                self.session_hits += 1
+                if not advance(entry, packet.flags, OUTBOUND, now, self.config.timeouts):
+                    return _new(Verdict, (_STATE_VIOLATION, _ONE_SESSION_LOOKUP))
+                return _forward(
+                    packet, entry.out_sid, entry.dscp, entry.ext_route, _ONE_SESSION_LOOKUP
+                )
+            lan_to_lan = lan.contains(sid.dst_addr)
+            # a LAN peer's reply arrives on its flow's inbound key, as a reply from outside does
+            entry = self.table.lookup_inbound(sid, now) if lan_to_lan else None
             if entry is None:
-                return self._first_packet(packet, sid, now)
-            self.session_hits += 1
-            if not advance(entry, packet.flags, Direction.OUTBOUND, now, self.config.timeouts):
-                return Verdict(Dropped(DropReason.STATE_VIOLATION), _ONE_SESSION_LOOKUP)
-            return _forward(packet, entry.out_sid, entry.dscp, entry.ext_route, _ONE_SESSION_LOOKUP)
-        entry = self.table.lookup_inbound(sid, now)
-        if entry is None:
-            # inbound-initiated flows are not accepted; the miss is terminal
-            self.session_misses += 1
-            return Verdict(Dropped(DropReason.INBOUND_NO_SESSION), _ONE_SESSION_LOOKUP)
+                return self._first_packet(packet, sid, now, lan_to_lan)
+            acct = _TWO_SESSION_LOOKUPS
+        else:
+            entry = self.table.lookup_inbound(sid, now)
+            if entry is None:
+                # inbound-initiated flows are not accepted; the miss is terminal
+                self.session_misses += 1
+                return _new(Verdict, (_INBOUND_NO_SESSION, _ONE_SESSION_LOOKUP))
+            acct = _ONE_SESSION_LOOKUP
         self.session_hits += 1
-        if not advance(entry, packet.flags, Direction.INBOUND, now, self.config.timeouts):
-            return Verdict(Dropped(DropReason.STATE_VIOLATION), _ONE_SESSION_LOOKUP)
-        return _forward(packet, entry.in_sid, entry.dscp, entry.lan_route, _ONE_SESSION_LOOKUP)
+        if not advance(entry, packet.flags, INBOUND, now, self.config.timeouts):
+            return _new(Verdict, (_STATE_VIOLATION, acct))
+        return _forward(packet, entry.in_sid, entry.dscp, entry.lan_route, acct)
 
-    def _first_packet(self, packet: Packet, sid: SessionId, now: float) -> Verdict:
+    def _first_packet(
+        self, packet: Packet, sid: SessionId, now: float, lan_to_lan: bool
+    ) -> Verdict:
         """The slow path: validate, check capacity, allocate, classify and route, then insert."""
         cfg = self.config
         self.session_misses += 1
+        sess_l = 2 if lan_to_lan else 1  # a LAN-to-LAN miss also looked for a reply
         action, _, rules_s = evaluate(cfg.rules, sid)
-        if action is Action.DROP:
-            return Verdict(Dropped(DropReason.RULE_DENIED), LookupAccounting(0, 1, 1, rules_s))
+        if action is DROP:
+            return _new(Verdict, (_RULE_DENIED, LookupAccounting(0, sess_l, 1, rules_s)))
         if sid.proto == TCP and packet.flags != SYN:
-            return Verdict(Dropped(DropReason.STATE_VIOLATION), LookupAccounting(0, 1, 1, rules_s))
+            return _new(Verdict, (_STATE_VIOLATION, LookupAccounting(0, sess_l, 1, rules_s)))
         try:
             self.table.ensure_capacity(now)
         except TableFullError:
@@ -321,7 +366,7 @@ class IntegratedPipeline:
         else:
             full = False
 
-        if cfg.lan_prefix.contains(sid.dst_addr):  # LAN to LAN: no translation
+        if lan_to_lan:  # no translation
             nat_l = 0
             gwy_addr, gwy_port = sid.src_addr, sid.src_port
         else:
@@ -337,11 +382,9 @@ class IntegratedPipeline:
                             gwy_addr, p, ext_addr, ext_port, proto, now),
                     )
                 except NatPoolExhausted:
-                    return Verdict(
-                        Dropped(DropReason.NAT_EXHAUSTED), LookupAccounting(1, 1, 1, rules_s)
-                    )
+                    return _new(Verdict, (_NAT_EXHAUSTED, LookupAccounting(1, 1, 1, rules_s)))
         if full:
-            return Verdict(Dropped(DropReason.TABLE_FULL), LookupAccounting(nat_l, 1, 1, rules_s))
+            return _new(Verdict, (_TABLE_FULL, LookupAccounting(nat_l, sess_l, 1, rules_s)))
 
         dscp = classify(cfg.qos, sid)
         ext_route = cfg.routes.lookup(sid.dst_addr)
@@ -363,6 +406,5 @@ class IntegratedPipeline:
         )
         self.table.insert(entry)
         # one classification, and both directions' routes looked up and kept at creation
-        return _forward(
-            packet, entry.out_sid, dscp, ext_route, LookupAccounting(nat_l, 1, 1, rules_s, 1, 2)
-        )
+        acct = LookupAccounting(nat_l, sess_l, 1, rules_s, 1, 2)
+        return _forward(packet, entry.out_sid, dscp, ext_route, acct)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from flowgate.packet import ACK, FIN, RST, SYN, TCP, Direction, SessionId
+from flowgate.packet import ACK, FIN, INBOUND, RST, SYN, TCP, Direction, SessionId
 from flowgate.routing import RouteEntry
 
 
@@ -27,6 +27,11 @@ class SessionState(enum.Enum):
     FIN_WAIT = "fin_wait"
     CLOSED = "closed"
     OPEN = "open"  # the only state non-TCP sessions use
+
+
+# the members per-packet code reads, bound once (see `packet.OUTBOUND`)
+SYN_SENT, ESTABLISHED = SessionState.SYN_SENT, SessionState.ESTABLISHED
+CLOSED, OPEN = SessionState.CLOSED, SessionState.OPEN
 
 
 @dataclass(slots=True)
@@ -43,9 +48,9 @@ def timeout_field(proto: int, state: SessionState) -> str:
     """The Timeouts field an entry in `state` expires by."""
     if proto != TCP:
         return "non_tcp"
-    if state is SessionState.ESTABLISHED:
+    if state is ESTABLISHED:
         return "tcp_established"
-    if state is SessionState.CLOSED:
+    if state is CLOSED:
         return "closed_grace"
     return "tcp_transient"
 
@@ -96,7 +101,7 @@ def next_tcp_state(
 
 
 def initial_state(proto: int) -> SessionState:
-    return SessionState.SYN_SENT if proto == TCP else SessionState.OPEN
+    return SYN_SENT if proto == TCP else OPEN
 
 
 # next_tcp_state compiled at import: per outbound, then inbound, flags value, None or
@@ -115,10 +120,10 @@ def advance(entry, flags: int, direction: Direction, now: float, timeouts: Timeo
     attributes.
     """
     if entry.proto != TCP:
-        entry.state = SessionState.OPEN
+        entry.state = OPEN
         entry.expiry = now + timeouts.non_tcp
         return True
-    move = entry.state.tcp_moves[flags + 16 if direction is Direction.INBOUND else flags]
+    move = entry.state.tcp_moves[flags + 16 if direction is INBOUND else flags]
     if move is None:
         return False
     entry.state, timeout = move

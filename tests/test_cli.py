@@ -45,6 +45,26 @@ def test_gen_run_compare_round_trip(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_lan_peer_replies_are_forwarded(tmp_path):
+    """A LAN peer's replies take their flow's inbound path: every packet forwards, in both."""
+    trace_path = tmp_path / "trace.txt"
+    assert main([
+        "gen", "--sessions", "2", "--packets-per-session", "6", "--peers", "10.0.0.9",
+        "--nat", str(CONFIGS / "nat.txt"), "--out", str(trace_path),
+    ]) == 0
+    verdicts = {}
+    for name in ("baseline", "integrated"):
+        path = tmp_path / f"{name}.txt"
+        assert main([
+            "run", *config_flags(), "--trace", str(trace_path), "--pipeline", name,
+            "--verdicts", str(path),
+        ]) == 0
+        verdicts[name] = path.read_text().splitlines()
+        assert len(verdicts[name]) == 12
+        assert all(line.startswith("forward ") for line in verdicts[name]), verdicts[name]
+    assert verdicts["baseline"] == verdicts["integrated"]
+
+
 def test_run_baseline_pipeline(tmp_path):
     trace_path = tmp_path / "t.txt"
     main(["gen", "--sessions", "2", "--packets-per-session", "4", "--out", str(trace_path)])

@@ -172,6 +172,44 @@ def test_baseline_lan_to_lan_skips_nat_lookup(config):
     assert verdict.lookups.nat_lookups == 0
 
 
+def test_lan_peer_reply_takes_the_inbound_path():
+    """A LAN-to-LAN reply is looked up as its flow's reply: forwarded with the flow's DSCP."""
+    cfg = make_config(qos="tcp any any any 22 dscp 10\n", routes="10.0.0.0/8 10.0.0.254 lan\n")
+    packets = trace(
+        "0.0 tcp 10.0.0.5:1200 10.0.9.9:22 S 0 0\n"
+        "0.1 tcp 10.0.9.9:22 10.0.0.5:1200 SA 0 0\n"
+        "0.2 tcp 10.0.0.5:1200 10.0.9.9:22 A 0 0\n"
+        "0.3 tcp 10.0.9.9:22 10.0.0.5:1200 A 0 1\n"
+    )
+    two = dict(session_lookups=2)  # the miss on its own five-tuple, then the reply lookup
+    want = {
+        "baseline": [
+            LookupAccounting(rule_evals=1, rules_scanned=1, qos_classifications=1,
+                             route_lookups=1, **two),
+            LookupAccounting(qos_classifications=1, route_lookups=1, **two),
+            LookupAccounting(session_lookups=1, qos_classifications=1, route_lookups=1),
+            LookupAccounting(qos_classifications=1, route_lookups=1, **two),
+        ],
+        "integrated": [
+            LookupAccounting(rule_evals=1, rules_scanned=1, qos_classifications=1,
+                             route_lookups=2, **two),
+            LookupAccounting(**two),
+            LookupAccounting(session_lookups=1),
+            LookupAccounting(**two),
+        ],
+    }
+    for cls in (BaselinePipeline, IntegratedPipeline):
+        pipe = cls(cfg)
+        verdicts = [pipe.process(p) for p in packets]
+        assert [v.lookups for v in verdicts] == want[pipe.name]
+        assert (pipe.session_hits, pipe.session_misses) == (3, 1)
+        for packet, verdict in zip(packets, verdicts):
+            out = verdict.outcome
+            assert isinstance(out, Forwarded) and out.route.iface == "lan"
+            assert out.packet.sid == packet.sid  # no translation either way
+            assert out.packet.tos == 10 << 2 | packet.tos & 3  # the flow's DSCP, both ways
+
+
 def test_session_gap_reruns_rules(config):
     # udp timeout is 60s: a 61s gap makes the second packet a fresh session
     lines = (
@@ -343,10 +381,14 @@ def test_forwards_carry_the_stored_rewrite():
         emitted = {}  # (id of a flow's entry, outbound) -> (the entry, its first forwarded sid)
         for packet in packets:
             sid = packet.sid
-            outbound = config.lan_prefix.contains(sid.src_addr)
-            lan_to_lan = outbound and config.lan_prefix.contains(sid.dst_addr)
-            for pipe in (baseline, integrated):
-                out = pipe.process(packet).outcome
+            outs = [(pipe, pipe.process(packet).outcome) for pipe in (baseline, integrated)]
+            lan_to_lan = all(config.lan_prefix.contains(a) for a in (sid.src_addr, sid.dst_addr))
+            # a LAN peer's reply, which missed as a flow of its own, leaves no entry under
+            # its five-tuple; a forwarded outbound packet's flow is live under it
+            outbound = config.lan_prefix.contains(sid.src_addr) and (
+                not lan_to_lan or sid in integrated.table._out
+            )
+            for pipe, out in outs:
                 if not isinstance(out, Forwarded):
                     continue
                 table = pipe.nat_table if pipe is baseline else pipe.table

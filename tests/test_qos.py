@@ -29,6 +29,7 @@ def test_explicit_catch_all():
 @pytest.mark.parametrize(
     "text,err",
     [
+        ("tcp any any any 80 dscp 64", "out of range"),
         ("tcp any any any 80 dscp 99", "out of range"),
         ("tcp any any any 80 dscp -1", "out of range"),
         ("tcp any any any 80 46", "dscp"),
