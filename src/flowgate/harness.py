@@ -98,7 +98,8 @@ def generate_packets(spec: TraceSpec) -> list[Packet]:
     if not 0.0 <= spec.tcp_fraction <= 1.0:
         raise ConfigError(f"trace spec needs a TCP fraction in [0, 1], got {spec.tcp_fraction}")
     rng = random.Random(spec.seed)
-    lan_base = spec.lan_prefix.network + 1
+    # hosts from network + 1, past the network address; a /32's one address is its host
+    lan_base = spec.lan_prefix.network + (spec.lan_prefix.prefix_len < 32)
     host_space = max(2 ** (32 - spec.lan_prefix.prefix_len) - 2, 1)
     n_hosts = min(host_space, 4096)
 

@@ -8,7 +8,7 @@ from typing import Callable
 
 from flowgate.errors import ConfigError
 from flowgate.packet import content_lines, format_ip, is_decimal, parse_ip
-from flowgate.session_table import DualIndexTable, FlowIdentity, Timeouts
+from flowgate.session_table import DualIndexTable, FlowIdentity
 
 
 class NatPoolExhausted(RuntimeError):
@@ -87,8 +87,8 @@ class NatTable(DualIndexTable):
     lookup_forward = DualIndexTable.lookup
     lookup_reverse = DualIndexTable.lookup_inbound
 
-    def __init__(self, timeouts: Timeouts | None = None) -> None:
-        super().__init__(math.inf, timeouts)
+    def __init__(self) -> None:
+        super().__init__(math.inf)
 
     def allocate(
         self,

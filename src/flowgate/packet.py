@@ -129,9 +129,11 @@ class Packet(NamedTuple):
     payload_len: int
 
 
-class Direction(enum.Enum):
-    OUTBOUND = "out"
-    INBOUND = "in"
+class Direction(enum.IntEnum):
+    """A packet's side of its flow; the value is where its half of a state's move row starts."""
+
+    OUTBOUND = 0
+    INBOUND = 16
 
 
 # the members per-packet code reads, bound once: on CPython 3.11 every attribute read on
@@ -262,6 +264,10 @@ def parse_trace_record(line: str) -> Packet:
     proto is tcp, udp, or a decimal protocol number; flags is '-' or a subset
     of "SAFR" in that order; ttl is optional and defaults to 64. Numbers are
     ASCII decimal digits.
+
+    Nothing in the package calls it; it stays as the record format's one
+    public reading: a line parsed cold, with no memo, which the tests hold
+    `load_trace`'s memo hits and their error messages to.
     """
     return _parse_record(line, line.split(None, 1), _TraceMemo())
 

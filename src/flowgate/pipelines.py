@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from flowgate.filters import DROP, RuleSet, evaluate
 from flowgate.nat import NatConfig, NatPoolExhausted, NatTable, find_free_port
-from flowgate.packet import INBOUND, OUTBOUND, SYN, TCP, Cidr, Packet, SessionId, merge_dscp
+from flowgate.packet import INBOUND, OUTBOUND, Cidr, Packet, SessionId, merge_dscp
 from flowgate.qos import QosPolicy, classify
 from flowgate.routing import RouteEntry, RoutingTable
 from flowgate.session_table import (
@@ -171,7 +171,7 @@ class BaselinePipeline:
 
     def __init__(self, config: RouterConfig):
         self.config = config
-        self.nat_table = NatTable(config.timeouts)
+        self.nat_table = NatTable()
         self.state_table = StateTable(config.capacity, config.timeouts)
         self.session_hits = 0
         self.session_misses = 0
@@ -190,61 +190,50 @@ class BaselinePipeline:
             now = packet.ts
         cfg = self.config
         sid = packet.sid
-
-        if cfg.lan_prefix.contains(sid.src_addr):
-            # --- outbound ---
-            lan_to_lan = cfg.lan_prefix.contains(sid.dst_addr)
+        lan = cfg.lan_prefix
+        if lan.contains(sid.src_addr):
+            lan_to_lan = lan.contains(sid.dst_addr)
             mapping = None if lan_to_lan else self.nat_table.lookup_forward(sid, now)
             entry = self.state_table.lookup(sid, now)
+            if entry is not None:
+                self.session_hits += 1
+                if not lan_to_lan and mapping is None:
+                    raise RuntimeError("live state entry without a live NAT mapping")
+                if not advance(entry, packet.flags, OUTBOUND, now, cfg.timeouts):
+                    return _new(Verdict, (
+                        _STATE_VIOLATION,
+                        _ONE_SESSION_LOOKUP if lan_to_lan else _NAT_AND_SESSION_LOOKUPS,
+                    ))
+                if mapping is not None:
+                    mapping.expiry = entry.expiry
+                return self._outbound_egress(
+                    packet, sid, mapping,
+                    _BASELINE_LOCAL_HIT_ACCT if lan_to_lan else _BASELINE_HIT_ACCT,
+                )
+            if lan_to_lan:
+                # a LAN peer's reply is found by its reversed five-tuple, and is not translated
+                src, src_port, dst, dst_port, proto = sid
+                entry = self.state_table.lookup((dst, dst_port, src, src_port, proto), now)
             if entry is None:
-                if lan_to_lan:
-                    src, src_port, dst, dst_port, proto = sid
-                    entry = self.state_table.lookup((dst, dst_port, src, src_port, proto), now)
-                    if entry is not None:
-                        return self._lan_reply(packet, entry, now)
                 return self._first_packet(packet, sid, now, lan_to_lan)
-            self.session_hits += 1
-            if not lan_to_lan and mapping is None:
-                raise RuntimeError("live state entry without a live NAT mapping")
-            if not advance(entry, packet.flags, OUTBOUND, now, cfg.timeouts):
-                return _new(Verdict, (
-                    _STATE_VIOLATION,
-                    _ONE_SESSION_LOOKUP if lan_to_lan else _NAT_AND_SESSION_LOOKUPS,
-                ))
-            if mapping is not None:
-                mapping.expiry = entry.expiry
-            return self._outbound_egress(
-                packet, sid, mapping, _BASELINE_LOCAL_HIT_ACCT if lan_to_lan else _BASELINE_HIT_ACCT
-            )
-
-        # --- inbound ---
-        mapping = self.nat_table.lookup_reverse(sid, now)
-        if mapping is None:
-            return _new(Verdict, (_INBOUND_NO_SESSION, _ONE_NAT_LOOKUP))
-        entry = self.state_table.lookup(mapping.outbound_key, now)
-        if entry is None:
-            # unreachable while mapping expiry mirrors the state entry's
-            self.session_misses += 1
-            return _new(Verdict, (_INBOUND_NO_SESSION, _NAT_AND_SESSION_LOOKUPS))
+            lookups, acct = _TWO_SESSION_LOOKUPS, _BASELINE_LAN_REPLY_ACCT
+        else:
+            mapping = self.nat_table.lookup_reverse(sid, now)
+            if mapping is None:
+                return _new(Verdict, (_INBOUND_NO_SESSION, _ONE_NAT_LOOKUP))
+            entry = self.state_table.lookup(mapping.outbound_key, now)
+            if entry is None:
+                raise RuntimeError("live NAT mapping without a live state entry")
+            lookups, acct = _NAT_AND_SESSION_LOOKUPS, _BASELINE_HIT_ACCT
         self.session_hits += 1
         if not advance(entry, packet.flags, INBOUND, now, cfg.timeouts):
-            return _new(Verdict, (_STATE_VIOLATION, _NAT_AND_SESSION_LOOKUPS))
-        mapping.expiry = entry.expiry
-        dscp = classify(cfg.qos, mapping.outbound_key)
+            return _new(Verdict, (_STATE_VIOLATION, lookups))
+        if mapping is not None:
+            mapping.expiry = entry.expiry
+            sid = mapping.in_sid
+        flow = entry.outbound_key  # the originator's five-tuple, which QoS and routes key on
         return _forward(
-            packet, mapping.in_sid, dscp, cfg.routes.lookup(mapping.lan_addr), _BASELINE_HIT_ACCT
-        )
-
-    def _lan_reply(self, packet: Packet, entry: StateEntry, now: float) -> Verdict:
-        """A LAN peer's reply, found by its reversed five-tuple: inbound, and not translated."""
-        cfg = self.config
-        self.session_hits += 1
-        if not advance(entry, packet.flags, INBOUND, now, cfg.timeouts):
-            return _new(Verdict, (_STATE_VIOLATION, _TWO_SESSION_LOOKUPS))
-        flow = entry.outbound_key  # the originator's five-tuple, which rules and QoS key on
-        return _forward(
-            packet, packet.sid, classify(cfg.qos, flow), cfg.routes.lookup(flow.src_addr),
-            _BASELINE_LAN_REPLY_ACCT,
+            packet, sid, classify(cfg.qos, flow), cfg.routes.lookup(flow.src_addr), acct
         )
 
     def _first_packet(
@@ -258,10 +247,10 @@ class BaselinePipeline:
         action, _, rules_s = evaluate(cfg.rules, sid)
         if action is DROP:
             return _new(Verdict, (_RULE_DENIED, LookupAccounting(nat_l, sess_l, 1, rules_s)))
-        if sid.proto == TCP and packet.flags != SYN:
+        state = initial_state(sid.proto, packet.flags)
+        if state is None:
             return _new(Verdict, (_STATE_VIOLATION, LookupAccounting(nat_l, sess_l, 1, rules_s)))
-        state = initial_state(sid.proto)
-        expiry = now + entry_timeout(sid.proto, state, cfg.timeouts)
+        expiry = now + entry_timeout(state, cfg.timeouts)
         try:
             self.state_table.ensure_capacity(now)
         except TableFullError:
@@ -357,7 +346,8 @@ class IntegratedPipeline:
         action, _, rules_s = evaluate(cfg.rules, sid)
         if action is DROP:
             return _new(Verdict, (_RULE_DENIED, LookupAccounting(0, sess_l, 1, rules_s)))
-        if sid.proto == TCP and packet.flags != SYN:
+        state = initial_state(sid.proto, packet.flags)
+        if state is None:
             return _new(Verdict, (_STATE_VIOLATION, LookupAccounting(0, sess_l, 1, rules_s)))
         try:
             self.table.ensure_capacity(now)
@@ -389,7 +379,6 @@ class IntegratedPipeline:
         dscp = classify(cfg.qos, sid)
         ext_route = cfg.routes.lookup(sid.dst_addr)
         lan_route = cfg.routes.lookup(sid.src_addr)
-        state = initial_state(sid.proto)
         entry = SessionEntry(
             lan_addr=sid.src_addr,
             lan_port=sid.src_port,
@@ -399,7 +388,7 @@ class IntegratedPipeline:
             ext_port=sid.dst_port,
             proto=sid.proto,
             state=state,
-            expiry=now + entry_timeout(sid.proto, state, cfg.timeouts),
+            expiry=now + entry_timeout(state, cfg.timeouts),
             dscp=dscp,
             ext_route=ext_route,
             lan_route=lan_route,

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from flowgate.packet import ACK, FIN, INBOUND, RST, SYN, TCP, Direction, SessionId
+from flowgate.packet import ACK, FIN, RST, SYN, TCP, Direction, SessionId
 from flowgate.routing import RouteEntry
 
 
@@ -44,9 +44,9 @@ class Timeouts:
     closed_grace: float = 5.0  # keeps closed entries around to block key reuse
 
 
-def timeout_field(proto: int, state: SessionState) -> str:
+def timeout_field(state: SessionState) -> str:
     """The Timeouts field an entry in `state` expires by."""
-    if proto != TCP:
+    if state is OPEN:
         return "non_tcp"
     if state is ESTABLISHED:
         return "tcp_established"
@@ -55,8 +55,8 @@ def timeout_field(proto: int, state: SessionState) -> str:
     return "tcp_transient"
 
 
-def entry_timeout(proto: int, state: SessionState, timeouts: Timeouts) -> float:
-    return getattr(timeouts, timeout_field(proto, state))
+def entry_timeout(state: SessionState, timeouts: Timeouts) -> float:
+    return getattr(timeouts, timeout_field(state))
 
 
 # TCP transition function, a pure function of (state, flags, direction).
@@ -100,15 +100,18 @@ def next_tcp_state(
     return None
 
 
-def initial_state(proto: int) -> SessionState:
-    return SYN_SENT if proto == TCP else OPEN
+def initial_state(proto: int, flags: int) -> SessionState | None:
+    """The state a flow's first packet opens it in, or None: TCP opens only with a bare SYN."""
+    if proto != TCP:
+        return OPEN
+    return SYN_SENT if flags == SYN else None
 
 
-# next_tcp_state compiled at import: per outbound, then inbound, flags value, None or
-# (new state, Timeouts field). A member attribute, as hashing an Enum member runs Python.
+# next_tcp_state compiled at import: a state's move row holds, at flags + direction, None
+# or (new state, Timeouts field). A member attribute, as hashing an Enum member runs Python.
 for _state in SessionState:
-    _moves = [next_tcp_state(_state, f, d) for d in Direction for f in range(16)]
-    _state.tcp_moves = tuple(m and (m, timeout_field(TCP, m)) for m in _moves)
+    _moves = {f + d: next_tcp_state(_state, f, d) for d in Direction for f in range(16)}
+    _state.tcp_moves = tuple(m and (m, timeout_field(m)) for _, m in sorted(_moves.items()))
 
 
 def advance(entry, flags: int, direction: Direction, now: float, timeouts: Timeouts) -> bool:
@@ -123,7 +126,7 @@ def advance(entry, flags: int, direction: Direction, now: float, timeouts: Timeo
         entry.state = OPEN
         entry.expiry = now + timeouts.non_tcp
         return True
-    move = entry.state.tcp_moves[flags + 16 if direction is INBOUND else flags]
+    move = entry.state.tcp_moves[flags + direction]
     if move is None:
         return False
     entry.state, timeout = move

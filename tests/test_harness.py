@@ -77,6 +77,18 @@ def test_lan_peer_replies_to_the_lan_endpoint():
     assert outside_reply.sid[2:4] == (parse_ip("192.0.2.1"), 40000)  # nat_port_lo
 
 
+def test_lan_hosts_lie_inside_the_lan_prefix():
+    """Hosts start past the network address, except in a /32, whose one address is the host."""
+    for prefix, host in (("10.0.0.5/32", "10.0.0.5"), ("10.0.0.4/31", "10.0.0.5")):
+        config = make_config(lan=prefix)
+        packets = generate_packets(
+            spec(sessions=2, packets_per_session=3, lan_prefix=config.lan_prefix)
+        )
+        assert {p.sid.src_addr for p in packets if p.flags == SYN} == {parse_ip(host)}
+        _, report = run_pipeline(BaselinePipeline(config), packets)
+        assert report.forwarded == 6
+
+
 def test_generation_is_deterministic():
     a = generate_trace(spec(sessions=7, packets_per_session=9, tcp_fraction=0.5, seed=3))
     b = generate_trace(spec(sessions=7, packets_per_session=9, tcp_fraction=0.5, seed=3))

@@ -17,14 +17,14 @@ import pytest
 from flowgate import filters, harness, pipelines, session_table
 from flowgate.packet import Direction
 
-# (owner, attribute) of every function a packet runs through, from process to render
+# (owner, attribute) of every function a packet runs through, from process to render:
+# each one the pipeline classes define, so a new or renamed method is checked too
 PER_PACKET = [
-    (pipelines.BaselinePipeline, "process"),
-    (pipelines.BaselinePipeline, "_lan_reply"),
-    (pipelines.BaselinePipeline, "_first_packet"),
-    (pipelines.BaselinePipeline, "_outbound_egress"),
-    (pipelines.IntegratedPipeline, "process"),
-    (pipelines.IntegratedPipeline, "_first_packet"),
+    (cls, name)
+    for cls in (pipelines.BaselinePipeline, pipelines.IntegratedPipeline)
+    for name, value in vars(cls).items()
+    if isinstance(value, types.FunctionType)
+] + [
     (pipelines, "_forward"),
     (session_table, "advance"),
     (session_table, "initial_state"),

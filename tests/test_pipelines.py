@@ -3,10 +3,13 @@
 import random
 from dataclasses import replace
 
+import pytest
 from conftest import make_config, pkt, trace
 from test_acceptance import CORNER_CASES, _random_router_config, _random_trace_spec
+from test_filters import _oracle
 
 from flowgate import pipelines
+from flowgate.filters import Action
 from flowgate.harness import compare, generate_packets, run_pipeline
 from flowgate.packet import Packet, SessionId, format_ip, merge_dscp, parse_ip
 from flowgate.pipelines import (
@@ -210,6 +213,16 @@ def test_lan_peer_reply_takes_the_inbound_path():
             assert out.packet.tos == 10 << 2 | packet.tos & 3  # the flow's DSCP, both ways
 
 
+def test_baseline_reply_to_a_mapping_without_state_raises(config):
+    """A live NAT mapping always has its state entry: a reply that finds one alone is a fault."""
+    pipe = BaselinePipeline(config)
+    pipe.process(pkt("0.0 tcp 10.0.0.5:1200 198.51.100.9:80 S 0 0"))
+    (entry,) = pipe.state_table._out.values()
+    pipe.state_table.remove(entry)
+    with pytest.raises(RuntimeError, match="live NAT mapping without a live state entry"):
+        pipe.process(pkt("0.1 tcp 198.51.100.9:80 192.0.2.1:40000 SA 0 0"))
+
+
 def test_session_gap_reruns_rules(config):
     # udp timeout is 60s: a 61s gap makes the second packet a fresh session
     lines = (
@@ -371,6 +384,46 @@ def differential_cases() -> list[tuple[str, object, list]]:
         spec = replace(_random_trace_spec(rng, seed), sessions=100, packets_per_session=20)
         cases.append((f"seed {seed}", config, generate_packets(spec)))
     return cases
+
+
+def test_forwards_only_flows_the_rules_accept_and_a_lan_host_opened():
+    """The security claim, on both verdict streams, with LAN peers among the flows.
+
+    A flow is named by its originator's LAN-side five-tuple. Each forwarded
+    packet's flow must pass the rules by the tests' own first-match oracle,
+    and each forwarded reply must answer a flow a LAN host opened earlier.
+    """
+    cases = differential_cases()
+    lan_peers = tuple(parse_ip(a) for a in ("10.0.0.9", "10.200.3.4"))
+    for seed in range(4):
+        rng = random.Random(0xBEEF ^ seed)
+        config = _random_router_config(rng)
+        spec = _random_trace_spec(rng, seed)
+        spec = replace(spec, sessions=100, packets_per_session=20, peers=spec.peers + lan_peers)
+        cases.append((f"lan peers, seed {seed}", config, generate_packets(spec)))
+    lan_replies = 0
+    for name, config, packets in cases:
+        for pipe in (BaselinePipeline(config), IntegratedPipeline(config)):
+            opened = set()
+            for packet in packets:
+                out = pipe.process(packet).outcome
+                if type(out) is not Forwarded:
+                    continue
+                sid = packet.sid
+                src, src_port, dst, dst_port, proto = sid
+                reverse = SessionId(dst, dst_port, src, src_port, proto)
+                where = (name, pipe.name, packet)
+                if config.lan_prefix.contains(src) and (sid in opened or reverse not in opened):
+                    flow = sid  # a LAN host's own flow; its first forward opens it
+                    opened.add(flow)
+                else:
+                    # a reply leaves addressed to its flow's LAN endpoint
+                    e_src, e_src_port, e_dst, e_dst_port, _ = out.packet.sid
+                    flow = SessionId(e_dst, e_dst_port, e_src, e_src_port, proto)
+                    assert flow in opened, where
+                    lan_replies += config.lan_prefix.contains(src)
+                assert _oracle(config.rules, flow)[0] is Action.ACCEPT, where
+    assert lan_replies > 500
 
 
 def test_forwards_carry_the_stored_rewrite():

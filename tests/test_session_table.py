@@ -39,7 +39,7 @@ def make_entry(i: int = 0, expiry: float = 100.0, proto: int = TCP) -> SessionEn
 
 def make_state_entry(i: int = 0, expiry: float = 100.0, proto: int = TCP) -> StateEntry:
     sid = SessionId(0x0A000005 + i, 1200, 0xC6336409, 80, proto)
-    return StateEntry(sid, proto, initial_state(proto), expiry)
+    return StateEntry(sid, proto, initial_state(proto, SYN), expiry)
 
 
 def make_mapping(i: int = 0, expiry: float = 100.0) -> NatMapping:
@@ -174,7 +174,7 @@ def test_sweep_matches_a_full_scan(kind, seed):
         key = make(i, proto=proto).outbound_key
         if op < 0.35:
             if t.lookup(key, now) is None:
-                expiry = now + entry_timeout(proto, initial_state(proto), SHORT)
+                expiry = now + entry_timeout(initial_state(proto, SYN), SHORT)
                 entry = make(i, expiry=expiry, proto=proto)
                 try:
                     t.ensure_capacity(now)
@@ -303,7 +303,7 @@ def test_advance_follows_next_tcp_state_on_every_input():
             assert e.state is state and e.expiry == 30.0
         else:
             assert e.state is expected
-            assert e.expiry == 10.0 + entry_timeout(TCP, expected, SHORT)
+            assert e.expiry == 10.0 + entry_timeout(expected, SHORT)
 
 
 def test_advance_violation_leaves_entry_unchanged():
@@ -326,4 +326,11 @@ def test_non_tcp_stays_open():
     e = make_entry(proto=UDP)
     assert advance(e, 0, Direction.INBOUND, now=1.0, timeouts=Timeouts())
     assert e.state is SessionState.OPEN and e.expiry == 61.0
-    assert entry_timeout(UDP, SessionState.OPEN, Timeouts()) == 60.0
+    assert entry_timeout(SessionState.OPEN, Timeouts()) == 60.0
+
+
+def test_only_a_bare_syn_opens_a_tcp_flow():
+    for flags in range(16):
+        assert initial_state(TCP, flags) is (SessionState.SYN_SENT if flags == SYN else None)
+        assert initial_state(UDP, flags) is SessionState.OPEN
+        assert initial_state(1, flags) is SessionState.OPEN
