@@ -54,11 +54,12 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _read_config(path: str) -> str:
+def _read(path: str, error: type[Exception]) -> str:
+    """The file's text; a failed read or decode raises `error` naming the path."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def _lan_prefix(args: argparse.Namespace) -> Cidr:
@@ -71,10 +72,10 @@ def _lan_prefix(args: argparse.Namespace) -> Cidr:
 def load_config(args: argparse.Namespace) -> RouterConfig:
     return RouterConfig(
         lan_prefix=_lan_prefix(args),
-        rules=parse_rules(_read_config(args.rules)),
-        qos=parse_qos(_read_config(args.qos)),
-        routes=parse_routes(_read_config(args.routes)),
-        nat=parse_nat_config(_read_config(args.nat)),
+        rules=parse_rules(_read(args.rules, ConfigError)),
+        qos=parse_qos(_read(args.qos, ConfigError)),
+        routes=parse_routes(_read(args.routes, ConfigError)),
+        nat=parse_nat_config(_read(args.nat, ConfigError)),
     )
 
 
@@ -93,17 +94,9 @@ def _trace_spec(args: argparse.Namespace) -> TraceSpec:
     )
     # replies target the gateway identity; align it with the NAT config if given
     if getattr(args, "nat", None):
-        nat = parse_nat_config(_read_config(args.nat))
+        nat = parse_nat_config(_read(args.nat, ConfigError))
         spec = replace(spec, nat_public=nat.public_addr, nat_port_lo=nat.port_lo)
     return spec
-
-
-def _read_trace(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise TraceError(f"cannot read {path}: {exc}") from exc
-    return load_trace(text)
 
 
 @contextmanager
@@ -142,7 +135,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args)
-    packets = _read_trace(args.trace)
+    packets = load_trace(_read(args.trace, TraceError))
     with _output(args.verdicts) as write_verdicts, _output(args.out) as write_csv:
         verdicts, report = run_pipeline(make_pipeline(args.pipeline, config), packets)
         if write_verdicts:
@@ -155,7 +148,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = load_config(args)
-    packets = _read_trace(args.trace)
+    packets = load_trace(_read(args.trace, TraceError))
     result = compare(config, packets)
     print(result.describe())
     print(result.baseline_report.summary())
@@ -172,12 +165,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         reports, medians = bench(config, packets, args.reps)
         csv_text = "\n".join([CSV_HEADER] + [csv_row(r) for r in reports]) + "\n"
         (write_csv or sys.stdout.write)(csv_text)
-    ratio = medians["baseline"] / medians["integrated"] if medians["integrated"] else float("inf")
-    print(
-        f"median wall_ns: baseline={medians['baseline']} integrated={medians['integrated']}"
-        f" speedup={ratio:.2f}x",
-        file=sys.stderr,
-    )
+    walls = f"baseline={medians['baseline']} integrated={medians['integrated']}"
+    if packets and medians["integrated"]:  # two loops over no packets have no ratio
+        walls += f" speedup={medians['baseline'] / medians['integrated']:.2f}x"
+    print(f"median wall_ns: {walls}", file=sys.stderr)
     return EXIT_OK
 
 

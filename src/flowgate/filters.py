@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from flowgate.errors import ConfigError
-from flowgate.matchers import FirstMatch, TupleMatcher, parse_matcher
+from flowgate.matchers import Policy, TupleMatcher, parse_matcher
 from flowgate.packet import SessionId, content_lines
 
 
@@ -24,15 +24,8 @@ class FilterRule:
     match: TupleMatcher
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    """Ordered rules, first match wins; no match falls through to default deny."""
-
-    rules: tuple[FilterRule, ...]
-    _index: FirstMatch = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", FirstMatch([rule.match for rule in self.rules]))
+class RuleSet(Policy):
+    """Ordered `FilterRule`s, first match wins; no match falls through to default deny."""
 
 
 def parse_rules(text: str) -> RuleSet:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, fields
 
 from flowgate.errors import ConfigError
 from flowgate.packet import (
@@ -144,21 +145,21 @@ def generate_trace(spec: TraceSpec) -> str:
 
 @dataclass
 class MetricsReport:
-    """Aggregate counters for one pipeline run."""
+    """Aggregate counters for one pipeline run; its fields, in order, are the CSV columns."""
 
     pipeline: str
-    packets: int = 0
-    forwarded: int = 0
-    dropped: dict[DropReason, int] = field(default_factory=dict)
-    session_hits: int = 0
-    session_misses: int = 0
-    nat_lookups: int = 0
-    session_lookups: int = 0
-    rule_evals: int = 0
-    rules_scanned: int = 0
-    qos_classifications: int = 0
-    route_lookups: int = 0
-    wall_ns: int = 0
+    packets: int
+    forwarded: int
+    dropped: dict[DropReason, int]
+    session_hits: int
+    session_misses: int
+    nat_lookups: int
+    session_lookups: int
+    rule_evals: int
+    rules_scanned: int
+    qos_classifications: int
+    route_lookups: int
+    wall_ns: int
 
     @property
     def dropped_total(self) -> int:
@@ -166,21 +167,6 @@ class MetricsReport:
 
     # the same five counter names, so one definition of the sum serves both
     total_consultations = LookupAccounting.total_consultations
-
-    def record(self, verdict: Verdict) -> None:
-        self.packets += 1
-        if isinstance(verdict.outcome, Dropped):
-            reason = verdict.outcome.reason
-            self.dropped[reason] = self.dropped.get(reason, 0) + 1
-        else:
-            self.forwarded += 1
-        acct = verdict.lookups
-        self.nat_lookups += acct.nat_lookups
-        self.session_lookups += acct.session_lookups
-        self.rule_evals += acct.rule_evals
-        self.rules_scanned += acct.rules_scanned
-        self.qos_classifications += acct.qos_classifications
-        self.route_lookups += acct.route_lookups
 
     def summary(self) -> str:
         drops = ", ".join(
@@ -199,20 +185,14 @@ class MetricsReport:
         )
 
 
-CSV_HEADER = (
-    "pipeline,packets,forwarded,dropped,session_hits,session_misses,"
-    "nat_lookups,session_lookups,rule_evals,rules_scanned,"
-    "qos_classifications,route_lookups,wall_ns"
-)
+_COLUMNS = tuple(f.name for f in fields(MetricsReport))
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def csv_row(report: MetricsReport) -> str:
-    return (
-        f"{report.pipeline},{report.packets},{report.forwarded},{report.dropped_total},"
-        f"{report.session_hits},{report.session_misses},{report.nat_lookups},"
-        f"{report.session_lookups},{report.rule_evals},{report.rules_scanned},"
-        f"{report.qos_classifications},{report.route_lookups},{report.wall_ns}"
-    )
+    """The report in CSV_HEADER's columns; `dropped` is written as its total."""
+    row = {**vars(report), "dropped": report.dropped_total}
+    return ",".join(str(row[name]) for name in _COLUMNS)
 
 
 def make_pipeline(name: str, config: RouterConfig):
@@ -235,13 +215,13 @@ def run_pipeline(pipeline, packets: list[Packet]) -> tuple[list[Verdict], Metric
     for packet in packets:
         append(process(packet, packet.ts))
     wall_ns = time.perf_counter_ns() - start
-    report = MetricsReport(pipeline=pipeline.name)
-    for verdict in verdicts:
-        report.record(verdict)
-    report.session_hits = pipeline.session_hits
-    report.session_misses = pipeline.session_misses
-    report.wall_ns = wall_ns
-    return verdicts, report
+    dropped = Counter(v.outcome.reason for v in verdicts if isinstance(v.outcome, Dropped))
+    # each LookupAccounting column summed over the run; no packets leave its zero defaults
+    lookups = LookupAccounting(*map(sum, zip(*(v.lookups for v in verdicts))))
+    return verdicts, MetricsReport(
+        pipeline.name, len(verdicts), len(verdicts) - sum(dropped.values()), dropped,
+        pipeline.session_hits, pipeline.session_misses, *lookups, wall_ns,
+    )
 
 
 # each drop's verdict line, a member attribute set at import: `reason.value` is a

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from flowgate.errors import ConfigError
 from flowgate.packet import Cidr, SessionId, is_decimal, parse_protocol
@@ -138,3 +138,14 @@ class FirstMatch:
                 return None
             mask &= masks[bisect_right(edges, sid[index]) - 1]
         return (mask & -mask).bit_length() - 1 if mask else None
+
+
+@dataclass(frozen=True)
+class Policy:
+    """Ordered rules, each with a `match`, compiled into one first-match index."""
+
+    rules: tuple
+    _index: FirstMatch = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", FirstMatch([rule.match for rule in self.rules]))

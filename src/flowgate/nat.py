@@ -27,28 +27,29 @@ class NatConfig:
 
 
 def parse_nat_config(text: str) -> NatConfig:
-    """Parse the two-line NAT config: `public <ip>` and `ports <lo>-<hi>`."""
-    public_addr = None
-    ports = None
+    """Parse the NAT config: one `public <ip>` and one `ports <lo>-<hi>` line, lo >= 1."""
+    values: dict[str, object] = {}
     for lineno, line in content_lines(text):
         fields = line.split()
-        if fields[0] == "public" and len(fields) == 2:
+        if fields[0] not in ("public", "ports") or len(fields) != 2:
+            raise ConfigError(f"line {lineno}: expected 'public <ip>' or 'ports <lo>-<hi>'")
+        if fields[0] in values:
+            raise ConfigError(f"line {lineno}: repeated {fields[0]!r} line")
+        if fields[0] == "public":
             try:
-                public_addr = parse_ip(fields[1])
+                values["public"] = parse_ip(fields[1])
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from exc
-        elif fields[0] == "ports" and len(fields) == 2:
-            lo_part, sep, hi_part = fields[1].partition("-")
-            if not sep or not is_decimal(lo_part) or not is_decimal(hi_part):
-                raise ConfigError(f"line {lineno}: bad port range {fields[1]!r}")
-            ports = (int(lo_part), int(hi_part))
-            if ports[0] > ports[1] or ports[1] > 65535:
-                raise ConfigError(f"line {lineno}: bad port range {fields[1]!r}")
-        else:
-            raise ConfigError(f"line {lineno}: expected 'public <ip>' or 'ports <lo>-<hi>'")
-    if public_addr is None or ports is None:
+            continue
+        lo_part, sep, hi_part = fields[1].partition("-")
+        if not (sep and is_decimal(lo_part) and is_decimal(hi_part)) or not (
+            0 < int(lo_part) <= int(hi_part) <= 65535
+        ):
+            raise ConfigError(f"line {lineno}: bad port range {fields[1]!r}")
+        values["ports"] = (int(lo_part), int(hi_part))
+    if len(values) != 2:
         raise ConfigError("NAT config needs both a 'public' and a 'ports' line")
-    return NatConfig(public_addr, ports[0], ports[1])
+    return NatConfig(values["public"], *values["ports"])
 
 
 def find_free_port(

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from flowgate.errors import ConfigError
-from flowgate.matchers import FirstMatch, TupleMatcher, parse_matcher
+from flowgate.matchers import Policy, TupleMatcher, parse_matcher
 from flowgate.packet import SessionId, content_lines, is_decimal
 
 
@@ -15,15 +15,8 @@ class QosRule:
     dscp: int
 
 
-@dataclass(frozen=True)
-class QosPolicy:
-    """Ordered rules, first match wins; unmatched flows get best-effort (0)."""
-
-    rules: tuple[QosRule, ...]
-    _index: FirstMatch = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", FirstMatch([rule.match for rule in self.rules]))
+class QosPolicy(Policy):
+    """Ordered `QosRule`s, first match wins; unmatched flows get best-effort (0)."""
 
 
 def parse_qos(text: str) -> QosPolicy:

@@ -127,7 +127,15 @@ def test_bench_csv(tmp_path, capsys):
     ]) == 0
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 1 + 4  # header + 2 pipelines x 2 reps
-    assert "median wall_ns" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "median wall_ns" in err and " speedup=" in err
+
+
+def test_bench_of_no_packets_prints_no_ratio(capsys):
+    """Two loops over no packets time only loop overhead: their ratio means nothing."""
+    assert main(["bench", *config_flags(), "--sessions", "0", "--reps", "1"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("median wall_ns: baseline=") and "speedup" not in err
 
 
 def test_gen_rejects_empty_peers():
@@ -148,6 +156,8 @@ BAD_INPUT = {
     "run-rules-not-utf8": [*RUN_TRACE[:2], "{tmp}/not-utf8.txt", *RUN_TRACE[3:]],
     "run-nat-unicode-digit": [*RUN_TRACE[:6], "{tmp}/nat-sup.txt", *RUN_TRACE[7:]],
     "run-qos-unicode-digit": [*RUN_TRACE[:8], "{tmp}/qos-sup.txt", *RUN_TRACE[9:]],
+    "run-nat-repeated-line": [*RUN_TRACE[:6], "{tmp}/nat-repeat.txt", *RUN_TRACE[7:]],
+    "run-nat-port-zero": [*RUN_TRACE[:6], "{tmp}/nat-port0.txt", *RUN_TRACE[7:]],
     "gen-lan-prefix-malformed": ["gen", "--lan-prefix", "10.0.0/8"],
     "run-lan-prefix-malformed": [*RUN_TRACE[:10], "10.0.0.0/33", *RUN_TRACE[11:]],
 }
@@ -159,6 +169,8 @@ def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, monkeypatch, arg
     (tmp_path / "not-utf8.txt").write_bytes(b"\xff")
     (tmp_path / "nat-sup.txt").write_text("public 192.0.2.1\nports 4²-5\n", encoding="utf-8")
     (tmp_path / "qos-sup.txt").write_text("any any any any any dscp ²\n", encoding="utf-8")
+    (tmp_path / "nat-repeat.txt").write_text("public 192.0.2.1\nports 1-2\nports 3-4\n")
+    (tmp_path / "nat-port0.txt").write_text("public 192.0.2.1\nports 0-0\n")
     capsys.readouterr()
     replays = []
     monkeypatch.setattr(cli, "run_pipeline", lambda *a: replays.append("run"))

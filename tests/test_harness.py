@@ -144,6 +144,57 @@ def test_report_identities_on_random_traces():
             assert report.session_hits + report.session_misses == report.session_lookups
 
 
+REPORT_TRACE = (
+    "0.0 tcp 10.0.0.5:1200 198.51.100.9:80 S 0 0\n"
+    "0.1 tcp 198.51.100.9:80 192.0.2.1:40000 SA 0 0\n"
+    "0.2 tcp 10.0.0.5:1200 198.51.100.9:80 A 0 0\n"
+    "0.3 tcp 10.0.0.5:1201 198.51.100.9:23 S 0 0\n"  # rule_denied
+    "0.4 udp 8.8.8.8:53 192.0.2.1:40001 - 0 0\n"  # inbound_no_session
+    "0.5 tcp 10.0.0.5:1202 198.51.100.9:80 A 0 0\n"  # state_violation
+    "0.6 udp 10.0.0.5:5000 8.8.8.8:53 - 0 0\n"
+    "0.7 udp 8.8.8.8:53 192.0.2.1:40000 - 0 0\n"
+    "0.8 tcp 10.0.0.6:1300 198.51.100.9:23 S 0 0\n"  # rule_denied
+)
+
+
+@pytest.mark.parametrize(
+    "cls, summary, row",
+    [
+        (
+            BaselinePipeline,
+            "baseline: 9 packets, 5 forwarded, 4 dropped"
+            " (inbound_no_session=1, rule_denied=2, state_violation=1)\n"
+            "  session lookups 8 (3 hits, 5 misses), nat 9,"
+            " rule evals 5 (8 rules scanned), qos 5, route 5\n"
+            "  total consultations 32, wall WALL ns",
+            "baseline,9,5,4,3,5,9,8,5,8,5,5,WALL",
+        ),
+        (
+            IntegratedPipeline,
+            "integrated: 9 packets, 5 forwarded, 4 dropped"
+            " (inbound_no_session=1, rule_denied=2, state_violation=1)\n"
+            "  session lookups 9 (3 hits, 6 misses), nat 2,"
+            " rule evals 5 (8 rules scanned), qos 2, route 4\n"
+            "  total consultations 22, wall WALL ns",
+            "integrated,9,5,4,3,6,2,9,5,8,2,4,WALL",
+        ),
+    ],
+    ids=["baseline", "integrated"],
+)
+def test_run_report_golden_text(cls, summary, row):
+    """The exact report text and CSV row of a run with forwards and three drop reasons."""
+    config = make_config(rules="drop tcp any any any 23\naccept any any any any any\n")
+    _, report = run_pipeline(cls(config), load_trace(REPORT_TRACE))
+    wall = str(report.wall_ns)
+    assert report.summary() == summary.replace("WALL", wall)
+    assert csv_row(report) == row.replace("WALL", wall)
+    assert CSV_HEADER == (
+        "pipeline,packets,forwarded,dropped,session_hits,session_misses,"
+        "nat_lookups,session_lookups,rule_evals,rules_scanned,"
+        "qos_classifications,route_lookups,wall_ns"
+    )
+
+
 def test_compare_passes_on_generated_traces():
     result = compare(
         make_config(), generate_packets(spec(sessions=20, packets_per_session=50, tcp_fraction=0.7))

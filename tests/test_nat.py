@@ -30,6 +30,16 @@ def test_parse_nat_config():
         parse_nat_config("public 192.0.2.1\nports 5-2")
     with pytest.raises(ConfigError):
         parse_nat_config("public 192.0.2.1\n")
+    # each line once: a repeat would otherwise silently replace the first
+    with pytest.raises(ConfigError, match="line 2: repeated 'ports' line"):
+        parse_nat_config("ports 1-2\nports 3-4\npublic 1.1.1.1\npublic 2.2.2.2\n")
+    with pytest.raises(ConfigError, match="line 3: repeated 'public' line"):
+        parse_nat_config("public 1.1.1.1\nports 1-2\npublic 2.2.2.2\n")
+    # no flow can be translated to port 0
+    for ports in ("0-0", "0-9"):
+        with pytest.raises(ConfigError, match=f"line 2: bad port range '{ports}'"):
+            parse_nat_config(f"public 192.0.2.1\nports {ports}\n")
+    assert parse_nat_config("public 192.0.2.1\nports 1-1\n") == NatConfig(PUBLIC, 1, 1)
 
 
 def test_allocation_is_lowest_free_per_peer():

@@ -10,8 +10,19 @@ from test_filters import _oracle
 
 from flowgate import pipelines
 from flowgate.filters import Action
-from flowgate.harness import compare, generate_packets, run_pipeline
-from flowgate.packet import Packet, SessionId, format_ip, merge_dscp, parse_ip
+from flowgate.harness import TraceSpec, compare, generate_packets, run_pipeline
+from flowgate.packet import (
+    ACK,
+    FIN,
+    RST,
+    SYN,
+    TCP,
+    Packet,
+    SessionId,
+    format_ip,
+    merge_dscp,
+    parse_ip,
+)
 from flowgate.pipelines import (
     BaselinePipeline,
     Dropped,
@@ -22,6 +33,7 @@ from flowgate.pipelines import (
     Verdict,
 )
 from flowgate.routing import RouteEntry, RoutingTable
+from flowgate.session_table import Timeouts
 
 HANDSHAKE = (
     "0.0 tcp 10.0.0.5:1200 198.51.100.9:80 S 0 0\n"
@@ -424,6 +436,102 @@ def test_forwards_only_flows_the_rules_accept_and_a_lan_host_opened():
                     lan_replies += config.lan_prefix.contains(src)
                 assert _oracle(config.rules, flow)[0] is Action.ACCEPT, where
     assert lan_replies > 500
+
+
+def pressure_cases() -> list[tuple[str, object, list]]:
+    """(name, config, packets): every corner trace, then 48 seeded traces under pressure.
+
+    The seeded traces run at capacity 2-4 with a pool of 1-3 ports and short
+    timeouts, among LAN and outside peers, and a quarter of their packets get
+    random flags: flows close mid-stream, are sent to while closed, expire,
+    and open again on the same five-tuple.
+    """
+    cases = [(name, make_config(**kwargs), trace(text)) for name, kwargs, text, _ in CORNER_CASES]
+    flag_choices = (SYN, SYN, SYN | ACK, ACK, FIN | ACK, RST, RST | ACK, 0)
+    peers = tuple(parse_ip(a) for a in ("198.51.100.9", "203.0.113.77", "10.0.0.9"))
+    for seed in range(48):
+        rng = random.Random(0xC105ED ^ seed)
+        config = make_config(
+            nat=f"public 192.0.2.1\nports 40000-{40000 + rng.randint(0, 2)}\n",
+            capacity=rng.randint(2, 4),
+            timeouts=Timeouts(
+                tcp_established=rng.uniform(0.05, 0.5),
+                tcp_transient=rng.uniform(0.02, 0.2),
+                non_tcp=rng.uniform(0.02, 0.2),
+                closed_grace=rng.uniform(0.01, 0.1),
+            ),
+        )
+        spec = TraceSpec(
+            sessions=rng.randint(4, 24),
+            packets_per_session=rng.randint(10, 40),
+            tcp_fraction=0.8,
+            peers=peers,
+            seed=seed,
+        )
+        packets = [
+            p._replace(flags=rng.choice(flag_choices)) if rng.random() < 0.25 else p
+            for p in generate_packets(spec)
+        ]
+        cases.append((f"pressure, seed {seed}", config, packets))
+    return cases
+
+
+def _flow_name(sid: SessionId) -> tuple:
+    """A flow's name from a LAN-side five-tuple of either direction: its two endpoints."""
+    src, src_port, dst, dst_port, proto = sid
+    return proto, frozenset(((src, src_port), (dst, dst_port)))
+
+
+def _assert_one_live_entry_per_public_tuple(table, now: float, where) -> None:
+    """Both indexes file the same live entries under their own keys, public tuples distinct."""
+    assert all(key == entry.outbound_key for key, entry in table._out.items()), where
+    assert all(key == entry.inbound_key for key, entry in table._in.items()), where
+    live = [entry for entry in table._out.values() if entry.expiry > now]
+    assert {id(e) for e in live} == {id(e) for e in table._in.values() if e.expiry > now}, where
+    # out_sid is the public (gwy, gwy_port, ext, ext_port, proto) tuple
+    assert len({entry.out_sid for entry in live}) == len(live), where
+
+
+def test_closed_flows_stay_closed_and_public_tuples_stay_unique():
+    """ROADMAP D's last two security invariants, on both verdict streams, under pressure.
+
+    Once a TCP flow's RST or second FIN is forwarded at t, nothing more of
+    that flow is forwarded before t + closed_grace. After every packet, the
+    table holding public ports (the session table, or the baseline's NAT
+    table) keeps one live entry per public tuple under both its indexes.
+    """
+    closes = blocked = reopened = 0
+    for name, config, packets in pressure_cases():
+        grace = config.timeouts.closed_grace
+        for pipe in (BaselinePipeline(config), IntegratedPipeline(config)):
+            table = pipe.nat_table if isinstance(pipe, BaselinePipeline) else pipe.table
+            fins = {}  # flow -> FINs forwarded since its last bare SYN
+            closed_at = {}  # flow -> when the packet that closed it was forwarded
+            for packet in packets:
+                out = pipe.process(packet).outcome
+                now, sid, flags = packet.ts, packet.sid, packet.flags
+                where = (name, pipe.name, packet)
+                _assert_one_live_entry_per_public_tuple(table, now, where)
+                if sid.proto != TCP:
+                    continue
+                from_lan = config.lan_prefix.contains(sid.src_addr)
+                if type(out) is not Forwarded:
+                    # a LAN packet's own five-tuple names its flow
+                    blocked += from_lan and now < closed_at.get(_flow_name(sid), -1.0) + grace
+                    continue
+                # a reply leaves addressed to its flow's LAN endpoint
+                flow = _flow_name(sid if from_lan else out.packet.sid)
+                if flow in closed_at:
+                    assert now >= closed_at.pop(flow) + grace, where
+                    reopened += 1
+                if flags == SYN:  # forwarded only as a flow's first packet, or its retransmission
+                    fins[flow] = 0
+                if flags & RST or flags & FIN and fins.get(flow) == 1:
+                    closed_at[flow] = now
+                    closes += 1
+                elif flags & FIN:
+                    fins[flow] = fins.get(flow, 0) + 1
+    assert closes > 200 and blocked > 400 and reopened > 10, (closes, blocked, reopened)
 
 
 def test_forwards_carry_the_stored_rewrite():
