@@ -18,6 +18,7 @@ from flowgate.packet import (
     Cidr,
     Packet,
     SessionId,
+    format_ip,
     render_trace_record,
 )
 from flowgate.pipelines import (
@@ -118,6 +119,11 @@ def generate_packets(spec: TraceSpec) -> list[Packet]:
             offset = ports_taken.get(peer_key, 0)
             ports_taken[peer_key] = offset + 1
             gwy = (spec.nat_public, spec.nat_port_lo + offset)
+            if gwy[1] > 65535:
+                raise ConfigError(
+                    f"trace spec: replies to flow {i + 1} (peer {format_ip(peer[0])}:{peer[1]})"
+                    f" would need public port {gwy[1]}, past 65535"
+                )
         sessions.append(_session_packets(proto, lan, gwy, peer, spec.packets_per_session))
 
     packets: list[Packet] = []

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from flowgate.errors import ConfigError
-from flowgate.packet import content_lines, format_ip, is_decimal, parse_ip
+from flowgate.packet import TCP, UDP, content_lines, format_ip, is_decimal, parse_ip
 from flowgate.session_table import DualIndexTable, FlowIdentity
 
 
@@ -24,6 +24,15 @@ class NatConfig:
     @property
     def pool_size(self) -> int:
         return self.port_hi - self.port_lo + 1
+
+    def ports(self, proto: int) -> range:
+        """The public ports a flow of `proto` may take, lowest first.
+
+        A protocol without ports keeps port 0 and is translated by address
+        alone, as Linux's nf_nat does for protocols it has no port handler
+        for: one live flow per peer and protocol.
+        """
+        return range(self.port_lo, self.port_hi + 1) if proto in (TCP, UDP) else range(1)
 
 
 def parse_nat_config(text: str) -> NatConfig:
@@ -59,13 +68,13 @@ def find_free_port(
     proto: int,
     in_use: Callable[[int], bool],
 ) -> int:
-    """Lowest port in the pool not live for this peer tuple.
+    """Lowest port of `cfg.ports(proto)` not live for this peer tuple.
 
     Port uniqueness is per (ext_addr, ext_port, proto): the same public port
     may serve two flows talking to different peers. Deterministic by
     construction: lowest-free wins.
     """
-    for port in range(cfg.port_lo, cfg.port_hi + 1):
+    for port in cfg.ports(proto):
         if not in_use(port):
             return port
     raise NatPoolExhausted(
@@ -103,7 +112,7 @@ class NatTable(DualIndexTable):
         expiry: float,
     ) -> NatMapping:
         existing = self._out.get((lan_addr, lan_port, ext_addr, ext_port, proto))
-        if self._live(existing, now) is not None:
+        if existing is not None and (existing.expiry > now or self._live(existing, now)):
             raise RuntimeError("flow already has a live mapping")
         port = find_free_port(
             cfg,

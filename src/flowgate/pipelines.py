@@ -10,9 +10,10 @@ Both share one drop-reason precedence on the slow (first-packet) path:
 RuleDenied > StateViolation > NatExhausted > TableFull > NoRoute > TtlExpired.
 Capacity is checked before the NAT pool, so a refused flow never pays for
 a port probe it would throw away: on a full table the pool is probed only
-when the table holding its ports has at least `pool_size` entries, since
-fewer cannot exhaust it. When the pool is exhausted the drop still says
-NatExhausted, and the flow still counts its one NAT consultation.
+when the table holding its ports has at least as many entries as the pool
+has ports (one, for a protocol without ports), since fewer cannot exhaust
+it. When the pool is exhausted the drop still says NatExhausted, and the
+flow still counts its one NAT consultation.
 """
 
 from __future__ import annotations
@@ -146,6 +147,11 @@ _INBOUND_NO_SESSION = Dropped(DropReason.INBOUND_NO_SESSION)
 _new = tuple.__new__  # a NamedTuple call without its Python-level __new__: fields in order
 
 
+def _slow_drop(outcome: Dropped, nat_l: int, sess_l: int, rules_s: int) -> Verdict:
+    """A first packet's drop: its NAT and session lookups, one rule evaluation, no QoS or route."""
+    return _new(Verdict, (outcome, _new(LookupAccounting, (nat_l, sess_l, 1, rules_s, 0, 0))))
+
+
 def _forward(
     packet: Packet, sid: SessionId, dscp: int, route: RouteEntry | None, acct: LookupAccounting
 ) -> Verdict:
@@ -171,6 +177,8 @@ class BaselinePipeline:
 
     def __init__(self, config: RouterConfig):
         self.config = config
+        # the LAN test Cidr.contains makes, without its call: (addr ^ net) >> shift == 0
+        self._lan_net, self._lan_shift = config.lan_prefix.network, 32 - config.lan_prefix.prefix_len
         self.nat_table = NatTable()
         self.state_table = StateTable(config.capacity, config.timeouts)
         self.session_hits = 0
@@ -190,9 +198,9 @@ class BaselinePipeline:
             now = packet.ts
         cfg = self.config
         sid = packet.sid
-        lan = cfg.lan_prefix
-        if lan.contains(sid.src_addr):
-            lan_to_lan = lan.contains(sid.dst_addr)
+        net, shift = self._lan_net, self._lan_shift
+        if (sid.src_addr ^ net) >> shift == 0:
+            lan_to_lan = (sid.dst_addr ^ net) >> shift == 0
             mapping = None if lan_to_lan else self.nat_table.lookup_forward(sid, now)
             entry = self.state_table.lookup(sid, now)
             if entry is not None:
@@ -246,10 +254,11 @@ class BaselinePipeline:
         nat_l, sess_l = (0, 2) if lan_to_lan else (1, 1)
         action, _, rules_s = evaluate(cfg.rules, sid)
         if action is DROP:
-            return _new(Verdict, (_RULE_DENIED, LookupAccounting(nat_l, sess_l, 1, rules_s)))
-        state = initial_state(sid.proto, packet.flags)
+            return _slow_drop(_RULE_DENIED, nat_l, sess_l, rules_s)
+        lan, lan_port, ext_addr, ext_port, proto = sid
+        state = initial_state(proto, packet.flags)
         if state is None:
-            return _new(Verdict, (_STATE_VIOLATION, LookupAccounting(nat_l, sess_l, 1, rules_s)))
+            return _slow_drop(_STATE_VIOLATION, nat_l, sess_l, rules_s)
         expiry = now + entry_timeout(state, cfg.timeouts)
         try:
             self.state_table.ensure_capacity(now)
@@ -259,21 +268,20 @@ class BaselinePipeline:
             full = False
         mapping = None
         # a pool of N ports cannot be exhausted by fewer than N mappings
-        if not lan_to_lan and (not full or len(self.nat_table) >= cfg.nat.pool_size):
+        if not lan_to_lan and (not full or len(self.nat_table) >= len(cfg.nat.ports(proto))):
             try:
                 mapping = self.nat_table.allocate(
-                    cfg.nat, sid.src_addr, sid.src_port,
-                    sid.dst_addr, sid.dst_port, sid.proto, now, expiry,
+                    cfg.nat, lan, lan_port, ext_addr, ext_port, proto, now, expiry
                 )
             except NatPoolExhausted:
-                return _new(Verdict, (_NAT_EXHAUSTED, LookupAccounting(1, 1, 1, rules_s)))
+                return _slow_drop(_NAT_EXHAUSTED, nat_l, sess_l, rules_s)
         if full:
             if mapping is not None:
                 self.nat_table.remove(mapping)  # it only answered the pool question
-            return _new(Verdict, (_TABLE_FULL, LookupAccounting(nat_l, sess_l, 1, rules_s)))
-        self.state_table.insert(StateEntry(sid, sid.proto, state, expiry))
+            return _slow_drop(_TABLE_FULL, nat_l, sess_l, rules_s)
+        self.state_table.insert(StateEntry(sid, proto, state, expiry))
         return self._outbound_egress(
-            packet, sid, mapping, LookupAccounting(nat_l, sess_l, 1, rules_s, 1, 1)
+            packet, sid, mapping, _new(LookupAccounting, (nat_l, sess_l, 1, rules_s, 1, 1))
         )
 
     def _outbound_egress(
@@ -300,6 +308,7 @@ class IntegratedPipeline:
 
     def __init__(self, config: RouterConfig):
         self.config = config
+        self._lan_net, self._lan_shift = config.lan_prefix.network, 32 - config.lan_prefix.prefix_len
         self.table = SessionTable(config.capacity, config.timeouts)
         self.session_hits = 0
         self.session_misses = 0
@@ -308,8 +317,8 @@ class IntegratedPipeline:
         if now is None:
             now = packet.ts
         sid = packet.sid
-        lan = self.config.lan_prefix
-        if lan.contains(sid.src_addr):
+        net, shift = self._lan_net, self._lan_shift
+        if (sid.src_addr ^ net) >> shift == 0:
             entry = self.table.lookup_outbound(sid, now)
             if entry is not None:
                 self.session_hits += 1
@@ -318,7 +327,7 @@ class IntegratedPipeline:
                 return _forward(
                     packet, entry.out_sid, entry.dscp, entry.ext_route, _ONE_SESSION_LOOKUP
                 )
-            lan_to_lan = lan.contains(sid.dst_addr)
+            lan_to_lan = (sid.dst_addr ^ net) >> shift == 0
             # a LAN peer's reply arrives on its flow's inbound key, as a reply from outside does
             entry = self.table.lookup_inbound(sid, now) if lan_to_lan else None
             if entry is None:
@@ -345,10 +354,11 @@ class IntegratedPipeline:
         sess_l = 2 if lan_to_lan else 1  # a LAN-to-LAN miss also looked for a reply
         action, _, rules_s = evaluate(cfg.rules, sid)
         if action is DROP:
-            return _new(Verdict, (_RULE_DENIED, LookupAccounting(0, sess_l, 1, rules_s)))
-        state = initial_state(sid.proto, packet.flags)
+            return _slow_drop(_RULE_DENIED, 0, sess_l, rules_s)
+        lan, lan_port, ext_addr, ext_port, proto = sid  # locals: each NAT probe reads them
+        state = initial_state(proto, packet.flags)
         if state is None:
-            return _new(Verdict, (_STATE_VIOLATION, LookupAccounting(0, sess_l, 1, rules_s)))
+            return _slow_drop(_STATE_VIOLATION, 0, sess_l, rules_s)
         try:
             self.table.ensure_capacity(now)
         except TableFullError:
@@ -358,13 +368,12 @@ class IntegratedPipeline:
 
         if lan_to_lan:  # no translation
             nat_l = 0
-            gwy_addr, gwy_port = sid.src_addr, sid.src_port
+            gwy_addr, gwy_port = lan, lan_port
         else:
             nat_l = 1  # one allocation probe against the session table
             gwy_addr = cfg.nat.public_addr
             # a pool of N ports cannot be exhausted by fewer than N entries
-            if not full or len(self.table) >= cfg.nat.pool_size:
-                _, _, ext_addr, ext_port, proto = sid  # locals: each probe reads them
+            if not full or len(self.table) >= len(cfg.nat.ports(proto)):
                 try:
                     gwy_port = find_free_port(
                         cfg.nat, ext_addr, ext_port, proto,
@@ -372,28 +381,18 @@ class IntegratedPipeline:
                             gwy_addr, p, ext_addr, ext_port, proto, now),
                     )
                 except NatPoolExhausted:
-                    return _new(Verdict, (_NAT_EXHAUSTED, LookupAccounting(1, 1, 1, rules_s)))
+                    return _slow_drop(_NAT_EXHAUSTED, nat_l, sess_l, rules_s)
         if full:
-            return _new(Verdict, (_TABLE_FULL, LookupAccounting(nat_l, sess_l, 1, rules_s)))
+            return _slow_drop(_TABLE_FULL, nat_l, sess_l, rules_s)
 
         dscp = classify(cfg.qos, sid)
-        ext_route = cfg.routes.lookup(sid.dst_addr)
-        lan_route = cfg.routes.lookup(sid.src_addr)
+        ext_route = cfg.routes.lookup(ext_addr)
+        lan_route = cfg.routes.lookup(lan)
         entry = SessionEntry(
-            lan_addr=sid.src_addr,
-            lan_port=sid.src_port,
-            gwy_addr=gwy_addr,
-            gwy_port=gwy_port,
-            ext_addr=sid.dst_addr,
-            ext_port=sid.dst_port,
-            proto=sid.proto,
-            state=state,
-            expiry=now + entry_timeout(state, cfg.timeouts),
-            dscp=dscp,
-            ext_route=ext_route,
-            lan_route=lan_route,
+            lan, lan_port, gwy_addr, gwy_port, ext_addr, ext_port, proto,
+            state, now + entry_timeout(state, cfg.timeouts), dscp, ext_route, lan_route,
         )
         self.table.insert(entry)
         # one classification, and both directions' routes looked up and kept at creation
-        acct = LookupAccounting(nat_l, sess_l, 1, rules_s, 1, 2)
+        acct = _new(LookupAccounting, (nat_l, sess_l, 1, rules_s, 1, 2))
         return _forward(packet, entry.out_sid, dscp, ext_route, acct)

@@ -44,19 +44,8 @@ class Timeouts:
     closed_grace: float = 5.0  # keeps closed entries around to block key reuse
 
 
-def timeout_field(state: SessionState) -> str:
-    """The Timeouts field an entry in `state` expires by."""
-    if state is OPEN:
-        return "non_tcp"
-    if state is ESTABLISHED:
-        return "tcp_established"
-    if state is CLOSED:
-        return "closed_grace"
-    return "tcp_transient"
-
-
 def entry_timeout(state: SessionState, timeouts: Timeouts) -> float:
-    return getattr(timeouts, timeout_field(state))
+    return getattr(timeouts, state.timeout_field)
 
 
 # TCP transition function, a pure function of (state, flags, direction).
@@ -107,11 +96,15 @@ def initial_state(proto: int, flags: int) -> SessionState | None:
     return SYN_SENT if flags == SYN else None
 
 
-# next_tcp_state compiled at import: a state's move row holds, at flags + direction, None
-# or (new state, Timeouts field). A member attribute, as hashing an Enum member runs Python.
+# Member attributes set at import, as hashing an Enum member runs Python: the Timeouts field
+# an entry in the state expires by, and next_tcp_state compiled into a move row that holds,
+# at flags + direction, None or (new state, its Timeouts field).
+_TIMEOUT_FIELDS = {OPEN: "non_tcp", ESTABLISHED: "tcp_established", CLOSED: "closed_grace"}
+for _state in SessionState:
+    _state.timeout_field = _TIMEOUT_FIELDS.get(_state, "tcp_transient")
 for _state in SessionState:
     _moves = {f + d: next_tcp_state(_state, f, d) for d in Direction for f in range(16)}
-    _state.tcp_moves = tuple(m and (m, timeout_field(m)) for _, m in sorted(_moves.items()))
+    _state.tcp_moves = tuple(m and (m, m.timeout_field) for _, m in sorted(_moves.items()))
 
 
 def advance(entry, flags: int, direction: Direction, now: float, timeouts: Timeouts) -> bool:
@@ -317,7 +310,7 @@ class DualIndexTable(ExpiringTable):
     def insert(self, entry) -> None:
         if entry.inbound_key in self._in:
             raise DuplicateKeyError(f"key already present: {entry.inbound_key}")
-        super().insert(entry)
+        ExpiringTable.insert(self, entry)  # not super(), which builds a proxy for every new flow
         self._in[entry.inbound_key] = entry
 
     def remove(self, entry) -> None:

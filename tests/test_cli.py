@@ -65,6 +65,25 @@ def test_lan_peer_replies_are_forwarded(tmp_path):
     assert verdicts["baseline"] == verdicts["integrated"]
 
 
+def test_a_flow_without_ports_gets_its_reply(tmp_path):
+    """A protocol without ports is translated by address alone: port 0 stays 0 both ways."""
+    trace_path = tmp_path / "trace.txt"
+    trace_path.write_text(
+        "0.1 1 10.0.0.1:0 1.2.3.4:0 - 0 0 64\n"
+        "0.2 1 1.2.3.4:0 192.0.2.1:0 - 0 0 64\n"
+    )
+    for name in ("baseline", "integrated"):
+        path = tmp_path / f"{name}.txt"
+        assert main([
+            "run", *config_flags(), "--trace", str(trace_path), "--pipeline", name,
+            "--verdicts", str(path),
+        ]) == 0
+        assert path.read_text().splitlines() == [
+            "forward 203.0.113.1 wan 0.1 1 192.0.2.1:0 1.2.3.4:0 - 0 0 63",
+            "forward 10.0.0.254 lan 0.2 1 1.2.3.4:0 10.0.0.1:0 - 0 0 63",
+        ]
+
+
 def test_run_baseline_pipeline(tmp_path):
     trace_path = tmp_path / "t.txt"
     main(["gen", "--sessions", "2", "--packets-per-session", "4", "--out", str(trace_path)])
@@ -149,6 +168,10 @@ BAD_INPUT = {
     "gen-nat-missing": ["gen", "--nat", "{tmp}/missing.txt"],
     "gen-sessions-negative": ["gen", "--sessions", "-3"],
     "gen-mix-above-one": ["gen", "--mix", "2"],
+    "gen-reply-port-past-65535": [
+        "gen", "--sessions", "6", "--packets-per-session", "3", "--peers", "198.51.100.9",
+        "--mix", "0", "--nat", "{tmp}/nat-top.txt",
+    ],
     "bench-reps-zero": ["bench", *config_flags(), "--reps", "0"],
     "run-out-dir-missing": [*RUN_TRACE, "--out", "{tmp}/missing/x.csv"],
     "run-verdicts-dir-missing": [*RUN_TRACE, "--verdicts", "{tmp}/missing/v.txt"],
@@ -171,6 +194,7 @@ def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, monkeypatch, arg
     (tmp_path / "qos-sup.txt").write_text("any any any any any dscp ²\n", encoding="utf-8")
     (tmp_path / "nat-repeat.txt").write_text("public 192.0.2.1\nports 1-2\nports 3-4\n")
     (tmp_path / "nat-port0.txt").write_text("public 192.0.2.1\nports 0-0\n")
+    (tmp_path / "nat-top.txt").write_text("public 192.0.2.1\nports 65535-65535\n")
     capsys.readouterr()
     replays = []
     monkeypatch.setattr(cli, "run_pipeline", lambda *a: replays.append("run"))

@@ -1,11 +1,15 @@
-"""Per-packet code reads no Enum class attribute and no member's `.value`.
+"""Per-packet code reads no Enum class attribute or member's `.value`, and builds cheaply.
 
 On CPython 3.11 `EnumType` defines `__getattr__`, so every attribute read on
 an Enum class (`Direction.INBOUND`) runs a Python-level hook, and
 `member.value` is a Python-level property: each costs several times a
 module global's read. Per-packet code reads members bound once to module
-constants instead. What one such read costs a packet is below the
-benchmark's noise, so this test keeps one from coming back unseen.
+constants instead. Likewise a NamedTuple call runs a Python-level `__new__`
+(`LookupAccounting(...)` ~370 ns against ~160 ns through `tuple.__new__`),
+and a keyword call binds its arguments by name (a 12-keyword `SessionEntry`
+~2.1 us against ~1.5 us positional), so per-packet code makes neither. What
+one such cost adds to a packet is below the benchmark's noise, so these
+tests keep one from coming back unseen.
 """
 
 import dis
@@ -14,8 +18,9 @@ import types
 
 import pytest
 
-from flowgate import filters, harness, pipelines, session_table
-from flowgate.packet import Direction
+from flowgate import filters, harness, nat, pipelines, session_table
+from flowgate.packet import Direction, SessionId
+from flowgate.pipelines import LookupAccounting
 
 # (owner, attribute) of every function a packet runs through, from process to render:
 # each one the pipeline classes define, so a new or renamed method is checked too
@@ -26,9 +31,11 @@ PER_PACKET = [
     if isinstance(value, types.FunctionType)
 ] + [
     (pipelines, "_forward"),
+    (pipelines, "_slow_drop"),
+    (nat.NatTable, "allocate"),
     (session_table, "advance"),
     (session_table, "initial_state"),
-    (session_table, "timeout_field"),
+    (session_table, "entry_timeout"),
     (filters, "evaluate"),
     (harness, "render_verdict"),
 ]
@@ -55,11 +62,33 @@ def _enum_reads(func) -> list[str]:
     return found
 
 
-@pytest.mark.parametrize(
-    "owner,name", PER_PACKET, ids=[f"{getattr(o, '__name__', o)}.{n}" for o, n in PER_PACKET]
-)
+def _costly_calls(func) -> list[str]:
+    """NamedTuple classes called by global name (a LOAD_GLOBAL that pushes NULL), keyword calls."""
+    found = []
+    for code in _code_objects(func.__code__):
+        for ins in dis.get_instructions(code):
+            if ins.opname == "LOAD_GLOBAL" and ins.arg & 1:
+                value = func.__globals__.get(ins.argval)
+                if isinstance(value, type) and issubclass(value, tuple) and hasattr(
+                    value, "_fields"
+                ):
+                    found.append(f"{code.co_name}: calls the NamedTuple {ins.argval}")
+            elif ins.opname in ("KW_NAMES", "CALL_KW"):
+                found.append(f"{code.co_name}: makes a keyword call")
+    return found
+
+
+PER_PACKET_IDS = [f"{getattr(o, '__name__', o)}.{n}" for o, n in PER_PACKET]
+
+
+@pytest.mark.parametrize("owner,name", PER_PACKET, ids=PER_PACKET_IDS)
 def test_per_packet_code_reads_no_enum_class(owner, name):
     assert _enum_reads(getattr(owner, name)) == []
+
+
+@pytest.mark.parametrize("owner,name", PER_PACKET, ids=PER_PACKET_IDS)
+def test_per_packet_code_calls_no_namedtuple_and_no_keywords(owner, name):
+    assert _costly_calls(getattr(owner, name)) == []
 
 
 def test_the_check_sees_what_it_forbids():
@@ -68,4 +97,16 @@ def test_the_check_sees_what_it_forbids():
 
     assert _enum_reads(reads) == [
         "reads: loads the Enum class Direction", "reads: reads .value"
+    ]
+
+
+def test_the_call_check_sees_what_it_forbids():
+    def builds(sid):
+        fine = tuple.__new__(LookupAccounting, (0, 1, 0, 0, 0, 0))
+        return fine, LookupAccounting(0, 1), SessionId(*sid), max(sid, key=abs)
+
+    assert _costly_calls(builds) == [
+        "builds: calls the NamedTuple LookupAccounting",
+        "builds: calls the NamedTuple SessionId",
+        "builds: makes a keyword call",
     ]

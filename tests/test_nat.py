@@ -63,6 +63,19 @@ def test_pool_exhaustion_is_per_peer_tuple():
     tbl.allocate(cfg, LAN, 1202, OTHER_PEER, 80, TCP, now=0.0, expiry=60.0)
 
 
+def test_a_protocol_without_ports_is_translated_by_address_alone():
+    """Its one public "port" is 0, so one live flow per peer and protocol, as in nf_nat."""
+    cfg = NatConfig(PUBLIC, 40000, 49999)
+    tbl = NatTable()
+    first = tbl.allocate(cfg, LAN, 0, PEER, 0, 1, now=0.0, expiry=60.0)
+    assert (first.gwy_addr, first.gwy_port) == (PUBLIC, 0)
+    with pytest.raises(NatPoolExhausted):
+        tbl.allocate(cfg, LAN + 1, 0, PEER, 0, 1, now=0.0, expiry=60.0)
+    assert tbl.allocate(cfg, LAN + 1, 0, PEER, 0, 47, now=0.0, expiry=60.0).gwy_port == 0
+    assert tbl.allocate(cfg, LAN + 1, 0, OTHER_PEER, 0, 1, now=0.0, expiry=60.0).gwy_port == 0
+    assert tbl.allocate(cfg, LAN + 1, 0, PEER, 0, 1, now=60.0, expiry=120.0).gwy_port == 0
+
+
 def test_expired_mapping_frees_its_port():
     cfg = NatConfig(PUBLIC, 40000, 40000)
     tbl = NatTable()

@@ -17,11 +17,15 @@ from flowgate.packet import (
     RST,
     SYN,
     TCP,
+    UDP,
+    Cidr,
     Packet,
     SessionId,
     format_ip,
+    load_trace,
     merge_dscp,
     parse_ip,
+    render_trace_record,
 )
 from flowgate.pipelines import (
     BaselinePipeline,
@@ -127,6 +131,43 @@ def test_nat_exhaustion(config):
         assert full.outcome == Dropped(DropReason.NAT_EXHAUSTED)
         other_peer = pipe.process(pkt("0.2 udp 10.0.0.7:1000 9.9.9.9:53 - 0 0"))
         assert isinstance(other_peer.outcome, Forwarded)
+
+
+def test_a_protocol_without_ports_holds_one_flow_per_peer():
+    """Translated by address alone, its pool is one port: a second LAN flow to a peer waits."""
+    cfg = make_config()
+    public_sid = SessionId(parse_ip("192.0.2.1"), 0, parse_ip("8.8.8.8"), 0, 1)
+    for pipe in (BaselinePipeline(cfg), IntegratedPipeline(cfg)):
+        first = pipe.process(pkt("0.0 1 10.0.0.5:0 8.8.8.8:0 - 0 0"))
+        assert first.outcome.packet.sid == public_sid
+        second = pipe.process(pkt("0.1 1 10.0.0.6:0 8.8.8.8:0 - 0 0"))
+        assert second == Verdict(
+            Dropped(DropReason.NAT_EXHAUSTED), LookupAccounting(1, 1, 1, 1, 0, 0)
+        )
+        for line in ("0.2 47 10.0.0.6:0 8.8.8.8:0 - 0 0", "0.3 1 10.0.0.6:0 9.9.9.9:0 - 0 0"):
+            assert isinstance(pipe.process(pkt(line)).outcome, Forwarded)  # another key
+        reply = pipe.process(pkt("0.4 1 8.8.8.8:0 192.0.2.1:0 - 0 0"))
+        assert reply.outcome.packet.sid == SessionId(
+            parse_ip("8.8.8.8"), 0, parse_ip("10.0.0.5"), 0, 1
+        )
+        # once the first flow idles out, the second host's flow takes its public tuple
+        again = pipe.process(pkt("60.5 1 10.0.0.6:0 8.8.8.8:0 - 0 0"))
+        assert again.outcome.packet.sid == public_sid
+
+
+def test_a_full_table_still_says_nat_exhausted_for_a_protocol_without_ports():
+    """Its pool is one port, so one live entry can exhaust it: NatExhausted > TableFull."""
+    cfg = make_config(capacity=1)
+    for pipe in (BaselinePipeline(cfg), IntegratedPipeline(cfg)):
+        assert isinstance(pipe.process(pkt("0.0 1 10.0.0.5:0 8.8.8.8:0 - 0 0")).outcome, Forwarded)
+        same_peer = pipe.process(pkt("0.1 1 10.0.0.6:0 8.8.8.8:0 - 0 0"))
+        assert same_peer == Verdict(
+            Dropped(DropReason.NAT_EXHAUSTED), LookupAccounting(1, 1, 1, 1, 0, 0)
+        )
+        other_peer = pipe.process(pkt("0.2 1 10.0.0.6:0 9.9.9.9:0 - 0 0"))
+        assert other_peer == Verdict(
+            Dropped(DropReason.TABLE_FULL), LookupAccounting(1, 1, 1, 1, 0, 0)
+        )
 
 
 def test_table_full_then_room_after_expiry():
@@ -598,3 +639,71 @@ def test_verdicts_are_whole_namedtuples():
                 ), where
                 forwards += 1
     assert forwards > 10_000
+
+
+def _portless_cases() -> list[tuple[str, object, list]]:
+    """Seeded traces in which flows to peer ports 53 and 123 become protocols 1 and 47.
+
+    Such a flow keeps ports 0 both ways, and its replies target the public
+    address at port 0, where address-only translation puts them.
+    """
+    protocols = {53: 1, 123: 47}
+    peers = tuple(parse_ip(a) for a in ("198.51.100.9", "203.0.113.77", "10.0.0.9"))
+    cases = []
+    for seed in range(4):
+        spec = TraceSpec(
+            sessions=80, packets_per_session=6, tcp_fraction=0.3, peers=peers, seed=seed
+        )
+        packets = []
+        for p in generate_packets(spec):
+            src, src_port, dst, dst_port, proto = p.sid
+            # LAN ports start at 10000 and public ones at 40000: only the peer's can match
+            new = proto == UDP and protocols.get(src_port, protocols.get(dst_port))
+            packets.append(p._replace(sid=SessionId(src, 0, dst, 0, new)) if new else p)
+        cases.append((f"ports 53/123 as protocols 1/47, seed {seed}", make_config(), packets))
+    return cases
+
+
+def test_every_forward_renders_to_a_line_that_reads_back_as_itself():
+    cases = [(name, make_config(**kwargs), trace(text)) for name, kwargs, text, _ in CORNER_CASES]
+    cases += _portless_cases()
+    portless_replies = 0
+    for name, config, packets in cases:
+        assert compare(config, packets).equal, name
+        for pipe in (BaselinePipeline(config), IntegratedPipeline(config)):
+            for packet in packets:
+                out = pipe.process(packet).outcome
+                if type(out) is Forwarded:
+                    assert load_trace(render_trace_record(out.packet)) == [out.packet], (
+                        name, pipe.name, packet)
+                    portless_replies += out.packet.sid.proto not in (TCP, UDP) and not (
+                        config.lan_prefix.contains(packet.sid.src_addr))
+    assert portless_replies > 100, portless_replies
+
+
+def test_the_lan_test_agrees_with_cidr_contains_at_every_prefix_length():
+    """Probes at and just off both ends of the LAN prefix, from it and to it.
+
+    From a probe, an outbound miss evaluates the rules and an inbound one
+    drops `inbound_no_session`; to a probe from the LAN, the flow skips NAT
+    exactly when the probe is on the LAN too.
+    """
+    outside = parse_ip("198.51.100.9")
+    for prefix_len in range(33):
+        for base in ("0.0.0.0", "10.20.30.40", "255.255.255.255"):
+            lan = Cidr.parse(f"{base}/{prefix_len}")
+            config = make_config(lan=str(lan))
+            last = lan.network + 2 ** (32 - prefix_len) - 1
+            for probe in {a % 2**32 for a in (lan.network - 1, lan.network, last, last + 1)}:
+                inside = lan.contains(probe)
+                for pipe_class in (BaselinePipeline, IntegratedPipeline):
+                    where = (str(lan), format_ip(probe), pipe_class.name)
+                    sent = pipe_class(config).process(
+                        Packet(0.0, SessionId(probe, 1000, outside, 53, UDP), 0, 64, 0, 0))
+                    assert sent.lookups.rule_evals == inside, where
+                    if not inside:
+                        assert sent.outcome == Dropped(DropReason.INBOUND_NO_SESSION), where
+                    received = pipe_class(config).process(
+                        Packet(0.0, SessionId(lan.network, 1000, probe, 53, UDP), 0, 64, 0, 0))
+                    assert received.lookups.rule_evals == 1, where
+                    assert received.lookups.nat_lookups == (not inside), where
