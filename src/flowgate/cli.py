@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -99,49 +98,42 @@ def _trace_spec(args: argparse.Namespace) -> TraceSpec:
     return spec
 
 
-@contextmanager
-def _output(path: str | None):
-    """A function that writes its text to `path` and closes it, or None when `path` is not given.
+def _write(path: str | None, text: str, mode: str = "w") -> None:
+    """Write `text` to `path`, or to stdout when `path` is not given.
 
-    Callers open it before the replay that fills it, so a bad path fails
-    before any packet work is done. A failed open, write or close is a
-    config error naming the path.
+    Commands write only once their work has succeeded, so a failed command
+    leaves an existing file as it was. Mode "a" with no text is the check a
+    command makes before long work: it refuses a path that cannot be opened
+    and changes no file's content (a new one is left empty). A failed open,
+    write or close is a config error naming the path.
     """
     if not path:
-        yield None
+        sys.stdout.write(text)
         return
     try:
-        out = open(path, "w", encoding="utf-8")
+        with open(path, mode, encoding="utf-8") as out:
+            out.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
-    def write(text: str) -> None:
-        try:
-            with out:
-                out.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc}") from exc
-
-    with out:
-        yield write
-
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = _trace_spec(args)
-    with _output(args.out) as write:
-        (write or sys.stdout.write)(generate_trace(spec))
+    _write(args.out, generate_trace(_trace_spec(args)))
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args)
     packets = load_trace(_read(args.trace, TraceError))
-    with _output(args.verdicts) as write_verdicts, _output(args.out) as write_csv:
-        verdicts, report = run_pipeline(make_pipeline(args.pipeline, config), packets)
-        if write_verdicts:
-            write_verdicts("".join(render_verdict(v) + "\n" for v in verdicts))
-        if write_csv:
-            write_csv(f"{CSV_HEADER}\n{csv_row(report)}\n")
+    for path in (args.verdicts, args.out):
+        _write(path, "", "a")
+    if args.verdicts and args.out and Path(args.verdicts).samefile(args.out):
+        raise ConfigError(f"--verdicts and --out name the same file: {args.out}")
+    verdicts, report = run_pipeline(make_pipeline(args.pipeline, config), packets)
+    if args.verdicts:
+        _write(args.verdicts, "".join(render_verdict(v) + "\n" for v in verdicts))
+    if args.out:
+        _write(args.out, f"{CSV_HEADER}\n{csv_row(report)}\n")
     print(report.summary())
     return EXIT_OK
 
@@ -161,10 +153,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError(f"--reps: must be >= 1, got {args.reps}")
     config = load_config(args)
     packets = generate_packets(_trace_spec(args))
-    with _output(args.out) as write_csv:
-        reports, medians = bench(config, packets, args.reps)
-        csv_text = "\n".join([CSV_HEADER] + [csv_row(r) for r in reports]) + "\n"
-        (write_csv or sys.stdout.write)(csv_text)
+    _write(args.out, "", "a")
+    reports, medians = bench(config, packets, args.reps)
+    _write(args.out, "\n".join([CSV_HEADER] + [csv_row(r) for r in reports]) + "\n")
     walls = f"baseline={medians['baseline']} integrated={medians['integrated']}"
     if packets and medians["integrated"]:  # two loops over no packets have no ratio
         walls += f" speedup={medians['baseline'] / medians['integrated']:.2f}x"

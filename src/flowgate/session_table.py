@@ -4,8 +4,8 @@
 adds a second index over the same entries so one lookup serves either
 direction. The baseline's state table and NAT table and the integrated
 pipeline's session table are thin subclasses. One SessionEntry carries
-everything per-packet processing needs: the NAT identity (lan/gwy/ext
-endpoint triple, with its keys and rewritten five-tuples), connection state
+everything per-packet processing needs: the NAT identity (the flow's two
+lookup keys and two rewritten five-tuples), connection state
 and expiry, the flow's DSCP, and the route each direction looked up.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from heapq import heapify, heappop, heappush
 
 from flowgate.packet import ACK, FIN, RST, SYN, TCP, Direction, SessionId
@@ -129,29 +129,28 @@ def advance(entry, flags: int, direction: Direction, now: float, timeouts: Timeo
 
 @dataclass(slots=True)
 class FlowIdentity:
-    """A flow's lan/gwy/ext endpoints, and the five-tuples it is found by and rewritten to.
+    """A flow's five-tuples, built from its lan/gwy/ext endpoints and kept instead of them.
 
-    Built once per entry, like conntrack's original and reply tuples, so no
-    packet builds one: a LAN packet's `outbound_key`, a reply's `inbound_key`
-    as it arrives, `out_sid` (src is the public identity) and `in_sid` (dst is
-    back on the LAN endpoint) as they leave. Endpoints never change.
+    Like conntrack's original and reply tuples, they are built once per entry,
+    so no packet builds one: a LAN packet's `outbound_key`, a reply's
+    `inbound_key` as it arrives, `out_sid` (src is the public identity) and
+    `in_sid` (dst is back on the LAN endpoint) as they leave.
     """
 
-    lan_addr: int
-    lan_port: int
-    gwy_addr: int
-    gwy_port: int
-    ext_addr: int
-    ext_port: int
+    lan_addr: InitVar[int]
+    lan_port: InitVar[int]
+    gwy_addr: InitVar[int]
+    gwy_port: InitVar[int]
+    ext_addr: InitVar[int]
+    ext_port: InitVar[int]
     proto: int
-    outbound_key: SessionId = field(init=False, repr=False)
-    inbound_key: SessionId = field(init=False, repr=False)
-    out_sid: SessionId = field(init=False, repr=False)
-    in_sid: SessionId = field(init=False, repr=False)
+    outbound_key: SessionId = field(init=False)
+    inbound_key: SessionId = field(init=False)
+    out_sid: SessionId = field(init=False)
+    in_sid: SessionId = field(init=False)
 
-    def __post_init__(self) -> None:
-        lan, lan_port, gwy, gwy_port = self.lan_addr, self.lan_port, self.gwy_addr, self.gwy_port
-        ext, ext_port, proto = self.ext_addr, self.ext_port, self.proto
+    def __post_init__(self, lan, lan_port, gwy, gwy_port, ext, ext_port) -> None:
+        proto = self.proto
         new = tuple.__new__  # what SessionId(...) runs, without its Python-level __new__
         self.outbound_key = new(SessionId, (lan, lan_port, ext, ext_port, proto))
         self.inbound_key = new(SessionId, (ext, ext_port, gwy, gwy_port, proto))
@@ -163,11 +162,12 @@ class FlowIdentity:
 class SessionEntry(FlowIdentity):
     """One flow's complete processing record.
 
-    gwy_* is the flow's public (NATed) identity; for LAN-to-LAN flows it
-    mirrors lan_*, so rewriting to it changes nothing. Each direction's route
-    is looked up once at creation and kept whole, so a forwarding verdict
-    needs no route lookup; None means the routing table had no covering
-    prefix, which surfaces as a NoRoute drop when that direction is used.
+    The gwy endpoint it is built with is the flow's public (NATed) identity;
+    for LAN-to-LAN flows it is the lan one, so rewriting to it changes
+    nothing. Each direction's route is looked up once at creation and kept
+    whole, so a forwarding verdict needs no route lookup; None means the
+    routing table had no covering prefix, which surfaces as a NoRoute drop
+    when that direction is used.
     """
 
     state: SessionState

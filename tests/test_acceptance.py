@@ -734,7 +734,7 @@ def test_criterion_5_nat_round_trip():
             count += 1
             # the rewrites both pipelines run: out, then the peer's reply, found by its
             # wire five-tuple, back in
-            public = (cfg.public_addr, mapping.gwy_port)
+            public = (cfg.public_addr, mapping.out_sid.src_port)
             assert mapping.out_sid == SessionId(*public, ext_addr, ext_port, proto)
             found = table.lookup_reverse(SessionId(ext_addr, ext_port, *public, proto), 0.0)
             assert found is mapping

@@ -175,6 +175,7 @@ BAD_INPUT = {
     "bench-reps-zero": ["bench", *config_flags(), "--reps", "0"],
     "run-out-dir-missing": [*RUN_TRACE, "--out", "{tmp}/missing/x.csv"],
     "run-verdicts-dir-missing": [*RUN_TRACE, "--verdicts", "{tmp}/missing/v.txt"],
+    "run-verdicts-is-out": [*RUN_TRACE, "--verdicts", "{tmp}/v.txt", "--out", "{tmp}/./v.txt"],
     "bench-out-dir-missing": ["bench", *config_flags(), "--out", "{tmp}/missing/b.csv"],
     "run-rules-not-utf8": [*RUN_TRACE[:2], "{tmp}/not-utf8.txt", *RUN_TRACE[3:]],
     "run-nat-unicode-digit": [*RUN_TRACE[:6], "{tmp}/nat-sup.txt", *RUN_TRACE[7:]],
@@ -203,6 +204,32 @@ def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, monkeypatch, arg
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert replays == []  # bad input is refused before any packet is replayed
+
+
+GEN_REFUSED = [
+    "gen", "--sessions", "6", "--packets-per-session", "3", "--peers", "198.51.100.9",
+    "--mix", "0", "--nat", "{tmp}/nat-top.txt", "--out", "{tmp}/t.txt",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*RUN_TRACE, "--verdicts", "{tmp}/v.txt", "--out", "{tmp}/missing/x.csv"], GEN_REFUSED],
+    ids=["run-out-refused", "gen-spec-refused"],
+)
+def test_a_failed_command_leaves_existing_outputs_as_they_were(tmp_path, argv):
+    main(["gen", "--sessions", "1", "--packets-per-session", "2", "--out", str(tmp_path / "t.txt")])
+    (tmp_path / "v.txt").write_bytes(b"earlier verdicts\n")
+    (tmp_path / "nat-top.txt").write_text("public 192.0.2.1\nports 65535-65535\n")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_a_refused_gen_creates_no_file(tmp_path):
+    (tmp_path / "nat-top.txt").write_text("public 192.0.2.1\nports 65535-65535\n")
+    assert main([arg.format(tmp=tmp_path) for arg in GEN_REFUSED]) == 2
+    assert not (tmp_path / "t.txt").exists()
 
 
 WRITES_TO = {

@@ -33,6 +33,7 @@ PER_PACKET = [
     (pipelines, "_forward"),
     (pipelines, "_slow_drop"),
     (nat.NatTable, "allocate"),
+    (session_table.FlowIdentity, "__post_init__"),
     (session_table, "advance"),
     (session_table, "initial_state"),
     (session_table, "entry_timeout"),

@@ -46,12 +46,12 @@ def test_allocation_is_lowest_free_per_peer():
     cfg = NatConfig(PUBLIC, 40000, 49999)
     tbl = NatTable()
     first = tbl.allocate(cfg, LAN, 1200, PEER, 80, TCP, now=0.0, expiry=60.0)
-    assert (first.gwy_addr, first.gwy_port) == (PUBLIC, 40000)
+    assert first.out_sid[:2] == (PUBLIC, 40000)
     second = tbl.allocate(cfg, LAN, 1201, PEER, 80, TCP, now=0.0, expiry=60.0)
-    assert second.gwy_port == 40001
+    assert second.out_sid.src_port == 40001
     # a different peer can reuse the lowest port
     other = tbl.allocate(cfg, LAN, 1202, OTHER_PEER, 80, TCP, now=0.0, expiry=60.0)
-    assert other.gwy_port == 40000
+    assert other.out_sid.src_port == 40000
 
 
 def test_pool_exhaustion_is_per_peer_tuple():
@@ -68,12 +68,12 @@ def test_a_protocol_without_ports_is_translated_by_address_alone():
     cfg = NatConfig(PUBLIC, 40000, 49999)
     tbl = NatTable()
     first = tbl.allocate(cfg, LAN, 0, PEER, 0, 1, now=0.0, expiry=60.0)
-    assert (first.gwy_addr, first.gwy_port) == (PUBLIC, 0)
+    assert first.out_sid[:2] == (PUBLIC, 0)
     with pytest.raises(NatPoolExhausted):
         tbl.allocate(cfg, LAN + 1, 0, PEER, 0, 1, now=0.0, expiry=60.0)
-    assert tbl.allocate(cfg, LAN + 1, 0, PEER, 0, 47, now=0.0, expiry=60.0).gwy_port == 0
-    assert tbl.allocate(cfg, LAN + 1, 0, OTHER_PEER, 0, 1, now=0.0, expiry=60.0).gwy_port == 0
-    assert tbl.allocate(cfg, LAN + 1, 0, PEER, 0, 1, now=60.0, expiry=120.0).gwy_port == 0
+    for peer, proto, now in ((PEER, 47, 0.0), (OTHER_PEER, 1, 0.0), (PEER, 1, 60.0)):
+        mapping = tbl.allocate(cfg, LAN + 1, 0, peer, 0, proto, now=now, expiry=now + 60.0)
+        assert mapping.out_sid.src_port == 0
 
 
 def test_expired_mapping_frees_its_port():
@@ -81,7 +81,7 @@ def test_expired_mapping_frees_its_port():
     tbl = NatTable()
     tbl.allocate(cfg, LAN, 1200, PEER, 80, TCP, now=0.0, expiry=30.0)
     replacement = tbl.allocate(cfg, LAN, 1201, PEER, 80, TCP, now=30.0, expiry=90.0)
-    assert replacement.gwy_port == 40000
+    assert replacement.out_sid.src_port == 40000
 
 
 def test_allocate_over_live_flow_is_a_logic_error():
@@ -92,7 +92,7 @@ def test_allocate_over_live_flow_is_a_logic_error():
         tbl.allocate(cfg, LAN, 1200, PEER, 80, TCP, now=1.0, expiry=61.0)
     # the same flow may be re-allocated once its mapping has expired
     again = tbl.allocate(cfg, LAN, 1200, PEER, 80, TCP, now=60.0, expiry=120.0)
-    assert again.gwy_port == 40000
+    assert again.out_sid.src_port == 40000
 
 
 def test_lookup_forward_reverse_and_expiry():
@@ -199,7 +199,7 @@ def test_forward_reverse_consistency_random_ops():
         seen = set()
         for m in tbl._in.values():
             if m.expiry > now:
-                key = (m.gwy_addr, m.gwy_port, m.ext_addr, m.ext_port, m.proto)
+                key = m.out_sid
                 assert key not in seen
                 seen.add(key)
 
@@ -209,9 +209,7 @@ def test_allocation_determinism():
 
     def run():
         tbl = NatTable()
-        return [
-            tbl.allocate(cfg, LAN, 1200 + i, PEER, 80, TCP, 0.0, 60.0).gwy_port for i in range(50)
-        ]
+        return [tbl.allocate(cfg, LAN, 1200 + i, PEER, 80, TCP, 0.0, 60.0) for i in range(50)]
 
     assert run() == run()
 

@@ -328,8 +328,8 @@ def test_entry_next_hops_match_fresh_route_lookups(config):
 
     assert len(pipe.table) == 12
     for entry in pipe.table._out.values():  # after inserts
-        assert entry.ext_route is config.routes.lookup(entry.ext_addr)
-        assert entry.lan_route is config.routes.lookup(entry.lan_addr)
+        assert entry.ext_route is config.routes.lookup(entry.outbound_key.dst_addr)
+        assert entry.lan_route is config.routes.lookup(entry.outbound_key.src_addr)
 
 
 def test_marking_consistency_end_to_end(config):
@@ -422,10 +422,16 @@ def test_accounting_matches_the_work_done(monkeypatch):
 
 
 def _rewritten_by_formula(sid: SessionId, flow, outbound: bool) -> SessionId:
-    """What the deleted `nat.outbound_sid`/`nat.inbound_sid` computed for a packet of `flow`."""
+    """What the deleted `nat.outbound_sid`/`nat.inbound_sid` computed for a packet of `flow`.
+
+    The public endpoint is read from the flow's inbound key and the LAN one from its
+    outbound key, the two keys a packet finds it by, not from the sids under test.
+    """
     if outbound:
-        return SessionId(flow.gwy_addr, flow.gwy_port, sid.dst_addr, sid.dst_port, sid.proto)
-    return SessionId(sid.src_addr, sid.src_port, flow.lan_addr, flow.lan_port, sid.proto)
+        gwy = flow.inbound_key
+        return SessionId(gwy.dst_addr, gwy.dst_port, sid.dst_addr, sid.dst_port, sid.proto)
+    lan = flow.outbound_key
+    return SessionId(sid.src_addr, sid.src_port, lan.src_addr, lan.src_port, sid.proto)
 
 
 def differential_cases() -> list[tuple[str, object, list]]:

@@ -64,6 +64,26 @@ def test_insert_then_both_lookups_hit():
     assert t.lookups == 2
 
 
+@pytest.mark.parametrize(
+    "cls,rest",
+    [(SessionEntry, dict(state=SessionState.OPEN, expiry=9.0)), (NatMapping, dict(expiry=9.0))],
+)
+def test_an_entry_built_either_way_keeps_only_its_five_tuples(cls, rest):
+    """The pipelines and NatTable.allocate build entries positionally, perfbench by keyword."""
+    lan, gwy, ext = (0x0A000005, 1200), (0xC0000201, 40000), (0xC6336409, 80)
+    endpoints = dict(
+        lan_addr=lan[0], lan_port=lan[1], gwy_addr=gwy[0], gwy_port=gwy[1],
+        ext_addr=ext[0], ext_port=ext[1],
+    )
+    by_position = cls(*endpoints.values(), UDP, *rest.values())
+    by_keyword = cls(**endpoints, proto=UDP, **rest)
+    assert by_position == by_keyword
+    e = by_keyword
+    assert (e.outbound_key, e.inbound_key) == ((*lan, *ext, UDP), (*ext, *gwy, UDP))
+    assert (e.out_sid, e.in_sid) == ((*gwy, *ext, UDP), (*ext, *lan, UDP))
+    assert not [name for name in endpoints if hasattr(e, name)]
+
+
 def test_reply_sid_is_its_own_inbound_key():
     out = parse_trace_record("0 tcp 10.0.0.5:1200 198.51.100.9:80 S 0 0")
     reply = parse_trace_record("1 tcp 198.51.100.9:80 192.0.2.1:40000 SA 0 0")
@@ -231,8 +251,8 @@ def test_port_in_use_reflects_liveness():
     t = SessionTable()
     e = make_entry(expiry=10.0)
     t.insert(e)
-    assert t.port_in_use(e.gwy_addr, e.gwy_port, e.ext_addr, e.ext_port, e.proto, now=0.0)
-    assert not t.port_in_use(e.gwy_addr, e.gwy_port, e.ext_addr, e.ext_port, e.proto, now=10.0)
+    assert t.port_in_use(*e.out_sid, now=0.0)
+    assert not t.port_in_use(*e.out_sid, now=10.0)
     assert len(t) == 0  # the dead occupant was purged by the probe
 
 
