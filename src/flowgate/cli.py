@@ -21,7 +21,7 @@ from flowgate.harness import (
     render_verdict,
     run_pipeline,
 )
-from flowgate.nat import parse_nat_config
+from flowgate.nat import NatConfig, parse_nat_config
 from flowgate.packet import Cidr, load_trace, parse_ip
 from flowgate.pipelines import RouterConfig
 from flowgate.qos import parse_qos
@@ -78,7 +78,7 @@ def load_config(args: argparse.Namespace) -> RouterConfig:
     )
 
 
-def _trace_spec(args: argparse.Namespace) -> TraceSpec:
+def _trace_spec(args: argparse.Namespace, nat: NatConfig | None) -> TraceSpec:
     try:
         peers = tuple(parse_ip(p) for p in args.peers.split(",") if p)
     except ValueError as exc:
@@ -92,8 +92,7 @@ def _trace_spec(args: argparse.Namespace) -> TraceSpec:
         seed=args.seed,
     )
     # replies target the gateway identity; align it with the NAT config if given
-    if getattr(args, "nat", None):
-        nat = parse_nat_config(_read(args.nat, ConfigError))
+    if nat is not None:
         spec = replace(spec, nat_public=nat.public_addr, nat_port_lo=nat.port_lo)
     return spec
 
@@ -118,7 +117,8 @@ def _write(path: str | None, text: str, mode: str = "w") -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    _write(args.out, generate_trace(_trace_spec(args)))
+    nat = parse_nat_config(_read(args.nat, ConfigError)) if args.nat else None
+    _write(args.out, generate_trace(_trace_spec(args, nat)))
     return EXIT_OK
 
 
@@ -152,7 +152,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise ConfigError(f"--reps: must be >= 1, got {args.reps}")
     config = load_config(args)
-    packets = generate_packets(_trace_spec(args))
+    packets = generate_packets(_trace_spec(args, config.nat))
     _write(args.out, "", "a")
     reports, medians = bench(config, packets, args.reps)
     _write(args.out, "\n".join([CSV_HEADER] + [csv_row(r) for r in reports]) + "\n")

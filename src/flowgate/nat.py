@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from flowgate.errors import ConfigError
@@ -15,11 +15,18 @@ class NatPoolExhausted(RuntimeError):
     """No free public port remains for the requested peer tuple."""
 
 
+_ADDRESS_ONLY = range(1)  # the one "port" of a protocol without ports
+
+
 @dataclass(frozen=True, slots=True)
 class NatConfig:
     public_addr: int
     port_lo: int
     port_hi: int
+    _port_pool: range = field(init=False, repr=False, compare=False)  # built once, not per flow
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_port_pool", range(self.port_lo, self.port_hi + 1))
 
     @property
     def pool_size(self) -> int:
@@ -32,7 +39,7 @@ class NatConfig:
         alone, as Linux's nf_nat does for protocols it has no port handler
         for: one live flow per peer and protocol.
         """
-        return range(self.port_lo, self.port_hi + 1) if proto in (TCP, UDP) else range(1)
+        return self._port_pool if proto in (TCP, UDP) else _ADDRESS_ONLY
 
 
 def parse_nat_config(text: str) -> NatConfig:

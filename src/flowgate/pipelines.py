@@ -6,7 +6,7 @@ Pipeline answers everything from one session-table lookup once a flow is
 established. The two must produce observably identical verdict streams for
 any trace; only the lookup accounting differs.
 
-Both share one drop-reason precedence on the slow (first-packet) path:
+Both admit a first packet through one `_first_packet`, in one drop precedence:
 RuleDenied > StateViolation > NatExhausted > TableFull > NoRoute > TtlExpired.
 Capacity is checked before the NAT pool, so a refused flow never pays for
 a port probe it would throw away: on a full table the pool is probed only
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from flowgate.filters import DROP, RuleSet, evaluate
-from flowgate.nat import NatConfig, NatPoolExhausted, NatTable, find_free_port
+from flowgate.nat import NatConfig, NatMapping, NatPoolExhausted, NatTable, find_free_port
 from flowgate.packet import INBOUND, OUTBOUND, Cidr, Packet, SessionId, merge_dscp
 from flowgate.qos import QosPolicy, classify
 from flowgate.routing import RouteEntry, RoutingTable
@@ -166,7 +166,59 @@ def _forward(
     return _new(Verdict, (_new(Forwarded, (route, emitted)), acct))
 
 
-class BaselinePipeline:
+class _Pipeline:
+    """What both pipelines hold, and the one gate that admits a flow's first packet."""
+
+    def __init__(self, config: RouterConfig, flow_table, port_table) -> None:
+        self.config = config
+        # the LAN test Cidr.contains makes, without its call: (addr ^ net) >> shift == 0
+        self._lan_net, self._lan_shift = config.lan_prefix.network, 32 - config.lan_prefix.prefix_len
+        # the table whose capacity bounds the flows, and the one that holds their public ports
+        self._flow_table, self._port_table = flow_table, port_table
+        self.session_hits = self.session_misses = 0
+
+    def _first_packet(
+        self, packet: Packet, sid: SessionId, now: float, lan_to_lan: bool
+    ) -> Verdict:
+        """The miss: rules, opening state, capacity, then the pool; `_open` builds what passes."""
+        cfg = self.config
+        self.session_misses += 1
+        sess_l = 2 if lan_to_lan else 1  # a LAN-to-LAN miss also looked for a reply
+        nat_l = 0 if lan_to_lan else self._miss_nat_lookups
+        action, _, rules_s = evaluate(cfg.rules, sid)
+        if action is DROP:
+            return _slow_drop(_RULE_DENIED, nat_l, sess_l, rules_s)
+        lan, lan_port, ext_addr, ext_port, proto = sid  # locals: each port probe reads them
+        state = initial_state(proto, packet.flags)
+        if state is None:
+            return _slow_drop(_STATE_VIOLATION, nat_l, sess_l, rules_s)
+        try:
+            self._flow_table.ensure_capacity(now)
+        except TableFullError:
+            full = True
+        else:
+            full = False
+        gwy_port = None  # LAN to LAN: no translation
+        if not lan_to_lan:
+            nat_l = 1  # the flow's one NAT consultation
+            ports, gwy_addr = self._port_table, cfg.nat.public_addr
+            # a pool of N ports cannot be exhausted by fewer than N entries
+            if not full or len(ports) >= len(cfg.nat.ports(proto)):
+                try:
+                    gwy_port = find_free_port(
+                        cfg.nat, ext_addr, ext_port, proto,
+                        lambda p: ports.port_in_use(gwy_addr, p, ext_addr, ext_port, proto, now),
+                    )
+                except NatPoolExhausted:
+                    return _slow_drop(_NAT_EXHAUSTED, nat_l, sess_l, rules_s)
+        if full:
+            return _slow_drop(_TABLE_FULL, nat_l, sess_l, rules_s)
+        expiry = now + entry_timeout(state, cfg.timeouts)
+        acct = _new(LookupAccounting, (nat_l, sess_l, 1, rules_s, 1, self._open_route_lookups))
+        return self._open(packet, sid, state, expiry, gwy_port, acct)
+
+
+class BaselinePipeline(_Pipeline):
     """Conventional flow: NAT, then state table, then QoS and routing per packet.
 
     The state table stores nothing but state+expiry, so classification and
@@ -174,15 +226,13 @@ class BaselinePipeline:
     """
 
     name = "baseline"
+    _miss_nat_lookups = 1  # the forward lookup `process` made before a translated flow's miss
+    _open_route_lookups = 1  # the post-NAT destination's, as for every outbound packet
 
     def __init__(self, config: RouterConfig):
-        self.config = config
-        # the LAN test Cidr.contains makes, without its call: (addr ^ net) >> shift == 0
-        self._lan_net, self._lan_shift = config.lan_prefix.network, 32 - config.lan_prefix.prefix_len
         self.nat_table = NatTable()
         self.state_table = StateTable(config.capacity, config.timeouts)
-        self.session_hits = 0
-        self.session_misses = 0
+        super().__init__(config, self.state_table, self.nat_table)
 
     def process(self, packet: Packet, now: float | None = None) -> Verdict:
         """Run one packet through the multi-table flow.
@@ -244,45 +294,16 @@ class BaselinePipeline:
             packet, sid, classify(cfg.qos, flow), cfg.routes.lookup(flow.src_addr), acct
         )
 
-    def _first_packet(
-        self, packet: Packet, sid: SessionId, now: float, lan_to_lan: bool
-    ) -> Verdict:
-        """The outbound miss: validate, check capacity, allocate, then create state."""
-        cfg = self.config
-        self.session_misses += 1
-        # the lookups made in `process`: a forward NAT lookup, or a LAN-to-LAN reply lookup
-        nat_l, sess_l = (0, 2) if lan_to_lan else (1, 1)
-        action, _, rules_s = evaluate(cfg.rules, sid)
-        if action is DROP:
-            return _slow_drop(_RULE_DENIED, nat_l, sess_l, rules_s)
-        lan, lan_port, ext_addr, ext_port, proto = sid
-        state = initial_state(proto, packet.flags)
-        if state is None:
-            return _slow_drop(_STATE_VIOLATION, nat_l, sess_l, rules_s)
-        expiry = now + entry_timeout(state, cfg.timeouts)
-        try:
-            self.state_table.ensure_capacity(now)
-        except TableFullError:
-            full = True
-        else:
-            full = False
+    def _open(self, packet, sid, state, expiry, gwy_port, acct) -> Verdict:
+        """Insert an admitted flow's NAT mapping, unless it is LAN to LAN, and its state entry."""
         mapping = None
-        # a pool of N ports cannot be exhausted by fewer than N mappings
-        if not lan_to_lan and (not full or len(self.nat_table) >= len(cfg.nat.ports(proto))):
-            try:
-                mapping = self.nat_table.allocate(
-                    cfg.nat, lan, lan_port, ext_addr, ext_port, proto, now, expiry
-                )
-            except NatPoolExhausted:
-                return _slow_drop(_NAT_EXHAUSTED, nat_l, sess_l, rules_s)
-        if full:
-            if mapping is not None:
-                self.nat_table.remove(mapping)  # it only answered the pool question
-            return _slow_drop(_TABLE_FULL, nat_l, sess_l, rules_s)
-        self.state_table.insert(StateEntry(sid, proto, state, expiry))
-        return self._outbound_egress(
-            packet, sid, mapping, _new(LookupAccounting, (nat_l, sess_l, 1, rules_s, 1, 1))
-        )
+        if gwy_port is not None:
+            lan, lan_port, ext, ext_port, proto = sid
+            gwy_addr = self.config.nat.public_addr
+            mapping = NatMapping(lan, lan_port, gwy_addr, gwy_port, ext, ext_port, proto, expiry)
+            self.nat_table.insert(mapping)
+        self.state_table.insert(StateEntry(sid, sid.proto, state, expiry))
+        return self._outbound_egress(packet, sid, mapping, acct)
 
     def _outbound_egress(
         self, packet: Packet, sid: SessionId, mapping, acct: LookupAccounting
@@ -294,7 +315,7 @@ class BaselinePipeline:
         return _forward(packet, out_sid, dscp, cfg.routes.lookup(out_sid.dst_addr), acct)
 
 
-class IntegratedPipeline:
+class IntegratedPipeline(_Pipeline):
     """Single-lookup flow: the session entry answers NAT, state, DSCP, and next hop.
 
     A flow's first packet pays the full slow path (rules, NAT allocation,
@@ -305,13 +326,12 @@ class IntegratedPipeline:
     """
 
     name = "integrated"
+    _miss_nat_lookups = 0  # the miss made one session lookup; the port probe is the NAT one
+    _open_route_lookups = 2  # both directions', kept in the entry
 
     def __init__(self, config: RouterConfig):
-        self.config = config
-        self._lan_net, self._lan_shift = config.lan_prefix.network, 32 - config.lan_prefix.prefix_len
         self.table = SessionTable(config.capacity, config.timeouts)
-        self.session_hits = 0
-        self.session_misses = 0
+        super().__init__(config, self.table, self.table)
 
     def process(self, packet: Packet, now: float | None = None) -> Verdict:
         if now is None:
@@ -345,54 +365,18 @@ class IntegratedPipeline:
             return _new(Verdict, (_STATE_VIOLATION, acct))
         return _forward(packet, entry.in_sid, entry.dscp, entry.lan_route, acct)
 
-    def _first_packet(
-        self, packet: Packet, sid: SessionId, now: float, lan_to_lan: bool
-    ) -> Verdict:
-        """The slow path: validate, check capacity, allocate, classify and route, then insert."""
+    def _open(self, packet, sid, state, expiry, gwy_port, acct) -> Verdict:
+        """Classify an admitted flow, look up both directions' routes, and insert its entry."""
         cfg = self.config
-        self.session_misses += 1
-        sess_l = 2 if lan_to_lan else 1  # a LAN-to-LAN miss also looked for a reply
-        action, _, rules_s = evaluate(cfg.rules, sid)
-        if action is DROP:
-            return _slow_drop(_RULE_DENIED, 0, sess_l, rules_s)
-        lan, lan_port, ext_addr, ext_port, proto = sid  # locals: each NAT probe reads them
-        state = initial_state(proto, packet.flags)
-        if state is None:
-            return _slow_drop(_STATE_VIOLATION, 0, sess_l, rules_s)
-        try:
-            self.table.ensure_capacity(now)
-        except TableFullError:
-            full = True
-        else:
-            full = False
-
-        if lan_to_lan:  # no translation
-            nat_l = 0
+        lan, lan_port, ext_addr, ext_port, proto = sid
+        gwy_addr = cfg.nat.public_addr
+        if gwy_port is None:  # LAN to LAN: the flow keeps its own endpoint
             gwy_addr, gwy_port = lan, lan_port
-        else:
-            nat_l = 1  # one allocation probe against the session table
-            gwy_addr = cfg.nat.public_addr
-            # a pool of N ports cannot be exhausted by fewer than N entries
-            if not full or len(self.table) >= len(cfg.nat.ports(proto)):
-                try:
-                    gwy_port = find_free_port(
-                        cfg.nat, ext_addr, ext_port, proto,
-                        lambda p: self.table.port_in_use(
-                            gwy_addr, p, ext_addr, ext_port, proto, now),
-                    )
-                except NatPoolExhausted:
-                    return _slow_drop(_NAT_EXHAUSTED, nat_l, sess_l, rules_s)
-        if full:
-            return _slow_drop(_TABLE_FULL, nat_l, sess_l, rules_s)
-
         dscp = classify(cfg.qos, sid)
         ext_route = cfg.routes.lookup(ext_addr)
-        lan_route = cfg.routes.lookup(lan)
         entry = SessionEntry(
             lan, lan_port, gwy_addr, gwy_port, ext_addr, ext_port, proto,
-            state, now + entry_timeout(state, cfg.timeouts), dscp, ext_route, lan_route,
+            state, expiry, dscp, ext_route, cfg.routes.lookup(lan),
         )
         self.table.insert(entry)
-        # one classification, and both directions' routes looked up and kept at creation
-        acct = _new(LookupAccounting, (nat_l, sess_l, 1, rules_s, 1, 2))
         return _forward(packet, entry.out_sid, dscp, ext_route, acct)

@@ -233,6 +233,35 @@ CORNER_CASES = [
         [(0, F), (1, F), (2, F), (3, F), (4, F)],
     ),
     (
+        "non_syn_first_packet_to_a_denied_port_says_rule_denied",
+        dict(rules="drop tcp any any any 23\naccept any any any any any\n"),
+        "0.0 tcp 10.0.0.5:1000 198.51.100.9:23 A 0 0\n",
+        [(0, DropReason.RULE_DENIED)],
+    ),
+    (
+        "denied_flow_at_a_full_table_says_rule_denied",
+        dict(capacity=1, rules="drop udp any any any 53\naccept any any any any any\n"),
+        "0.0 udp 10.0.0.5:1000 8.8.8.8:123 - 0 0\n"
+        "0.1 udp 10.0.0.6:1000 8.8.8.8:53 - 0 0\n",
+        [(0, F), (1, DropReason.RULE_DENIED)],
+    ),
+    (
+        "non_syn_first_packet_at_a_full_table_says_state_violation",
+        dict(capacity=1),
+        "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n"
+        "0.1 tcp 10.0.0.6:1000 198.51.100.9:80 A 0 0\n",
+        [(0, F), (1, DropReason.STATE_VIOLATION)],
+    ),
+    (
+        # the public address sits in the LAN, so the first flow, LAN to LAN from it, holds
+        # the pool's one port for its peer; a LAN-to-LAN flow takes no port from the pool
+        "lan_to_lan_at_a_full_table_and_exhausted_pool_says_table_full",
+        dict(capacity=1, nat="public 10.0.0.1\nports 40000-40000\n"),
+        "0.0 udp 10.0.0.1:40000 10.0.9.9:53 - 0 0\n"
+        "0.1 udp 10.0.0.6:1000 10.0.9.9:53 - 0 0\n",
+        [(0, F), (1, DropReason.TABLE_FULL)],
+    ),
+    (
         "inbound_without_session",
         {},
         "0.0 tcp 198.51.100.9:80 192.0.2.1:40000 S 0 0\n"

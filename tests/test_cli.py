@@ -7,6 +7,7 @@ import pytest
 
 from flowgate import cli
 from flowgate.cli import main
+from flowgate.nat import parse_nat_config
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -148,6 +149,26 @@ def test_bench_csv(tmp_path, capsys):
     assert len(lines) == 1 + 4  # header + 2 pipelines x 2 reps
     err = capsys.readouterr().err
     assert "median wall_ns" in err and " speedup=" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", *config_flags(), "--sessions", "2", "--packets-per-session", "4", "--reps", "1"],
+        ["gen", "--sessions", "2", "--packets-per-session", "4", "--nat", str(CONFIGS / "nat.txt")],
+    ],
+    ids=["bench", "gen"],
+)
+def test_a_command_parses_the_nat_config_once(monkeypatch, capsys, argv):
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_nat_config(text)
+
+    monkeypatch.setattr(cli, "parse_nat_config", counted)
+    assert main(argv) == 0
+    assert len(parsed) == 1
 
 
 def test_bench_of_no_packets_prints_no_ratio(capsys):

@@ -18,21 +18,22 @@ import types
 
 import pytest
 
-from flowgate import filters, harness, nat, pipelines, session_table
+from flowgate import filters, harness, pipelines, session_table
 from flowgate.packet import Direction, SessionId
 from flowgate.pipelines import LookupAccounting
 
-# (owner, attribute) of every function a packet runs through, from process to render:
-# each one the pipeline classes define, so a new or renamed method is checked too
-PER_PACKET = [
-    (cls, name)
+# (owner, attribute) of every function a packet runs through, from process to render: each
+# one the pipeline classes or their bases define, once, so a new, renamed or moved method is
+# checked too
+PER_PACKET = list(dict.fromkeys(
+    (owner, name)
     for cls in (pipelines.BaselinePipeline, pipelines.IntegratedPipeline)
-    for name, value in vars(cls).items()
+    for owner in cls.__mro__[:-1]  # all but object
+    for name, value in vars(owner).items()
     if isinstance(value, types.FunctionType)
-] + [
+)) + [
     (pipelines, "_forward"),
     (pipelines, "_slow_drop"),
-    (nat.NatTable, "allocate"),
     (session_table.FlowIdentity, "__post_init__"),
     (session_table, "advance"),
     (session_table, "initial_state"),
@@ -90,6 +91,14 @@ def test_per_packet_code_reads_no_enum_class(owner, name):
 @pytest.mark.parametrize("owner,name", PER_PACKET, ids=PER_PACKET_IDS)
 def test_per_packet_code_calls_no_namedtuple_and_no_keywords(owner, name):
     assert _costly_calls(getattr(owner, name)) == []
+
+
+def test_methods_a_pipeline_inherits_are_checked():
+    assert {
+        (pipelines._Pipeline, "_first_packet"),
+        (pipelines.BaselinePipeline, "_open"),
+        (pipelines.IntegratedPipeline, "_open"),
+    } <= set(PER_PACKET)
 
 
 def test_the_check_sees_what_it_forbids():
