@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from flowgate.errors import ConfigError, TraceError
 from flowgate.filters import parse_rules
 from flowgate.harness import (
     CSV_HEADER,
+    DEFAULT_NAT,
     TraceSpec,
     bench,
     compare,
@@ -78,23 +78,21 @@ def load_config(args: argparse.Namespace) -> RouterConfig:
     )
 
 
-def _trace_spec(args: argparse.Namespace, nat: NatConfig | None) -> TraceSpec:
+def _trace_spec(args: argparse.Namespace, lan_prefix: Cidr, nat: NatConfig) -> TraceSpec:
+    """The spec of `args`' trace; replies target `nat`'s public address and pool."""
     try:
         peers = tuple(parse_ip(p) for p in args.peers.split(",") if p)
     except ValueError as exc:
         raise ConfigError(f"--peers: {exc}") from exc
-    spec = TraceSpec(
+    return TraceSpec(
         sessions=args.sessions,
         packets_per_session=args.packets_per_session,
         tcp_fraction=args.mix,
-        lan_prefix=_lan_prefix(args),
+        lan_prefix=lan_prefix,
         peers=peers,
         seed=args.seed,
+        nat=nat,
     )
-    # replies target the gateway identity; align it with the NAT config if given
-    if nat is not None:
-        spec = replace(spec, nat_public=nat.public_addr, nat_port_lo=nat.port_lo)
-    return spec
 
 
 def _write(path: str | None, text: str, mode: str = "w") -> None:
@@ -117,8 +115,8 @@ def _write(path: str | None, text: str, mode: str = "w") -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    nat = parse_nat_config(_read(args.nat, ConfigError)) if args.nat else None
-    _write(args.out, generate_trace(_trace_spec(args, nat)))
+    nat = parse_nat_config(_read(args.nat, ConfigError)) if args.nat else DEFAULT_NAT
+    _write(args.out, generate_trace(_trace_spec(args, _lan_prefix(args), nat)))
     return EXIT_OK
 
 
@@ -152,7 +150,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise ConfigError(f"--reps: must be >= 1, got {args.reps}")
     config = load_config(args)
-    packets = generate_packets(_trace_spec(args, config.nat))
+    packets = generate_packets(_trace_spec(args, config.lan_prefix, config.nat))
     _write(args.out, "", "a")
     reports, medians = bench(config, packets, args.reps)
     _write(args.out, "\n".join([CSV_HEADER] + [csv_row(r) for r in reports]) + "\n")

@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 
 from flowgate.errors import ConfigError
+from flowgate.nat import NatConfig
 from flowgate.packet import (
     ACK,
     FIN,
@@ -36,8 +37,7 @@ UDP_PEER_PORTS = (53, 123, 5060)
 
 TICK = 0.001  # seconds between consecutive trace packets
 
-DEFAULT_NAT_PUBLIC = 0xC0000201  # 192.0.2.1
-DEFAULT_NAT_PORT_LO = 40000
+DEFAULT_NAT = NatConfig(0xC0000201, 40000, 49999)  # configs/nat.txt: 192.0.2.1, 40000-49999
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class TraceSpec:
     """Deterministic synthetic-trace recipe: same spec + seed, same bytes.
 
     Inbound packets on the wire target the flow's NATed public endpoint, so
-    the generator carries the gateway's identity and mirrors the allocator's
+    the generator carries the gateway's NAT config and mirrors the allocator's
     deterministic lowest-free-port rule to address replies; a peer inside
     `lan_prefix` is not translated, so its replies target the LAN endpoint.
     The prediction is exact for traces whose first packets are all accepted;
@@ -59,8 +59,7 @@ class TraceSpec:
     lan_prefix: Cidr = Cidr.parse("10.0.0.0/8")
     peers: tuple[int, ...] = ()
     seed: int = 0
-    nat_public: int = DEFAULT_NAT_PUBLIC
-    nat_port_lo: int = DEFAULT_NAT_PORT_LO
+    nat: NatConfig = DEFAULT_NAT
 
 
 def _session_packets(
@@ -118,7 +117,7 @@ def generate_packets(spec: TraceSpec) -> list[Packet]:
             peer_key = (peer[0], peer[1], proto)
             offset = ports_taken.get(peer_key, 0)
             ports_taken[peer_key] = offset + 1
-            gwy = (spec.nat_public, spec.nat_port_lo + offset)
+            gwy = (spec.nat.public_addr, spec.nat.port_lo + offset)
             if gwy[1] > 65535:
                 raise ConfigError(
                     f"trace spec: replies to flow {i + 1} (peer {format_ip(peer[0])}:{peer[1]})"
@@ -128,11 +127,8 @@ def generate_packets(spec: TraceSpec) -> list[Packet]:
 
     packets: list[Packet] = []
     ts = 0.0
-    for round_index in range(spec.packets_per_session):
-        for plan in sessions:
-            if round_index >= len(plan):
-                continue
-            sid, flags = plan[round_index]
+    for round_ in zip(*sessions):  # each plan holds exactly packets_per_session packets
+        for sid, flags in round_:
             packets.append(Packet(ts=ts, sid=sid, tos=0, ttl=64, flags=flags, payload_len=0))
             ts = round(ts + TICK, 6)
     return packets

@@ -198,14 +198,14 @@ class _Pipeline:
             full = True
         else:
             full = False
-        gwy_port = None  # LAN to LAN: no translation
+        gwy = None  # the flow's public (addr, port); LAN to LAN is not translated
         if not lan_to_lan:
             nat_l = 1  # the flow's one NAT consultation
             ports, gwy_addr = self._port_table, cfg.nat.public_addr
             # a pool of N ports cannot be exhausted by fewer than N entries
             if not full or len(ports) >= len(cfg.nat.ports(proto)):
                 try:
-                    gwy_port = find_free_port(
+                    gwy = gwy_addr, find_free_port(
                         cfg.nat, ext_addr, ext_port, proto,
                         lambda p: ports.port_in_use(gwy_addr, p, ext_addr, ext_port, proto, now),
                     )
@@ -215,7 +215,7 @@ class _Pipeline:
             return _slow_drop(_TABLE_FULL, nat_l, sess_l, rules_s)
         expiry = now + entry_timeout(state, cfg.timeouts)
         acct = _new(LookupAccounting, (nat_l, sess_l, 1, rules_s, 1, self._open_route_lookups))
-        return self._open(packet, sid, state, expiry, gwy_port, acct)
+        return self._open(packet, sid, state, expiry, gwy, acct)
 
 
 class BaselinePipeline(_Pipeline):
@@ -294,13 +294,12 @@ class BaselinePipeline(_Pipeline):
             packet, sid, classify(cfg.qos, flow), cfg.routes.lookup(flow.src_addr), acct
         )
 
-    def _open(self, packet, sid, state, expiry, gwy_port, acct) -> Verdict:
-        """Insert an admitted flow's NAT mapping, unless it is LAN to LAN, and its state entry."""
+    def _open(self, packet, sid, state, expiry, gwy, acct) -> Verdict:
+        """Insert an admitted flow's state entry and, unless LAN to LAN, its mapping to `gwy`."""
         mapping = None
-        if gwy_port is not None:
+        if gwy is not None:
             lan, lan_port, ext, ext_port, proto = sid
-            gwy_addr = self.config.nat.public_addr
-            mapping = NatMapping(lan, lan_port, gwy_addr, gwy_port, ext, ext_port, proto, expiry)
+            mapping = NatMapping(lan, lan_port, *gwy, ext, ext_port, proto, expiry)
             self.nat_table.insert(mapping)
         self.state_table.insert(StateEntry(sid, sid.proto, state, expiry))
         return self._outbound_egress(packet, sid, mapping, acct)
@@ -365,13 +364,11 @@ class IntegratedPipeline(_Pipeline):
             return _new(Verdict, (_STATE_VIOLATION, acct))
         return _forward(packet, entry.in_sid, entry.dscp, entry.lan_route, acct)
 
-    def _open(self, packet, sid, state, expiry, gwy_port, acct) -> Verdict:
+    def _open(self, packet, sid, state, expiry, gwy, acct) -> Verdict:
         """Classify an admitted flow, look up both directions' routes, and insert its entry."""
         cfg = self.config
         lan, lan_port, ext_addr, ext_port, proto = sid
-        gwy_addr = cfg.nat.public_addr
-        if gwy_port is None:  # LAN to LAN: the flow keeps its own endpoint
-            gwy_addr, gwy_port = lan, lan_port
+        gwy_addr, gwy_port = gwy or (lan, lan_port)  # LAN to LAN: the flow keeps its own endpoint
         dscp = classify(cfg.qos, sid)
         ext_route = cfg.routes.lookup(ext_addr)
         entry = SessionEntry(

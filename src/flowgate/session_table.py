@@ -197,12 +197,12 @@ class ExpiringTable:
     Lauck's timer idea as a lazy-deletion heap): a min-heap of
     (lower bound on expiry, key) items, built at the first sweep so tables
     that never sweep pay nothing for it. `advance` may shorten an expiry
-    behind the table's back, so a live entry is re-keyed to
-    min(expiry, now + horizon), where horizon is the shortest timeout its
+    behind the table's back, so the build and each re-key of a live entry
+    use min(expiry, now + horizon), where horizon is the shortest timeout its
     protocol can be given: every expiry is written at some time t as
     t + a timeout, so that stays a lower bound as long as time does not run
     backwards. A non-TCP expiry is only ever written as t + non_tcp; a TCP
-    one may be t + any of the three TCP timeouts. A sweep then costs
+    one may be t + any of the three TCP timeouts. Once built, a sweep costs
     O((popped + 1) log n), not O(n).
     """
 
@@ -263,14 +263,17 @@ class ExpiringTable:
 
     def sweep_expired(self, now: float) -> int:
         """Remove every entry with expiry <= now; returns how many."""
-        heap = self._heap
-        if heap is None:
-            heap = self._heap = [(-math.inf, key) for key in self._out]
-            heapify(heap)
         entries = self._out
-        requeue = []
         tcp_cap = now + self._tcp_horizon
         non_tcp_cap = now + self._non_tcp_horizon
+        heap = self._heap
+        if heap is None:  # keyed as a re-key would key it, so a live entry is not popped now
+            heap = self._heap = [
+                (min(e.expiry, tcp_cap if e.proto == TCP else non_tcp_cap), key)
+                for key, e in entries.items()
+            ]
+            heapify(heap)
+        requeue = []
         removed = 0
         while heap and heap[0][0] <= now:
             key = heappop(heap)[1]

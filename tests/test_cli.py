@@ -7,7 +7,9 @@ import pytest
 
 from flowgate import cli
 from flowgate.cli import main
+from flowgate.harness import DEFAULT_NAT
 from flowgate.nat import parse_nat_config
+from flowgate.packet import format_ip, load_trace, parse_ip
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -160,15 +162,37 @@ def test_bench_csv(tmp_path, capsys):
     ids=["bench", "gen"],
 )
 def test_a_command_parses_the_nat_config_once(monkeypatch, capsys, argv):
-    parsed = []
+    """And its LAN prefix once: bench generates its trace from its router config's."""
+    parsed, prefixes = [], []
 
     def counted(text):
         parsed.append(text)
         return parse_nat_config(text)
 
+    real_lan_prefix = cli._lan_prefix
     monkeypatch.setattr(cli, "parse_nat_config", counted)
+    monkeypatch.setattr(
+        cli, "_lan_prefix", lambda args: prefixes.append(1) or real_lan_prefix(args)
+    )
     assert main(argv) == 0
-    assert len(parsed) == 1
+    assert len(parsed) == 1 and len(prefixes) == 1
+
+
+def test_gen_without_nat_addresses_the_shipped_pool():
+    assert DEFAULT_NAT == parse_nat_config((CONFIGS / "nat.txt").read_text())
+
+
+def test_gen_addresses_replies_to_the_nat_config_given(tmp_path, capsys):
+    nat = tmp_path / "nat.txt"
+    nat.write_text("public 203.0.113.5\nports 50001-50009\n")
+    peers = "198.51.100.9,198.51.100.10"
+    assert main([
+        "gen", "--sessions", "2", "--packets-per-session", "4", "--mix", "0.5",
+        "--peers", peers, "--nat", str(nat),
+    ]) == 0
+    packets = load_trace(capsys.readouterr().out)
+    replies = {p.sid[2:4] for p in packets if format_ip(p.sid.src_addr) in peers.split(",")}
+    assert replies == {(parse_ip("203.0.113.5"), 50001)}  # each flow's peer tuple's first port
 
 
 def test_bench_of_no_packets_prints_no_ratio(capsys):

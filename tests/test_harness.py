@@ -4,6 +4,7 @@ import pytest
 
 from conftest import make_config
 from test_pipelines import differential_cases
+from flowgate import harness
 from flowgate.errors import ConfigError
 from flowgate.harness import (
     CSV_HEADER,
@@ -22,6 +23,7 @@ from flowgate.packet import (
     FIN,
     SYN,
     TCP,
+    UDP,
     Cidr,
     Packet,
     SessionId,
@@ -66,6 +68,14 @@ def test_fin_exchange_when_budget_allows():
     assert [bool(p.flags & FIN) for p in packets] == [False] * 4 + [True, True]
 
 
+def test_every_session_plan_holds_exactly_its_packet_count():
+    """`generate_packets` interleaves the plans with zip, which stops at the shortest."""
+    lan, gwy, peer = (parse_ip("10.0.0.1"), 10000), (parse_ip("192.0.2.1"), 40000), (PEERS[0], 80)
+    for proto in (TCP, UDP, 1):
+        for count in range(200):
+            assert len(harness._session_packets(proto, lan, gwy, peer, count)) == count
+
+
 def test_lan_peer_replies_to_the_lan_endpoint():
     """A LAN peer is not translated; the outside flow still gets the first pool port."""
     lan_peer, outside_peer = parse_ip("10.0.0.9"), PEERS[0]
@@ -74,7 +84,7 @@ def test_lan_peer_replies_to_the_lan_endpoint():
     assert lan_reply.sid.src_addr == lan_peer
     assert lan_reply.sid[2:4] == packets[0].sid[:2]  # the LAN endpoint, 10.0.0.1:10000
     assert outside_reply.sid.src_addr == outside_peer
-    assert outside_reply.sid[2:4] == (parse_ip("192.0.2.1"), 40000)  # nat_port_lo
+    assert outside_reply.sid[2:4] == (parse_ip("192.0.2.1"), 40000)  # DEFAULT_NAT's first port
 
 
 def test_lan_hosts_lie_inside_the_lan_prefix():

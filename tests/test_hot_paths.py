@@ -18,16 +18,21 @@ import types
 
 import pytest
 
-from flowgate import filters, harness, pipelines, session_table
+from flowgate import filters, harness, nat, packet, pipelines, qos, session_table
+from flowgate.matchers import FirstMatch
 from flowgate.packet import Direction, SessionId
 from flowgate.pipelines import LookupAccounting
+from flowgate.routing import RoutingTable
 
 # (owner, attribute) of every function a packet runs through, from process to render: each
-# one the pipeline classes or their bases define, once, so a new, renamed or moved method is
-# checked too
+# one the pipeline and table classes or their bases define, once, so a new, renamed or moved
+# method is checked too
 PER_PACKET = list(dict.fromkeys(
     (owner, name)
-    for cls in (pipelines.BaselinePipeline, pipelines.IntegratedPipeline)
+    for cls in (
+        pipelines.BaselinePipeline, pipelines.IntegratedPipeline,
+        session_table.SessionTable, pipelines.StateTable, nat.NatTable,
+    )
     for owner in cls.__mro__[:-1]  # all but object
     for name, value in vars(owner).items()
     if isinstance(value, types.FunctionType)
@@ -39,6 +44,14 @@ PER_PACKET = list(dict.fromkeys(
     (session_table, "initial_state"),
     (session_table, "entry_timeout"),
     (filters, "evaluate"),
+    (nat, "find_free_port"),
+    (nat.NatConfig, "ports"),
+    (qos, "classify"),
+    (FirstMatch, "first"),
+    (RoutingTable, "lookup"),
+    (packet, "merge_dscp"),
+    (packet, "render_trace_record"),
+    (packet, "format_ip"),
     (harness, "render_verdict"),
 ]
 
@@ -98,6 +111,14 @@ def test_methods_a_pipeline_inherits_are_checked():
         (pipelines._Pipeline, "_first_packet"),
         (pipelines.BaselinePipeline, "_open"),
         (pipelines.IntegratedPipeline, "_open"),
+    } <= set(PER_PACKET)
+
+
+def test_methods_a_table_inherits_are_checked():
+    assert {
+        (session_table.ExpiringTable, "lookup"),
+        (session_table.DualIndexTable, "lookup_inbound"),
+        (session_table.DualIndexTable, "port_in_use"),
     } <= set(PER_PACKET)
 
 

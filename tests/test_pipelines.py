@@ -421,6 +421,25 @@ def test_accounting_matches_the_work_done(monkeypatch):
     assert not mismatches, f"{len(mismatches)} mismatches, first: {mismatches[:3]}"
 
 
+@pytest.mark.parametrize("tcp_fraction", [1.0, 0.0], ids=["tcp", "udp"])
+def test_consultations_follow_the_closed_forms_in_flow_length(tcp_fraction):
+    """k flows of n packets cost the baseline k(4n + 1) consultations, the integrated k(n + 5).
+
+    Each first packet makes 5 in the baseline and 6 in the integrated pipeline
+    (rules, NAT, session, QoS and one route, or both routes); every later
+    packet makes 4 and 1.
+    """
+    k = 8
+    peers = tuple(parse_ip("198.51.100.1") + i for i in range(k))  # one flow to each
+    config = make_config()
+    for n in range(1, 65):
+        packets = generate_packets(TraceSpec(k, n, tcp_fraction, peers=peers, seed=n))
+        for pipeline, closed_form in ((BaselinePipeline, 4 * n + 1), (IntegratedPipeline, n + 5)):
+            _, report = run_pipeline(pipeline(config), packets)
+            assert report.forwarded == k * n, (pipeline.name, n)
+            assert report.total_consultations() == k * closed_form, (pipeline.name, n)
+
+
 def _rewritten_by_formula(sid: SessionId, flow, outbound: bool) -> SessionId:
     """What the deleted `nat.outbound_sid`/`nat.inbound_sid` computed for a packet of `flow`.
 
