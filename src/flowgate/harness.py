@@ -24,8 +24,8 @@ from flowgate.packet import (
 )
 from flowgate.pipelines import (
     BaselinePipeline,
-    Dropped,
     DropReason,
+    Forwarded,
     IntegratedPipeline,
     LookupAccounting,
     RouterConfig,
@@ -217,7 +217,7 @@ def run_pipeline(pipeline, packets: list[Packet]) -> tuple[list[Verdict], Metric
     for packet in packets:
         append(process(packet, packet.ts))
     wall_ns = time.perf_counter_ns() - start
-    dropped = Counter(v.outcome.reason for v in verdicts if isinstance(v.outcome, Dropped))
+    dropped = Counter(v.outcome for v in verdicts if type(v.outcome) is not Forwarded)
     # each LookupAccounting column summed over the run; no packets leave its zero defaults
     lookups = LookupAccounting(*map(sum, zip(*(v.lookups for v in verdicts))))
     return verdicts, MetricsReport(
@@ -234,9 +234,9 @@ for _reason in DropReason:
 
 def render_verdict(verdict: Verdict) -> str:
     outcome = verdict.outcome
-    if isinstance(outcome, Dropped):
-        return outcome.reason.verdict_line
-    return f"forward {outcome.route.label} {render_trace_record(outcome.packet)}"
+    if type(outcome) is Forwarded:
+        return f"forward {outcome.route.label} {render_trace_record(outcome.packet)}"
+    return outcome.verdict_line
 
 
 def first_divergence(a: list[Verdict], b: list[Verdict]) -> int | None:

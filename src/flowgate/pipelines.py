@@ -76,19 +76,15 @@ class LookupAccounting(NamedTuple):
         )
 
 
-# NamedTuples, the cheapest immutable values that compare and hash by field; outcomes
-# of different kinds differ in length, so they never compare equal.
+# NamedTuples, the cheapest immutable values that compare and hash by field; a drop's
+# outcome is its DropReason member, which equals only itself, so never a Forwarded.
 class Forwarded(NamedTuple):
     route: RouteEntry  # the next hop and iface, as the routing table holds them
     packet: Packet
 
 
-class Dropped(NamedTuple):
-    reason: DropReason
-
-
 class Verdict(NamedTuple):
-    outcome: Forwarded | Dropped
+    outcome: Forwarded | DropReason
     lookups: LookupAccounting
 
 
@@ -134,20 +130,20 @@ _BASELINE_LAN_REPLY_ACCT = LookupAccounting(
     session_lookups=2, qos_classifications=1, route_lookups=1
 )
 
-# each drop outcome, built once and shared the same way: a drop builds no Dropped and
-# reads no Enum member (see `packet.OUTBOUND`)
-_RULE_DENIED = Dropped(DropReason.RULE_DENIED)
-_STATE_VIOLATION = Dropped(DropReason.STATE_VIOLATION)
-_NO_ROUTE = Dropped(DropReason.NO_ROUTE)
-_NAT_EXHAUSTED = Dropped(DropReason.NAT_EXHAUSTED)
-_TABLE_FULL = Dropped(DropReason.TABLE_FULL)
-_TTL_EXPIRED = Dropped(DropReason.TTL_EXPIRED)
-_INBOUND_NO_SESSION = Dropped(DropReason.INBOUND_NO_SESSION)
+# each drop outcome, its member bound once: a drop reads no Enum class attribute
+# (see `packet.OUTBOUND`)
+_RULE_DENIED = DropReason.RULE_DENIED
+_STATE_VIOLATION = DropReason.STATE_VIOLATION
+_NO_ROUTE = DropReason.NO_ROUTE
+_NAT_EXHAUSTED = DropReason.NAT_EXHAUSTED
+_TABLE_FULL = DropReason.TABLE_FULL
+_TTL_EXPIRED = DropReason.TTL_EXPIRED
+_INBOUND_NO_SESSION = DropReason.INBOUND_NO_SESSION
 
 _new = tuple.__new__  # a NamedTuple call without its Python-level __new__: fields in order
 
 
-def _slow_drop(outcome: Dropped, nat_l: int, sess_l: int, rules_s: int) -> Verdict:
+def _slow_drop(outcome: DropReason, nat_l: int, sess_l: int, rules_s: int) -> Verdict:
     """A first packet's drop: its NAT and session lookups, one rule evaluation, no QoS or route."""
     return _new(Verdict, (outcome, _new(LookupAccounting, (nat_l, sess_l, 1, rules_s, 0, 0))))
 

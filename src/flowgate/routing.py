@@ -21,17 +21,6 @@ class RouteEntry:
     def __post_init__(self) -> None:
         object.__setattr__(self, "label", f"{format_ip(self.next_hop)} {self.iface}")
 
-    @classmethod
-    def _labelled(cls, prefix: Cidr, next_hop: int, iface: str, label: str) -> "RouteEntry":
-        """cls(prefix, next_hop, iface) given its label, without the Python-level __init__."""
-        entry = object.__new__(cls)
-        set_field = object.__setattr__
-        set_field(entry, "prefix", prefix)
-        set_field(entry, "next_hop", next_hop)
-        set_field(entry, "iface", iface)
-        set_field(entry, "label", label)
-        return entry
-
 
 class DuplicatePrefix(ValueError):
     """Two routes share a prefix; `index` is the later one's place in the table's entries."""
@@ -91,7 +80,7 @@ def parse_routes(text: str) -> RoutingTable:
     """One route per line: `<cidr> <next_hop_ip> <iface>`. Duplicate prefixes rejected."""
     entries: list[RouteEntry] = []
     linenos: list[int] = []
-    hops: dict[str, tuple[int, str]] = {}  # next-hop token -> (addr, canonical text), this call only
+    hops: dict[str, int] = {}  # next-hop token -> its address, this call only
     bad = None  # (line number, error) of the first line that does not parse
     for lineno, line in content_lines(text):
         fields = line.split()
@@ -101,12 +90,11 @@ def parse_routes(text: str) -> RoutingTable:
             prefix = Cidr.parse(fields[0])
             hop = hops.get(fields[1])
             if hop is None:
-                addr = parse_ip(fields[1])
-                hop = hops[fields[1]] = (addr, format_ip(addr))
+                hop = hops[fields[1]] = parse_ip(fields[1])
         except ValueError as exc:
             bad = lineno, exc
             break
-        entries.append(RouteEntry._labelled(prefix, hop[0], fields[2], f"{hop[1]} {fields[2]}"))
+        entries.append(RouteEntry(prefix, hop, fields[2]))
         linenos.append(lineno)
     try:
         table = RoutingTable(entries)

@@ -254,7 +254,7 @@ class ExpiringTable:
         del self._out[entry.outbound_key]
 
     def ensure_capacity(self, now: float) -> None:
-        """Make room for one insert, sweeping expired entries under pressure."""
+        """Make room for one insert at a full table by removing one expired entry."""
         if len(self._out) < self.capacity:
             return
         self.sweep_expired(now)
@@ -262,7 +262,7 @@ class ExpiringTable:
             raise TableFullError(f"table at capacity {self.capacity}")
 
     def sweep_expired(self, now: float) -> int:
-        """Remove every entry with expiry <= now; returns how many."""
+        """Remove one entry with expiry <= now, if there is one; returns how many (0 or 1)."""
         entries = self._out
         tcp_cap = now + self._tcp_horizon
         non_tcp_cap = now + self._non_tcp_horizon
@@ -273,6 +273,8 @@ class ExpiringTable:
                 for key, e in entries.items()
             ]
             heapify(heap)
+        # re-keyed items go back after the loop: at large timestamps now + horizon rounds to
+        # now, and an item keyed now and pushed back inside it would be popped again, forever
         requeue = []
         removed = 0
         while heap and heap[0][0] <= now:
@@ -282,10 +284,10 @@ class ExpiringTable:
                 continue  # removed since it was queued
             if entry.expiry <= now:
                 self.remove(entry)
-                removed += 1
-            else:
-                cap = tcp_cap if entry.proto == TCP else non_tcp_cap
-                requeue.append((min(entry.expiry, cap), key))
+                removed = 1
+                break
+            cap = tcp_cap if entry.proto == TCP else non_tcp_cap
+            requeue.append((min(entry.expiry, cap), key))
         for item in requeue:
             heappush(heap, item)
         return removed

@@ -37,7 +37,6 @@ from flowgate.packet import (
 )
 from flowgate.pipelines import (
     BaselinePipeline,
-    Dropped,
     DropReason,
     Forwarded,
     IntegratedPipeline,
@@ -332,7 +331,7 @@ def test_criterion_1a_corner_traces():
                 if expected == F:
                     assert isinstance(outcome, Forwarded), f"{name}[{index}]: {outcome}"
                 else:
-                    assert outcome == Dropped(expected), f"{name}[{index}]: {outcome}"
+                    assert outcome == expected, f"{name}[{index}]: {outcome}"
         # spot-check the ECN scenario's emitted ToS bytes
         _, _, text, _ = next(c for c in CORNER_CASES if c[0] == "ecn_bits_preserved_under_marking")
         result = compare(make_config(qos="udp any any any 53 dscp 46\n"), trace(text))

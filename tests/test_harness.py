@@ -35,7 +35,6 @@ from flowgate.packet import (
 )
 from flowgate.pipelines import (
     BaselinePipeline,
-    Dropped,
     DropReason,
     Forwarded,
     IntegratedPipeline,
@@ -254,14 +253,13 @@ def _forward_verdict(ttl: int = 63) -> Verdict:
 def test_value_types_keep_their_fields_and_defaults():
     assert Packet._fields == ("ts", "sid", "tos", "ttl", "flags", "payload_len")
     assert Forwarded._fields == ("route", "packet")
-    assert Dropped._fields == ("reason",)
     assert Verdict._fields == ("outcome", "lookups")
     assert LookupAccounting._fields == (
         "nat_lookups", "session_lookups", "rule_evals", "rules_scanned",
         "qos_classifications", "route_lookups",
     )
     assert LookupAccounting._field_defaults == dict.fromkeys(LookupAccounting._fields, 0)
-    for kind in (Packet, Forwarded, Dropped, Verdict):
+    for kind in (Packet, Forwarded, Verdict):
         assert kind._field_defaults == {}
     assert LookupAccounting(1, 2, 3, 99, 4, 5).total_consultations() == 15
 
@@ -271,16 +269,17 @@ def test_verdicts_compare_and_hash_by_value():
     assert a == b and a.outcome is not b.outcome and a.outcome.route is not b.outcome.route
     assert hash(a.outcome) == hash(b.outcome)
     assert a != _forward_verdict(ttl=62)
-    assert Dropped(DropReason.NO_ROUTE) == Dropped(DropReason.NO_ROUTE)
-    assert hash(Dropped(DropReason.NO_ROUTE)) == hash(Dropped(DropReason.NO_ROUTE))
-    assert Dropped(DropReason.NO_ROUTE) != Dropped(DropReason.TTL_EXPIRED)
+    # a drop's outcome is its DropReason member: it equals only itself, never a forward
     for reason in DropReason:
-        assert Dropped(reason) != a.outcome and a.outcome != Dropped(reason)
+        assert [r for r in DropReason if r == reason] == [reason]
+        drop = Verdict(DropReason(reason.value), LookupAccounting(1, 1))
+        assert drop == Verdict(reason, a.lookups) and hash(drop) == hash(Verdict(reason, a.lookups))
+        assert reason != a.outcome and a.outcome != reason
 
 
 def test_first_divergence_finds_a_drop_against_a_forward():
     forward = _forward_verdict()
-    drop = Verdict(Dropped(DropReason.TTL_EXPIRED), forward.lookups)
+    drop = Verdict(DropReason.TTL_EXPIRED, forward.lookups)
     assert first_divergence([forward, forward], [forward, drop]) == 1
     # lookup accounting is not observable
     assert first_divergence([forward], [forward._replace(lookups=LookupAccounting())]) is None
@@ -290,7 +289,7 @@ def test_render_verdict_golden_lines():
     assert render_verdict(_forward_verdict()) == (
         "forward 203.0.113.1 wan 0.5 tcp 192.0.2.1:40000 198.51.100.9:80 SA 64 184 63"
     )
-    assert [render_verdict(Verdict(Dropped(r), LookupAccounting())) for r in DropReason] == [
+    assert [render_verdict(Verdict(r, LookupAccounting())) for r in DropReason] == [
         "drop rule_denied",
         "drop state_violation",
         "drop no_route",
@@ -315,8 +314,8 @@ def test_render_verdict_matches_formatting_the_route_each_time():
         for pipe in (BaselinePipeline(config), IntegratedPipeline(config)):
             for verdict in map(pipe.process, packets):
                 out = verdict.outcome
-                if isinstance(out, Dropped):
-                    want = f"drop {out.reason.value}"
+                if type(out) is DropReason:
+                    want = f"drop {out.value}"
                 else:
                     hop, iface = out.route.next_hop, out.route.iface
                     want = f"forward {format_ip(hop)} {iface} {render_trace_record(out.packet)}"

@@ -29,7 +29,6 @@ from flowgate.packet import (
 )
 from flowgate.pipelines import (
     BaselinePipeline,
-    Dropped,
     DropReason,
     Forwarded,
     IntegratedPipeline,
@@ -106,20 +105,20 @@ def test_rule_denied_creates_no_state(config):
     cfg = make_config(rules="drop tcp any any any 23\naccept any any any any any\n")
     for pipe in (BaselinePipeline(cfg), IntegratedPipeline(cfg)):
         verdict = pipe.process(pkt("0.0 tcp 10.0.0.5:1200 198.51.100.9:23 S 0 0"))
-        assert verdict.outcome == Dropped(DropReason.RULE_DENIED)
+        assert verdict.outcome == DropReason.RULE_DENIED
     assert len(pipe.table) == 0
 
 
 def test_non_syn_first_tcp_packet_violates(config):
     for pipe in (BaselinePipeline(config), IntegratedPipeline(config)):
         verdict = pipe.process(pkt("0.0 tcp 10.0.0.5:1200 198.51.100.9:80 A 0 0"))
-        assert verdict.outcome == Dropped(DropReason.STATE_VIOLATION)
+        assert verdict.outcome == DropReason.STATE_VIOLATION
 
 
 def test_inbound_without_session_dropped(config):
     for pipe in (BaselinePipeline(config), IntegratedPipeline(config)):
         verdict = pipe.process(pkt("0.0 tcp 198.51.100.9:80 192.0.2.1:40000 S 0 0"))
-        assert verdict.outcome == Dropped(DropReason.INBOUND_NO_SESSION)
+        assert verdict.outcome == DropReason.INBOUND_NO_SESSION
 
 
 def test_nat_exhaustion(config):
@@ -128,7 +127,7 @@ def test_nat_exhaustion(config):
         ok = pipe.process(pkt("0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0"))
         assert isinstance(ok.outcome, Forwarded)
         full = pipe.process(pkt("0.1 udp 10.0.0.6:1000 8.8.8.8:53 - 0 0"))
-        assert full.outcome == Dropped(DropReason.NAT_EXHAUSTED)
+        assert full.outcome == DropReason.NAT_EXHAUSTED
         other_peer = pipe.process(pkt("0.2 udp 10.0.0.7:1000 9.9.9.9:53 - 0 0"))
         assert isinstance(other_peer.outcome, Forwarded)
 
@@ -142,7 +141,7 @@ def test_a_protocol_without_ports_holds_one_flow_per_peer():
         assert first.outcome.packet.sid == public_sid
         second = pipe.process(pkt("0.1 1 10.0.0.6:0 8.8.8.8:0 - 0 0"))
         assert second == Verdict(
-            Dropped(DropReason.NAT_EXHAUSTED), LookupAccounting(1, 1, 1, 1, 0, 0)
+            DropReason.NAT_EXHAUSTED, LookupAccounting(1, 1, 1, 1, 0, 0)
         )
         for line in ("0.2 47 10.0.0.6:0 8.8.8.8:0 - 0 0", "0.3 1 10.0.0.6:0 9.9.9.9:0 - 0 0"):
             assert isinstance(pipe.process(pkt(line)).outcome, Forwarded)  # another key
@@ -162,11 +161,11 @@ def test_a_full_table_still_says_nat_exhausted_for_a_protocol_without_ports():
         assert isinstance(pipe.process(pkt("0.0 1 10.0.0.5:0 8.8.8.8:0 - 0 0")).outcome, Forwarded)
         same_peer = pipe.process(pkt("0.1 1 10.0.0.6:0 8.8.8.8:0 - 0 0"))
         assert same_peer == Verdict(
-            Dropped(DropReason.NAT_EXHAUSTED), LookupAccounting(1, 1, 1, 1, 0, 0)
+            DropReason.NAT_EXHAUSTED, LookupAccounting(1, 1, 1, 1, 0, 0)
         )
         other_peer = pipe.process(pkt("0.2 1 10.0.0.6:0 9.9.9.9:0 - 0 0"))
         assert other_peer == Verdict(
-            Dropped(DropReason.TABLE_FULL), LookupAccounting(1, 1, 1, 1, 0, 0)
+            DropReason.TABLE_FULL, LookupAccounting(1, 1, 1, 1, 0, 0)
         )
 
 
@@ -176,7 +175,7 @@ def test_table_full_then_room_after_expiry():
         assert isinstance(pipe.process(pkt("0.0 udp 10.0.0.5:1 8.8.8.8:53 - 0 0")).outcome, Forwarded)
         assert isinstance(pipe.process(pkt("0.1 udp 10.0.0.6:1 8.8.8.8:53 - 0 0")).outcome, Forwarded)
         third = pipe.process(pkt("0.2 udp 10.0.0.7:1 8.8.8.8:53 - 0 0"))
-        assert third.outcome == Dropped(DropReason.TABLE_FULL)
+        assert third.outcome == DropReason.TABLE_FULL
         # 70s later the first two sessions have idled out; pressure sweep makes room
         again = pipe.process(pkt("70.0 udp 10.0.0.7:1 8.8.8.8:53 - 0 0"))
         assert isinstance(again.outcome, Forwarded)
@@ -185,7 +184,7 @@ def test_table_full_then_room_after_expiry():
 def test_ttl_expiry_and_decrement(config):
     for pipe in (BaselinePipeline(config), IntegratedPipeline(config)):
         dying = pipe.process(pkt("0.0 udp 10.0.0.5:1 8.8.8.8:53 - 0 0 1"))
-        assert dying.outcome == Dropped(DropReason.TTL_EXPIRED)
+        assert dying.outcome == DropReason.TTL_EXPIRED
         ok = pipe.process(pkt("0.1 udp 10.0.0.5:2 8.8.8.8:53 - 0 0 64"))
         assert ok.outcome.packet.ttl == 63
 
@@ -194,7 +193,7 @@ def test_no_route_destination(config):
     cfg = make_config(routes="10.0.0.0/8 10.0.0.254 lan\n")  # no default route
     for pipe in (BaselinePipeline(cfg), IntegratedPipeline(cfg)):
         verdict = pipe.process(pkt("0.0 udp 10.0.0.5:1 8.8.8.8:53 - 0 0"))
-        assert verdict.outcome == Dropped(DropReason.NO_ROUTE)
+        assert verdict.outcome == DropReason.NO_ROUTE
 
 
 def test_unrouted_lan_host_drops_on_inbound(config):
@@ -208,7 +207,7 @@ def test_unrouted_lan_host_drops_on_inbound(config):
     result = compare(cfg, trace(lines))
     assert result.equal
     assert isinstance(result.baseline_verdicts[0].outcome, Forwarded)
-    assert result.baseline_verdicts[1].outcome == Dropped(DropReason.NO_ROUTE)
+    assert result.baseline_verdicts[1].outcome == DropReason.NO_ROUTE
 
 
 def test_lan_to_lan_bypasses_nat(config):
@@ -301,7 +300,7 @@ def test_established_session_rst_then_data_violates(config):
         pipe = cls(make_config())
         verdicts = [pipe.process(p) for p in lines]
         assert isinstance(verdicts[3].outcome, Forwarded)  # RST forwarded, closes
-        assert verdicts[4].outcome == Dropped(DropReason.STATE_VIOLATION)
+        assert verdicts[4].outcome == DropReason.STATE_VIOLATION
 
 
 def test_replay_determinism(config):
@@ -562,7 +561,9 @@ def test_closed_flows_stay_closed_and_public_tuples_stay_unique():
     """ROADMAP D's last two security invariants, on both verdict streams, under pressure.
 
     Once a TCP flow's RST or second FIN is forwarded at t, nothing more of
-    that flow is forwarded before t + closed_grace. After every packet, the
+    that flow is forwarded before t + closed_grace, and the first thing
+    forwarded after it is a first packet, which reopens the flow through
+    the rules (its one rule evaluation). After every packet, the
     table holding public ports (the session table, or the baseline's NAT
     table) keeps one live entry per public tuple under both its indexes.
     """
@@ -574,7 +575,8 @@ def test_closed_flows_stay_closed_and_public_tuples_stay_unique():
             fins = {}  # flow -> FINs forwarded since its last bare SYN
             closed_at = {}  # flow -> when the packet that closed it was forwarded
             for packet in packets:
-                out = pipe.process(packet).outcome
+                verdict = pipe.process(packet)
+                out = verdict.outcome
                 now, sid, flags = packet.ts, packet.sid, packet.flags
                 where = (name, pipe.name, packet)
                 _assert_one_live_entry_per_public_tuple(table, now, where)
@@ -589,6 +591,7 @@ def test_closed_flows_stay_closed_and_public_tuples_stay_unique():
                 flow = _flow_name(sid if from_lan else out.packet.sid)
                 if flow in closed_at:
                     assert now >= closed_at.pop(flow) + grace, where
+                    assert verdict.lookups.rule_evals == 1, where
                     reopened += 1
                 if flags == SYN:  # forwarded only as a flow's first packet, or its retransmission
                     fins[flow] = 0
@@ -647,8 +650,8 @@ def test_verdicts_are_whole_namedtuples():
                 assert _whole(verdict, Verdict), where
                 assert _whole(verdict.lookups, LookupAccounting), where
                 out = verdict.outcome
-                if type(out) is Dropped:
-                    assert _whole(out, Dropped) and type(out.reason) is DropReason, where
+                if type(out) is not Forwarded:
+                    assert type(out) is DropReason, where
                     continue
                 assert _whole(out, Forwarded) and type(out.route) is RouteEntry, where
                 emitted = out.packet
@@ -727,7 +730,7 @@ def test_the_lan_test_agrees_with_cidr_contains_at_every_prefix_length():
                         Packet(0.0, SessionId(probe, 1000, outside, 53, UDP), 0, 64, 0, 0))
                     assert sent.lookups.rule_evals == inside, where
                     if not inside:
-                        assert sent.outcome == Dropped(DropReason.INBOUND_NO_SESSION), where
+                        assert sent.outcome == DropReason.INBOUND_NO_SESSION, where
                     received = pipe_class(config).process(
                         Packet(0.0, SessionId(lan.network, 1000, probe, 53, UDP), 0, 64, 0, 0))
                     assert received.lookups.rule_evals == 1, where

@@ -154,6 +154,14 @@ def test_shared_peer_distinct_gwy_ports_resolve_distinctly():
     assert t.lookup_inbound(b.inbound_key, 0.0) is b
 
 
+def sweep_all(table, now: float) -> int:
+    """Remove every entry with expiry <= now, one sweep at a time; returns how many."""
+    removed = 0
+    while table.sweep_expired(now):
+        removed += 1
+    return removed
+
+
 @pytest.mark.parametrize("kind", list(TABLES))
 def test_sweep_expired_counts_and_is_idempotent(kind):
     cls, _, make = TABLES[kind]
@@ -161,7 +169,8 @@ def test_sweep_expired_counts_and_is_idempotent(kind):
     t.insert(make(0, expiry=10.0))
     t.insert(make(1, expiry=20.0))
     t.insert(make(2, expiry=99.0))
-    assert t.sweep_expired(now=20.0) == 2
+    t.insert(make(3, expiry=15.0))
+    assert [t.sweep_expired(now=20.0) for _ in range(3)] == [1, 1, 1]  # one per call
     assert len(t) == 1
     assert t.sweep_expired(now=20.0) == 0
     assert cls().sweep_expired(0.0) == 0
@@ -208,7 +217,7 @@ def test_sweep_matches_a_full_scan(kind, seed):
                 advance(entry, rng.choice(ORACLE_FLAGS), direction, now, SHORT)
         else:
             dead = sum(e.expiry <= now for e in t._out.values())
-            assert t.sweep_expired(now) == dead
+            assert sweep_all(t, now) == dead
             assert all(e.expiry > now for e in t._out.values())
             sweeps += 1
         assert t._heap is None or len(t._heap) <= 2 * len(t) + 65
@@ -229,6 +238,23 @@ def test_refusal_at_the_same_instant_pops_nothing(kind, monkeypatch):
         with pytest.raises(TableFullError):
             t.ensure_capacity(now=1.0)
     assert pops == []
+
+
+@pytest.mark.parametrize("kind", ["StateTable", "SessionTable"])
+def test_admission_after_mass_expiry_removes_one_entry(kind, monkeypatch):
+    """A new flow at a full table of dead entries pays for one removal, not for all of them."""
+    cls, _, make = TABLES[kind]
+    t = cls(capacity=1024)
+    for i in range(1024):
+        t.insert(make(i, expiry=Timeouts().non_tcp, proto=UDP))  # written at t = 0
+    with pytest.raises(TableFullError):
+        t.ensure_capacity(now=1.0)  # builds the index
+    pops = []
+    real_pop = session_table.heappop
+    monkeypatch.setattr(session_table, "heappop", lambda heap: pops.append(1) or real_pop(heap))
+    t.ensure_capacity(now=61.0)  # every entry is dead
+    assert len(t) == 1023
+    assert pops == [1]
 
 
 @pytest.mark.parametrize("kind", ["StateTable", "SessionTable"])
@@ -273,7 +299,7 @@ def test_dual_index_consistency_random_ops():
             t.lookup_outbound(e.outbound_key, now)
             t.lookup_inbound(e.inbound_key, now)
         else:
-            t.sweep_expired(now)
+            sweep_all(t, now)
         out_entries = set(map(id, t._out.values()))
         in_entries = set(map(id, t._in.values()))
         assert out_entries == in_entries
