@@ -1,9 +1,8 @@
-"""Trace generation, replay, differential comparison, and benchmarking."""
+"""Trace generation, replay, and differential comparison."""
 
 from __future__ import annotations
 
 import random
-import statistics
 import time
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -282,25 +281,3 @@ def compare(config: RouterConfig, packets: list[Packet]) -> ComparisonResult:
         baseline_report=baseline_report,
         integrated_report=integrated_report,
     )
-
-
-def bench(
-    config: RouterConfig, packets: list[Packet], repetitions: int
-) -> tuple[list[MetricsReport], dict[str, int]]:
-    """Run each pipeline `repetitions` times; report per-rep counters and wall time.
-
-    Returns the reports (baseline reps first) plus median wall_ns per pipeline.
-    Counters are identical across reps by construction; wall time is not.
-    """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    reports: list[MetricsReport] = []
-    medians: dict[str, int] = {}
-    for name in ("baseline", "integrated"):
-        walls = []
-        for _ in range(repetitions):
-            _, report = run_pipeline(make_pipeline(name, config), packets)
-            reports.append(report)
-            walls.append(report.wall_ns)
-        medians[name] = int(statistics.median(walls))
-    return reports, medians

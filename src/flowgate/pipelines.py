@@ -8,6 +8,8 @@ any trace; only the lookup accounting differs.
 
 Both admit a first packet through one `_first_packet`, in one drop precedence:
 RuleDenied > StateViolation > NatExhausted > TableFull > NoRoute > TtlExpired.
+A flow opens only when its first packet leaves, as Linux confirms a conntrack
+entry (`nf_conntrack_confirm`): a first packet dropped at egress inserts nothing.
 Capacity is checked before the NAT pool, so a refused flow never pays for
 a port probe it would throw away: on a full table the pool is probed only
 when the table holding its ports has at least as many entries as the pool
@@ -102,7 +104,7 @@ class StateTable(ExpiringTable):
     """Single-index state table keyed on the LAN-side five-tuple: a bare conntrack."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RouterConfig:
     """Everything a pipeline instance needs, parsed and immutable."""
 
@@ -291,14 +293,17 @@ class BaselinePipeline(_Pipeline):
         )
 
     def _open(self, packet, sid, state, expiry, gwy, acct) -> Verdict:
-        """Insert an admitted flow's state entry and, unless LAN to LAN, its mapping to `gwy`."""
-        mapping = None
-        if gwy is not None:
-            lan, lan_port, ext, ext_port, proto = sid
-            mapping = NatMapping(lan, lan_port, *gwy, ext, ext_port, proto, expiry)
-            self.nat_table.insert(mapping)
-        self.state_table.insert(StateEntry(sid, sid.proto, state, expiry))
-        return self._outbound_egress(packet, sid, mapping, acct)
+        """Insert a flow's state entry and, unless LAN to LAN, its mapping if its packet leaves."""
+        lan, lan_port, ext, ext_port, proto = sid
+        mapping = None if gwy is None else NatMapping(
+            lan, lan_port, *gwy, ext, ext_port, proto, expiry
+        )
+        verdict = self._outbound_egress(packet, sid, mapping, acct)
+        if type(verdict.outcome) is Forwarded:
+            if mapping is not None:
+                self.nat_table.insert(mapping)
+            self.state_table.insert(StateEntry(sid, proto, state, expiry))
+        return verdict
 
     def _outbound_egress(
         self, packet: Packet, sid: SessionId, mapping, acct: LookupAccounting
@@ -361,7 +366,7 @@ class IntegratedPipeline(_Pipeline):
         return _forward(packet, entry.in_sid, entry.dscp, entry.lan_route, acct)
 
     def _open(self, packet, sid, state, expiry, gwy, acct) -> Verdict:
-        """Classify an admitted flow, look up both directions' routes, and insert its entry."""
+        """Classify a flow, look up both directions' routes, and insert its entry if it leaves."""
         cfg = self.config
         lan, lan_port, ext_addr, ext_port, proto = sid
         gwy_addr, gwy_port = gwy or (lan, lan_port)  # LAN to LAN: the flow keeps its own endpoint
@@ -371,5 +376,7 @@ class IntegratedPipeline(_Pipeline):
             lan, lan_port, gwy_addr, gwy_port, ext_addr, ext_port, proto,
             state, expiry, dscp, ext_route, cfg.routes.lookup(lan),
         )
-        self.table.insert(entry)
-        return _forward(packet, entry.out_sid, dscp, ext_route, acct)
+        verdict = _forward(packet, entry.out_sid, dscp, ext_route, acct)
+        if type(verdict.outcome) is Forwarded:
+            self.table.insert(entry)
+        return verdict

@@ -20,9 +20,7 @@ from flowgate.filters import parse_rules
 from flowgate.harness import (
     CSV_HEADER,
     TraceSpec,
-    bench,
     compare,
-    csv_row,
     generate_packets,
     run_pipeline,
 )
@@ -148,11 +146,15 @@ CORNER_CASES = [
         [(0, F), (1, DropReason.TTL_EXPIRED)],
     ),
     (
-        "ttl_expiry_on_miss_path_still_creates_state",
+        # a flow opens only when its first packet leaves, so its reply finds no flow,
+        # its public port stays free, and its next packet is a first packet again
+        "ttl_expiry_on_miss_path_opens_no_flow",
         {},
         "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0 1\n"
-        "0.1 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n",
-        [(0, DropReason.TTL_EXPIRED), (1, F)],
+        "0.1 udp 8.8.8.8:53 192.0.2.1:40000 - 0 0\n"
+        "0.2 udp 10.0.0.6:1000 8.8.8.8:53 - 0 0\n"
+        "0.3 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n",
+        [(0, DropReason.TTL_EXPIRED), (1, DropReason.INBOUND_NO_SESSION), (2, F), (3, F)],
     ),
     (
         "no_route_to_external_destination",
@@ -160,6 +162,13 @@ CORNER_CASES = [
         "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n"
         "0.1 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n",
         [(0, DropReason.NO_ROUTE), (1, DropReason.NO_ROUTE)],
+    ),
+    (
+        "no_route_on_miss_path_opens_no_flow",
+        dict(routes="10.0.0.0/8 10.0.0.254 lan\n"),
+        "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n"
+        "0.1 udp 8.8.8.8:53 192.0.2.1:40000 - 0 0\n",
+        [(0, DropReason.NO_ROUTE), (1, DropReason.INBOUND_NO_SESSION)],
     ),
     (
         "no_route_to_lan_host_on_reply",
@@ -344,6 +353,13 @@ def test_criterion_1a_corner_traces():
         result = compare(make_config(**kwargs), trace(text))
         assert result.baseline_verdicts[2].outcome.packet.sid.src_port == 40000
         assert result.baseline_verdicts[3].outcome.packet.sid.dst_addr == parse_ip("10.0.0.7")
+        # a first packet dropped at egress held no port: the next flow takes the first one
+        _, _, text, _ = next(
+            c for c in CORNER_CASES if c[0] == "ttl_expiry_on_miss_path_opens_no_flow"
+        )
+        result = compare(make_config(), trace(text))
+        ports = [v.outcome.packet.sid.src_port for v in result.baseline_verdicts[2:]]
+        assert ports == [40000, 40001]
 
 
 # --------------------------------------------------------------------------
@@ -870,6 +886,20 @@ def test_criterion_8_expiry_starts_fresh_session():
 # criterion 9: byte-identical gen and run outputs
 # --------------------------------------------------------------------------
 
+def config_flags(tmp_path) -> list[str]:
+    """Flags naming conftest's config texts, written under `tmp_path`."""
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    flags = []
+    for name, text in (
+        ("rules", conftest.DEFAULT_RULES), ("routes", conftest.DEFAULT_ROUTES),
+        ("nat", conftest.DEFAULT_NAT), ("qos", conftest.DEFAULT_QOS),
+    ):
+        (cfg_dir / f"{name}.txt").write_text(text)
+        flags += [f"--{name}", str(cfg_dir / f"{name}.txt")]
+    return [*flags, "--lan-prefix", conftest.DEFAULT_LAN]
+
+
 def test_criterion_9_determinism(tmp_path):
     with criterion("9", "gen and run outputs byte-identical across invocations (wall time aside)"):
         gen_args = [
@@ -881,18 +911,7 @@ def test_criterion_9_determinism(tmp_path):
         assert cli_main([*gen_args, "--out", str(trace_b)]) == 0
         assert trace_a.read_bytes() == trace_b.read_bytes()
 
-        configs = conftest
-        cfg_dir = tmp_path / "cfg"
-        cfg_dir.mkdir()
-        (cfg_dir / "rules.txt").write_text(configs.DEFAULT_RULES)
-        (cfg_dir / "routes.txt").write_text(configs.DEFAULT_ROUTES)
-        (cfg_dir / "nat.txt").write_text(configs.DEFAULT_NAT)
-        (cfg_dir / "qos.txt").write_text(configs.DEFAULT_QOS)
-        flags = [
-            "--rules", str(cfg_dir / "rules.txt"), "--routes", str(cfg_dir / "routes.txt"),
-            "--nat", str(cfg_dir / "nat.txt"), "--qos", str(cfg_dir / "qos.txt"),
-            "--lan-prefix", "10.0.0.0/8", "--trace", str(trace_a),
-        ]
+        flags = [*config_flags(tmp_path), "--trace", str(trace_a)]
         outputs = []
         for tag in ("x", "y"):
             verdicts = tmp_path / f"verdicts_{tag}.txt"
@@ -915,30 +934,35 @@ def test_criterion_9_determinism(tmp_path):
 # criterion 10: bench CSV schema; counters asserted, their ratio reported
 # --------------------------------------------------------------------------
 
-def test_criterion_10_bench_csv_and_timing_report():
+def test_criterion_10_bench_csv_and_timing_report(tmp_path, capsys):
     with criterion("10", "bench emits the fixed CSV schema; consultation ratio reported"):
-        packets = generate_packets(REFERENCE_SPEC)
-        reports, _ = bench(make_config(), packets, repetitions=3)
-        assert CSV_HEADER == (
+        out = tmp_path / "bench.csv"
+        spec = REFERENCE_SPEC
+        assert cli_main([
+            "bench", *config_flags(tmp_path), "--sessions", str(spec.sessions),
+            "--packets-per-session", str(spec.packets_per_session),
+            "--mix", str(spec.tcp_fraction), "--seed", str(spec.seed), "--reps", "3",
+            "--out", str(out),
+        ]) == 0  # the default --peers are REFERENCE_SPEC's
+        assert capsys.readouterr().err.startswith("median wall_ns: baseline=")
+        header, *lines = out.read_text().strip().split("\n")
+        assert header == CSV_HEADER == (
             "pipeline,packets,forwarded,dropped,session_hits,session_misses,"
             "nat_lookups,session_lookups,rule_evals,rules_scanned,"
             "qos_classifications,route_lookups,wall_ns"
         )
-        assert len(reports) == 6
-        for report in reports:
-            row = csv_row(report).split(",")
-            assert len(row) == 13
-            assert int(row[-1]) > 0  # wall_ns present and positive
-        by_name = {}
-        for r in reports:
-            by_name.setdefault(r.pipeline, []).append(r)
-        for name, expected_sessions in (("baseline", 10_000), ("integrated", 10_000)):
-            assert all(r.session_lookups == expected_sessions for r in by_name[name])
-        assert all(r.nat_lookups == 10_000 for r in by_name["baseline"])
-        assert all(r.nat_lookups == 10 for r in by_name["integrated"])
+        assert [len(line.split(",")) for line in lines] == [13] * 6
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert [row["pipeline"] for row in rows] == ["baseline"] * 3 + ["integrated"] * 3
+        assert all(int(row["wall_ns"]) > 0 for row in rows)
+        assert all(int(row["session_lookups"]) == 10_000 for row in rows)
+        assert [int(row["nat_lookups"]) for row in rows] == [10_000] * 3 + [10] * 3
         # the counts are exact; a wall ratio from 3 reps taken while the suite runs is not
-        base = by_name["baseline"][0].total_consultations()
-        integrated = by_name["integrated"][0].total_consultations()
+        counters = LookupAccounting._fields  # CSV columns of the same names
+        base, integrated = (
+            LookupAccounting(*(int(row[c]) for c in counters)).total_consultations()
+            for row in (rows[0], rows[3])
+        )
         conftest.ACCEPTANCE_RESULTS.append(
             f"           note: baseline consultations = {base / integrated:.2f}x integrated"
             f" ({base} vs {integrated}; reported, not asserted)"

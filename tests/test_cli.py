@@ -1,13 +1,14 @@
 """CLI end-to-end: subcommands, exit codes, output files."""
 
 import errno
+import statistics
 from pathlib import Path
 
 import pytest
 
 from flowgate import cli
 from flowgate.cli import main
-from flowgate.harness import DEFAULT_NAT
+from flowgate.harness import CSV_HEADER, DEFAULT_NAT
 from flowgate.nat import parse_nat_config
 from flowgate.packet import format_ip, load_trace, parse_ip
 
@@ -142,15 +143,26 @@ def test_unicode_digit_in_trace_is_a_one_line_trace_error(tmp_path, capsys, extr
 
 
 def test_bench_csv(tmp_path, capsys):
+    """Each pipeline's reps in turn, baseline first: only wall_ns differs between them."""
     out = tmp_path / "bench.csv"
     assert main([
         "bench", *config_flags(), "--sessions", "4", "--packets-per-session", "10",
-        "--reps", "2", "--out", str(out),
+        "--reps", "3", "--out", str(out),
     ]) == 0
-    lines = out.read_text().strip().split("\n")
-    assert len(lines) == 1 + 4  # header + 2 pipelines x 2 reps
+    header, *lines = out.read_text().strip().split("\n")
+    assert header == CSV_HEADER
+    rows = [line.split(",") for line in lines]
+    assert [row[0] for row in rows] == ["baseline"] * 3 + ["integrated"] * 3
+    assert {len(row) for row in rows} == {len(header.split(","))}
+    medians = []
+    for reps in (rows[:3], rows[3:]):
+        assert all(row[:-1] == reps[0][:-1] for row in reps)  # the counters repeat exactly
+        assert all(int(row[-1]) > 0 for row in reps)
+        medians.append(int(statistics.median(int(row[-1]) for row in reps)))
+    base, integrated = medians
     err = capsys.readouterr().err
-    assert "median wall_ns" in err and " speedup=" in err
+    assert err.startswith(f"median wall_ns: baseline={base} integrated={integrated} speedup=")
+    assert err.endswith("x\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -244,7 +256,6 @@ def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, monkeypatch, arg
     capsys.readouterr()
     replays = []
     monkeypatch.setattr(cli, "run_pipeline", lambda *a: replays.append("run"))
-    monkeypatch.setattr(cli, "bench", lambda *a: replays.append("bench"))
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1

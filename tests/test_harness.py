@@ -1,4 +1,4 @@
-"""Trace generation, replay reports, differential compare, and bench."""
+"""Trace generation, replay reports, and differential compare."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from flowgate.errors import ConfigError
 from flowgate.harness import (
     CSV_HEADER,
     TraceSpec,
-    bench,
     compare,
     csv_row,
     first_divergence,
@@ -322,37 +321,3 @@ def test_render_verdict_matches_formatting_the_route_each_time():
                 assert render_verdict(verdict) == want
                 verdicts += 1
     assert verdicts > 20_000
-
-
-def test_bench_rows_and_medians():
-    cfg = make_config()
-    packets = generate_packets(spec(sessions=5, packets_per_session=20))
-    reports, medians = bench(cfg, packets, repetitions=3)
-    assert len(reports) == 6
-    assert {r.pipeline for r in reports} == {"baseline", "integrated"}
-    for r in reports:
-        assert r.wall_ns > 0
-        row = csv_row(r)
-        assert len(row.split(",")) == len(CSV_HEADER.split(","))
-    # counters identical across repetitions of the same pipeline
-    base = [r for r in reports if r.pipeline == "baseline"]
-    assert len({csv_row(r).rsplit(",", 1)[0] for r in base}) == 1
-    assert medians["baseline"] > 0 and medians["integrated"] > 0
-    with pytest.raises(ValueError):
-        bench(cfg, packets, repetitions=0)
-
-
-def test_bench_lookup_totals_on_reference_trace():
-    cfg = make_config()
-    packets = generate_packets(spec(sessions=10, packets_per_session=1000))
-    reports, _ = bench(cfg, packets, repetitions=1)
-    by_name = {r.pipeline: r for r in reports}
-    baseline, integrated = by_name["baseline"], by_name["integrated"]
-    assert baseline.nat_lookups == 10_000
-    assert baseline.route_lookups == 10_000
-    assert baseline.qos_classifications == 10_000
-    assert integrated.session_lookups == 10_000
-    assert integrated.nat_lookups == 10
-    assert integrated.route_lookups == 20
-    ratio = baseline.total_consultations() / integrated.total_consultations()
-    assert ratio > 3.9

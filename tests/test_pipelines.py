@@ -1,7 +1,7 @@
 """Per-packet flow behavior of both pipelines: accounting, drops, equivalence."""
 
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from conftest import make_config, pkt, trace
@@ -99,6 +99,13 @@ def test_integrated_inbound_one_shot_rewrites(config):
     assert (out.packet.ts, out.packet.ttl, out.packet.payload_len) == (0.1, 63, 64)
     assert format_ip(out.route.next_hop) == "10.0.0.254"
     assert out.route.iface == "lan"
+
+
+def test_router_config_is_frozen(config):
+    """Integrated entries cache what they derive from it: DSCP and both directions' routes."""
+    for name, value in (("routes", config.routes), ("qos", config.qos), ("capacity", 1)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, value)
 
 
 def test_rule_denied_creates_no_state(config):
@@ -463,6 +470,76 @@ def differential_cases() -> list[tuple[str, object, list]]:
     return cases
 
 
+MUTATED_FLAGS = (RST, RST | ACK, FIN, SYN | FIN, ACK, SYN, 0)
+MUTATIONS = (
+    "drop", "duplicate", "swap", "ttl", "tos", "flags", "unsolicited", "delay", "portless",
+)
+
+
+def _mutate(packets: list[Packet], config, rng: random.Random) -> list[Packet]:
+    """About one operation per 20 packets, at least one, each on a random packet.
+
+    An operation drops or duplicates the packet; swaps its contents with the
+    next one's, each keeping its timestamp; sets its TTL to 1 or gives it a
+    random ToS; sets a TCP packet's flags; inserts before it an unsolicited
+    packet from its outside peer to a port of the NAT public address; delays it
+    and every later packet by 5, 31, 61 or 301 s; or turns it into protocol 1
+    or 47 with ports 0. Timestamps never decrease.
+    """
+    packets = list(packets)
+    for _ in range(max(1, len(packets) // 20)):
+        if not packets:
+            break
+        i = rng.randrange(len(packets))
+        p = packets[i]
+        src, src_port, dst, dst_port, proto = p.sid
+        op = rng.choice(MUTATIONS)
+        if op == "drop":
+            del packets[i]
+        elif op == "duplicate":
+            packets.insert(i, p)
+        elif op == "swap" and i + 1 < len(packets):
+            q = packets[i + 1]
+            packets[i:i + 2] = [q._replace(ts=p.ts), p._replace(ts=q.ts)]
+        elif op == "ttl":
+            packets[i] = p._replace(ttl=1)
+        elif op == "tos":
+            packets[i] = p._replace(tos=rng.randrange(256))
+        elif op == "flags" and proto == TCP:
+            packets[i] = p._replace(flags=rng.choice(MUTATED_FLAGS))
+        elif op == "unsolicited":
+            peer = (dst, dst_port) if config.lan_prefix.contains(src) else (src, src_port)
+            if config.lan_prefix.contains(peer[0]):
+                continue  # a LAN host's packet is outbound, not unsolicited
+            proto = rng.choice((TCP, UDP))
+            gwy = (config.nat.public_addr, rng.randint(config.nat.port_lo, config.nat.port_hi))
+            flags = rng.choice(MUTATED_FLAGS) if proto == TCP else 0
+            packets.insert(i, Packet(p.ts, SessionId(*peer, *gwy, proto), 0, 64, flags, 0))
+        elif op == "delay":
+            delay = rng.choice((5, 31, 61, 301))
+            packets[i:] = [q._replace(ts=round(q.ts + delay, 6)) for q in packets[i:]]
+        elif op == "portless":
+            packets[i] = p._replace(sid=SessionId(src, 0, dst, 0, rng.choice((1, 47))), flags=0)
+    return packets
+
+
+def mutated_cases(cases) -> list[tuple[str, object, list]]:
+    """Three mutations of each (name, config, packets) case, mutation r seeded by f"{name}/{r}"."""
+    return [
+        (f"{name}, mutation {r}", config, _mutate(packets, config, random.Random(f"{name}/{r}")))
+        for name, config, packets in cases
+        for r in range(3)
+    ]
+
+
+def test_mutated_traces_agree():
+    """Dropped, repeated, reordered, rewritten, delayed and unsolicited packets alike."""
+    cases = differential_cases() + pressure_cases()[len(CORNER_CASES):]  # corner traces once
+    for name, config, packets in mutated_cases(cases):
+        result = compare(config, packets)
+        assert result.equal, f"{name}: {result.describe()}"
+
+
 def test_forwards_only_flows_the_rules_accept_and_a_lan_host_opened():
     """The security claim, on both verdict streams, with LAN peers among the flows.
 
@@ -471,6 +548,7 @@ def test_forwards_only_flows_the_rules_accept_and_a_lan_host_opened():
     and each forwarded reply must answer a flow a LAN host opened earlier.
     """
     cases = differential_cases()
+    cases += mutated_cases(cases)
     lan_peers = tuple(parse_ip(a) for a in ("10.0.0.9", "10.200.3.4"))
     for seed in range(4):
         rng = random.Random(0xBEEF ^ seed)
@@ -568,7 +646,8 @@ def test_closed_flows_stay_closed_and_public_tuples_stay_unique():
     table) keeps one live entry per public tuple under both its indexes.
     """
     closes = blocked = reopened = 0
-    for name, config, packets in pressure_cases():
+    cases = pressure_cases()
+    for name, config, packets in cases + mutated_cases(cases):
         grace = config.timeouts.closed_grace
         for pipe in (BaselinePipeline(config), IntegratedPipeline(config)):
             table = pipe.nat_table if isinstance(pipe, BaselinePipeline) else pipe.table
