@@ -31,6 +31,7 @@ EXIT_OK = 0
 EXIT_COMPARE_FAIL = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_TRACE_ERROR = 3
+CONFIG_FILES = ("rules", "routes", "nat", "qos")  # the config flags that name a file
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -114,8 +115,22 @@ def _write(path: str | None, text: str, mode: str = "w") -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _refuse_shared_files(args: argparse.Namespace, outputs: tuple[str, ...], *inputs: str) -> None:
+    """Refuse a file that an output flag names if another output or an input names it too.
+
+    A path that names no file yet cannot be another one; inputs may share a file.
+    """
+    named = [(name, getattr(args, name)) for name in outputs + inputs]
+    named = [(name, path) for name, path in named if path and Path(path).exists()]
+    for i, (name, path) in enumerate(named):
+        for other, other_path in named[i + 1:]:
+            if name in outputs and Path(path).samefile(other_path):
+                raise ConfigError(f"--{name} and --{other} name the same file: {other_path}")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     nat = parse_nat_config(_read(args.nat, ConfigError)) if args.nat else DEFAULT_NAT
+    _refuse_shared_files(args, ("out",), "nat")
     _write(args.out, generate_trace(_trace_spec(args, _lan_prefix(args), nat)))
     return EXIT_OK
 
@@ -125,8 +140,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     packets = load_trace(_read(args.trace, TraceError))
     for path in (args.verdicts, args.out):
         _write(path, "", "a")
-    if args.verdicts and args.out and Path(args.verdicts).samefile(args.out):
-        raise ConfigError(f"--verdicts and --out name the same file: {args.out}")
+    _refuse_shared_files(args, ("verdicts", "out"), "trace", *CONFIG_FILES)
     verdicts, report = run_pipeline(make_pipeline(args.pipeline, config), packets)
     if args.verdicts:
         _write(args.verdicts, "".join(render_verdict(v) + "\n" for v in verdicts))
@@ -152,6 +166,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = load_config(args)
     packets = generate_packets(_trace_spec(args, config.lan_prefix, config.nat))
     _write(args.out, "", "a")
+    _refuse_shared_files(args, ("out",), *CONFIG_FILES)
     rows, medians = [CSV_HEADER], {}
     for name in ("baseline", "integrated"):
         reports = [run_pipeline(make_pipeline(name, config), packets)[1] for _ in range(args.reps)]

@@ -206,6 +206,8 @@ def _parse_record(line: str, head: list[str], memo: _TraceMemo) -> Packet:
     # else the text after dst holds the 3 or 4 columns of a good line, so this one has 7 or 8
 
     try:
+        if not head[0].isascii() or "_" in head[0]:  # float() alone also reads '٣.٥' and '1_0'
+            raise ValueError(head[0])
         ts = float(head[0])
     except ValueError as exc:
         raise TraceError(f"ts: not a number: {head[0]!r}") from exc
@@ -262,8 +264,8 @@ def parse_trace_record(line: str) -> Packet:
     Grammar (whitespace separated):
         ts proto src_ip:src_port dst_ip:dst_port flags payload_len tos [ttl]
     proto is tcp, udp, or a decimal protocol number; flags is '-' or a subset
-    of "SAFR" in that order; ttl is optional and defaults to 64. Numbers are
-    ASCII decimal digits.
+    of "SAFR" in that order; ttl is optional and defaults to 64. ts is ASCII
+    text that float() reads, with no '_'; other numbers are ASCII decimal digits.
 
     Nothing in the package calls it; it stays as the record format's one
     public reading: a line parsed cold, with no memo, which the tests hold
@@ -313,6 +315,7 @@ def load_trace(text: str) -> list[Packet]:
     memo = _TraceMemo()  # for this call only
     tails = memo.tails
     new, inf = tuple.__new__, math.inf
+    plain = text.isascii() and "_" not in text  # then no ts token needs _parse_record's check
     # the lines `content_lines` yields, read here without a generator's resume per line
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
@@ -323,7 +326,7 @@ def load_trace(text: str) -> list[Packet]:
         values = tails.get(head[-1])
         if values is not None:
             try:
-                ts = float(head[0])
+                ts = float(head[0]) if plain or head[0].isascii() and "_" not in head[0] else inf
             except ValueError:
                 ts = math.nan  # fails the test below; _parse_record reports it
             # false for nan, inf, a negative ts (last_ts >= 0) and a decrease

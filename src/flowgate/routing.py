@@ -22,14 +22,6 @@ class RouteEntry:
         object.__setattr__(self, "label", f"{format_ip(self.next_hop)} {self.iface}")
 
 
-class DuplicatePrefix(ValueError):
-    """Two routes share a prefix; `index` is the later one's place in the table's entries."""
-
-    def __init__(self, index: int, prefix: Cidr):
-        super().__init__(f"duplicate prefix {prefix}")
-        self.index = index
-
-
 class RoutingTable:
     """Immutable after construction; lookup returns the longest covering prefix.
 
@@ -44,11 +36,6 @@ class RoutingTable:
         # each prefix as one int, ordered by network and then length, so a covering prefix sorts first
         keys = [e.prefix.network << 6 | e.prefix.prefix_len for e in self.entries]
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        # the sort is stable: a prefix's repeats follow its first entry, in entry order
-        repeats = [j for i, j in zip(order, order[1:]) if keys[i] == keys[j]]
-        if repeats:
-            index = min(repeats)
-            raise DuplicatePrefix(index, self.entries[index].prefix)
         # piece start -> the innermost prefix covering it; starts only grow, and a
         # later piece at the same start replaces the earlier one
         pieces: dict[int, RouteEntry | None] = {0: None}
@@ -79,9 +66,8 @@ class RoutingTable:
 def parse_routes(text: str) -> RoutingTable:
     """One route per line: `<cidr> <next_hop_ip> <iface>`. Duplicate prefixes rejected."""
     entries: list[RouteEntry] = []
-    linenos: list[int] = []
     hops: dict[str, int] = {}  # next-hop token -> its address, this call only
-    bad = None  # (line number, error) of the first line that does not parse
+    seen: set[int] = set()  # each prefix read so far, as the table keys it
     for lineno, line in content_lines(text):
         fields = line.split()
         try:
@@ -92,15 +78,10 @@ def parse_routes(text: str) -> RoutingTable:
             if hop is None:
                 hop = hops[fields[1]] = parse_ip(fields[1])
         except ValueError as exc:
-            bad = lineno, exc
-            break
+            raise ConfigError(f"line {lineno}: {exc}") from exc
+        key = prefix.network << 6 | prefix.prefix_len
+        if key in seen:
+            raise ConfigError(f"line {lineno}: duplicate prefix {prefix}")
+        seen.add(key)
         entries.append(RouteEntry(prefix, hop, fields[2]))
-        linenos.append(lineno)
-    try:
-        table = RoutingTable(entries)
-    except DuplicatePrefix as exc:
-        # the repeat is on a line before any bad one, so it is the first error in the file
-        raise ConfigError(f"line {linenos[exc.index]}: {exc}") from exc
-    if bad:
-        raise ConfigError(f"line {bad[0]}: {bad[1]}") from bad[1]
-    return table
+    return RoutingTable(entries)

@@ -34,7 +34,7 @@ SYN_SENT, ESTABLISHED = SessionState.SYN_SENT, SessionState.ESTABLISHED
 CLOSED, OPEN = SessionState.CLOSED, SessionState.OPEN
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Timeouts:
     """Idle timeouts in seconds, keyed by protocol/state class."""
 

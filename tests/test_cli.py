@@ -233,6 +233,11 @@ BAD_INPUT = {
     "run-out-dir-missing": [*RUN_TRACE, "--out", "{tmp}/missing/x.csv"],
     "run-verdicts-dir-missing": [*RUN_TRACE, "--verdicts", "{tmp}/missing/v.txt"],
     "run-verdicts-is-out": [*RUN_TRACE, "--verdicts", "{tmp}/v.txt", "--out", "{tmp}/./v.txt"],
+    "run-verdicts-is-trace": [*RUN_TRACE, "--verdicts", "{tmp}/./t.txt"],
+    "run-out-is-rules": [*RUN_TRACE[:2], "{tmp}/rules.txt", *RUN_TRACE[3:], "--out", "{tmp}/rules.txt"],
+    "bench-out-is-qos": ["bench", *config_flags()[:7], "{tmp}/qos.txt", *config_flags()[8:],
+                         "--out", "{tmp}/qos.txt"],
+    "gen-out-is-nat": ["gen", "--nat", "{tmp}/nat.txt", "--out", "{tmp}/nat.txt"],
     "bench-out-dir-missing": ["bench", *config_flags(), "--out", "{tmp}/missing/b.csv"],
     "run-rules-not-utf8": [*RUN_TRACE[:2], "{tmp}/not-utf8.txt", *RUN_TRACE[3:]],
     "run-nat-unicode-digit": [*RUN_TRACE[:6], "{tmp}/nat-sup.txt", *RUN_TRACE[7:]],
@@ -253,6 +258,8 @@ def test_bad_input_is_a_one_line_config_error(tmp_path, capsys, monkeypatch, arg
     (tmp_path / "nat-repeat.txt").write_text("public 192.0.2.1\nports 1-2\nports 3-4\n")
     (tmp_path / "nat-port0.txt").write_text("public 192.0.2.1\nports 0-0\n")
     (tmp_path / "nat-top.txt").write_text("public 192.0.2.1\nports 65535-65535\n")
+    for name in ("rules.txt", "qos.txt", "nat.txt"):
+        (tmp_path / name).write_bytes((CONFIGS / name).read_bytes())
     capsys.readouterr()
     replays = []
     monkeypatch.setattr(cli, "run_pipeline", lambda *a: replays.append("run"))
@@ -270,8 +277,12 @@ GEN_REFUSED = [
 
 @pytest.mark.parametrize(
     "argv",
-    [[*RUN_TRACE, "--verdicts", "{tmp}/v.txt", "--out", "{tmp}/missing/x.csv"], GEN_REFUSED],
-    ids=["run-out-refused", "gen-spec-refused"],
+    [
+        [*RUN_TRACE, "--verdicts", "{tmp}/v.txt", "--out", "{tmp}/missing/x.csv"],
+        [*RUN_TRACE, "--verdicts", "{tmp}/v.txt", "--out", "{tmp}/t.txt"],
+        GEN_REFUSED,
+    ],
+    ids=["run-out-refused", "run-out-is-trace", "gen-spec-refused"],
 )
 def test_a_failed_command_leaves_existing_outputs_as_they_were(tmp_path, argv):
     main(["gen", "--sessions", "1", "--packets-per-session", "2", "--out", str(tmp_path / "t.txt")])

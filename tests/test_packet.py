@@ -285,6 +285,7 @@ NON_ASCII_DIGITS = [
     ("0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0 ²", "ttl: bad value '²'"),
     ("0 ² 10.0.0.1:0 10.0.0.2:0 - 0 0", "proto: unknown protocol '²'"),
     ("0 tcp 10.0.0.²:1 10.0.0.2:2 S 0 0", "src: malformed IPv4 address '10.0.0.²'"),
+    ("٣.٥ tcp 10.0.0.1:1 10.0.0.2:2 S 0 0", "ts: not a number: '٣.٥'"),  # float() reads 3.5
 ]
 
 
@@ -495,6 +496,8 @@ MEMO_HIT_ERRORS = [
      "ts: bad timestamp 'inf'"),
     (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"], "0x1 udp 10.0.0.1:1 10.0.0.2:2 - 0 0",
      "ts: not a number: '0x1'"),
+    (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"], "1_0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0",
+     "ts: not a number: '1_0'"),  # float() reads 10.0
     (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0", "5 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"],
      "4 udp 10.0.0.1:1 10.0.0.2:2 - 0 0", None),
     # the text after dst is remembered, but this line has a column too few or too many

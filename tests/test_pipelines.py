@@ -102,10 +102,13 @@ def test_integrated_inbound_one_shot_rewrites(config):
 
 
 def test_router_config_is_frozen(config):
-    """Integrated entries cache what they derive from it: DSCP and both directions' routes."""
-    for name, value in (("routes", config.routes), ("qos", config.qos), ("capacity", 1)):
+    """Integrated entries cache DSCP and both directions' routes; tables derive expiry horizons."""
+    for obj, name, value in (
+        (config, "routes", config.routes), (config, "qos", config.qos), (config, "capacity", 1),
+        (config.timeouts, "non_tcp", 5.0),
+    ):
         with pytest.raises(FrozenInstanceError):
-            setattr(config, name, value)
+            setattr(obj, name, value)
 
 
 def test_rule_denied_creates_no_state(config):

@@ -145,20 +145,13 @@ def test_nested_prefixes_sharing_an_end():
     assert rt.lookup(0xFFFFFFFF).prefix == Cidr.parse("255.255.255.255/32")
 
 
-def test_duplicate_prefix_rejected_by_the_table():
-    entry = RouteEntry(Cidr.parse("10.0.0.0/8"), parse_ip("10.0.0.254"), "lan")
-    other = RouteEntry(Cidr.parse("10.0.0.0/16"), parse_ip("10.0.0.253"), "lan")
-    with pytest.raises(ValueError, match="duplicate prefix 10.0.0.0/8") as info:
-        RoutingTable([entry, other, RouteEntry(entry.prefix, parse_ip("10.9.9.9"), "lan2")])
-    assert info.value.index == 2
-
-
-def test_the_table_names_the_first_entry_that_repeats_a_prefix():
-    """In entry order, not address order: 20/8 repeats at entry 2, before 10/8 at entry 3."""
-    prefixes = ["20.0.0.0/8", "10.0.0.0/8", "20.0.0.0/8", "10.0.0.0/8", "20.0.0.0/8"]
-    with pytest.raises(routing.DuplicatePrefix) as info:
-        RoutingTable([RouteEntry(Cidr.parse(p), 1, "if") for p in prefixes])
-    assert (info.value.index, str(info.value)) == (2, "duplicate prefix 20.0.0.0/8")
+def test_of_two_entries_with_one_prefix_the_later_answers():
+    """The table trusts its entries; only parse_routes refuses a repeated prefix."""
+    prefixes = [("10.0.0.0/8", "a"), ("10.0.0.0/16", "c"), ("10.0.0.0/8", "b")]
+    rt = RoutingTable([RouteEntry(Cidr.parse(p), 1, iface) for p, iface in prefixes])
+    addrs = ("10.0.0.1", "10.1.0.0", "10.255.255.255")
+    assert [rt.lookup(parse_ip(a)).iface for a in addrs] == ["c", "b", "b"]
+    assert rt.lookup(parse_ip("11.0.0.0")) is None
 
 
 @pytest.mark.parametrize(
@@ -168,6 +161,9 @@ def test_the_table_names_the_first_entry_that_repeats_a_prefix():
         ("10.0.0.0/8 10.0.0.254 lan\n10.0.0.0/08 10.0.0.253 lan", "line 2: duplicate prefix 10.0.0.0/8"),
         ("10.0.0.0/8 10.0.0.254 lan\n# c\n10.1.0.0/8 10.0.0.253 lan", "line 3: duplicate prefix 10.0.0.0/8"),
         ("010.0.0.0/8 1.1.1.1 a\n10.255.1.2/8 1.1.1.1 b", "line 2: duplicate prefix 10.0.0.0/8"),
+        # the line that repeats a prefix, not one between
+        ("10.0.0.0/8 10.0.0.254 lan\n10.0.0.0/16 10.0.0.253 lan\n10.0.0.0/8 10.9.9.9 lan2",
+         "line 3: duplicate prefix 10.0.0.0/8"),
         # whichever comes first in the file: a repeat or a line that does not parse
         ("10.0.0.0/8 1.1.1.1 a\n10.0.0.0/8 1.1.1.1 a\nbanana/8 1.1.1.1 a",
          "line 2: duplicate prefix 10.0.0.0/8"),
@@ -175,6 +171,7 @@ def test_the_table_names_the_first_entry_that_repeats_a_prefix():
          "line 2: malformed IPv4 address 'banana'"),
         ("10.0.0.0/8 1.1.1.1 a\n10.0.0.0/8 1.1.1.1\n10.0.0.0/8 1.1.1.1 a",
          "line 2: expected '<cidr> <next_hop> <iface>'"),
+        # in file order, not address order: 20/8 repeats on line 3, before 10/8 on line 4
         ("20.0.0.0/8 1.1.1.1 a\n10.0.0.0/8 1.1.1.1 a\n20.0.0.0/8 1.1.1.1 a\n10.0.0.0/8 1.1.1.1 a",
          "line 3: duplicate prefix 20.0.0.0/8"),
         ("10.0.0.0/8 1.1.1.1 a\n10.0.0.0/8 1.1.1.256 a", "line 2: malformed IPv4 address '1.1.1.256'"),
@@ -188,7 +185,10 @@ def test_parse_routes_reports_the_first_error_in_the_file(text, message):
 
 
 def _first_error_line_by_line(text: str) -> str | None:
-    """parse_routes' first error as it read the file before the table checked for repeats."""
+    """parse_routes' first error, read line by line: a bad line, or the first to repeat a prefix.
+
+    It keeps the prefixes as `Cidr`s, where parse_routes keys them as ints.
+    """
     seen = set()
     for lineno, line in content_lines(text):
         fields = line.split()
