@@ -31,14 +31,14 @@ EXIT_OK = 0
 EXIT_COMPARE_FAIL = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_TRACE_ERROR = 3
-CONFIG_FILES = ("rules", "routes", "nat", "qos")  # the config flags that name a file
+CONFIG_FILES = {  # the config flags that name a file, and what each file holds
+    "rules": "filter rules", "routes": "routing table", "nat": "NAT config", "qos": "QoS policy"
+}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rules", required=True, help="filter rules file")
-    parser.add_argument("--routes", required=True, help="routing table file")
-    parser.add_argument("--nat", required=True, help="NAT config file")
-    parser.add_argument("--qos", required=True, help="QoS policy file")
+    for name, holds in CONFIG_FILES.items():
+        parser.add_argument(f"--{name}", required=True, help=f"{holds} file")
     parser.add_argument("--lan-prefix", required=True, help="LAN prefix, e.g. 10.0.0.0/8")
 
 

@@ -177,13 +177,15 @@ class _TraceMemo:
     sids:  the proto, src and dst tokens -> their SessionId
     ends:  an ip:port token -> (addr, port)
     cols:  the text after dst -> (tos, ttl, flags, payload_len)
+    plain: the call's text is `_plain`, so no ts token needs its check
 
     A line adds to them only once it has parsed whole.
     """
 
-    __slots__ = ("tails", "sids", "ends", "cols")
+    __slots__ = ("tails", "sids", "ends", "cols", "plain")
 
-    def __init__(self) -> None:
+    def __init__(self, plain: bool = False) -> None:
+        self.plain = plain
         self.tails: dict[str, tuple] = {}
         self.sids: dict[tuple[str, str, str], SessionId] = {}
         self.ends: dict[str, tuple[int, int]] = {}
@@ -206,7 +208,7 @@ def _parse_record(line: str, head: list[str], memo: _TraceMemo) -> Packet:
     # else the text after dst holds the 3 or 4 columns of a good line, so this one has 7 or 8
 
     try:
-        if not head[0].isascii() or "_" in head[0]:  # float() alone also reads '٣.٥' and '1_0'
+        if not (memo.plain or head[0].isascii() and "_" not in head[0]):  # float() reads '1_0', '٣'
             raise ValueError(head[0])
         ts = float(head[0])
     except ValueError as exc:
@@ -301,6 +303,14 @@ def content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, stripped
 
 
+def _plain(text: str) -> bool:
+    """True if `text` is ASCII and each '_' in it is on a '#' line, as in a `gen` trace."""
+    at = text.find("_")
+    while at >= 0 and text[text.rfind("\n", 0, at) + 1:at].lstrip().startswith("#"):
+        at = text.find("_", text.find("\n", at) + 1 or len(text))  # the first '_' past this line
+    return at < 0 and text.isascii()
+
+
 def load_trace(text: str) -> list[Packet]:
     """Parse a whole trace. '#' lines and blank lines are skipped.
 
@@ -312,10 +322,9 @@ def load_trace(text: str) -> list[Packet]:
     packets: list[Packet] = []
     append = packets.append
     last_ts = 0.0
-    memo = _TraceMemo()  # for this call only
-    tails = memo.tails
+    memo = _TraceMemo(_plain(text))  # for this call only
+    tails, plain = memo.tails, memo.plain
     new, inf = tuple.__new__, math.inf
-    plain = text.isascii() and "_" not in text  # then no ts token needs _parse_record's check
     # the lines `content_lines` yields, read here without a generator's resume per line
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()

@@ -25,6 +25,7 @@ class RouteEntry:
 class RoutingTable:
     """Immutable after construction; lookup returns the longest covering prefix.
 
+    Prefixes must be distinct, as `parse_routes` makes them; with a repeat, the later entry answers.
     Prefixes are address ranges that either nest or are disjoint (Lampson,
     Srinivasan & Varghese, INFOCOM 1998), so their edges cut the address
     space into pieces that each have one answer: the innermost prefix

@@ -7,6 +7,7 @@ import pytest
 
 from flowgate import packet as packet_module
 from flowgate.errors import TraceError
+from flowgate.harness import TraceSpec, generate_trace
 from flowgate.packet import (
     ACK,
     FIN,
@@ -428,8 +429,8 @@ def _recorded_memos(monkeypatch) -> list:
     class Recorded(packet_module._TraceMemo):
         __slots__ = ()
 
-        def __init__(self) -> None:
-            super().__init__()
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
             made.append(self)
 
     monkeypatch.setattr(packet_module, "_TraceMemo", Recorded)
@@ -498,6 +499,9 @@ MEMO_HIT_ERRORS = [
      "ts: not a number: '0x1'"),
     (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"], "1_0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0",
      "ts: not a number: '1_0'"),  # float() reads 10.0
+    # ... also after a '#' line that holds '_', as `gen`'s header does
+    (["# packets_per_session=2", "0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"],
+     "1_0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0", "ts: not a number: '1_0'"),
     (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0", "5 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"],
      "4 udp 10.0.0.1:1 10.0.0.2:2 - 0 0", None),
     # the text after dst is remembered, but this line has a column too few or too many
@@ -520,6 +524,24 @@ def test_an_error_on_a_memo_hit_is_the_cold_error(earlier, bad, message):
     with pytest.raises(TraceError) as info:
         load_trace("\n".join([*earlier, bad]))
     assert str(info.value) == f"line {len(earlier) + 1}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text,plain",
+    [
+        ("0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0\n", True),
+        ("# spec: packets_per_session=2\n\n  # a_b c_d\n0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0", True),
+        # `gen`'s header holds '_', yet no ts token of its traces is checked one by one
+        (generate_trace(TraceSpec(sessions=3, packets_per_session=4, peers=(0xC6336409,))), True),
+        ("# a_b\n1_0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0\n", False),
+        ("0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0\n_ # not a comment\n", False),
+        ("# café\n0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0\n", False),  # non-ASCII text is never plain
+    ],
+    ids=["no-underscore", "underscores-in-comments", "gen-trace", "underscore-in-ts",
+         "underscore-first", "non-ascii-comment"],
+)
+def test_a_text_is_plain_when_only_comments_hold_an_underscore(text, plain):
+    assert packet_module._plain(text) is plain
 
 
 def test_a_negative_zero_timestamp_on_a_remembered_tail_is_a_packet():
