@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
 from pathlib import Path
@@ -103,16 +104,21 @@ def _write(path: str | None, text: str, mode: str = "w") -> None:
     leaves an existing file as it was. Mode "a" with no text is the check a
     command makes before long work: it refuses a path that cannot be opened
     and changes no file's content (a new one is left empty). A failed open,
-    write or close is a config error naming the path.
+    write or close is a config error naming the path, and a failed write or
+    flush of stdout (a closed pipe) one naming standard output.
     """
-    if not path:
-        sys.stdout.write(text)
-        return
     try:
+        if not path:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(path, mode, encoding="utf-8") as out:
             out.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+        if not path:
+            # the text still buffered goes nowhere at exit, instead of to a second error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError(f"cannot write {path or 'standard output'}: {exc}") from exc
 
 
 def _refuse_shared_files(args: argparse.Namespace, outputs: tuple[str, ...], *inputs: str) -> None:
@@ -146,7 +152,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _write(args.verdicts, "".join(render_verdict(v) + "\n" for v in verdicts))
     if args.out:
         _write(args.out, f"{CSV_HEADER}\n{csv_row(report)}\n")
-    print(report.summary())
+    _write(None, report.summary() + "\n")
     return EXIT_OK
 
 
@@ -154,9 +160,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = load_config(args)
     packets = load_trace(_read(args.trace, TraceError))
     result = compare(config, packets)
-    print(result.describe())
-    print(result.baseline_report.summary())
-    print(result.integrated_report.summary())
+    summaries = (result.describe(), result.baseline_report.summary(), result.integrated_report.summary())
+    _write(None, "\n".join(summaries) + "\n")
     return EXIT_OK if result.equal else EXIT_COMPARE_FAIL
 
 

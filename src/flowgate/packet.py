@@ -174,7 +174,6 @@ class _TraceMemo:
     """What the good lines of one `load_trace` call parsed to, keyed by their text.
 
     tails: the text after a line's timestamp -> (sid, tos, ttl, flags, payload_len)
-    sids:  the proto, src and dst tokens -> their SessionId
     ends:  an ip:port token -> (addr, port)
     cols:  the text after dst -> (tos, ttl, flags, payload_len)
     plain: the call's text is `_plain`, so no ts token needs its check
@@ -182,12 +181,11 @@ class _TraceMemo:
     A line adds to them only once it has parsed whole.
     """
 
-    __slots__ = ("tails", "sids", "ends", "cols", "plain")
+    __slots__ = ("tails", "ends", "cols", "plain")
 
     def __init__(self, plain: bool = False) -> None:
         self.plain = plain
         self.tails: dict[str, tuple] = {}
-        self.sids: dict[tuple[str, str, str], SessionId] = {}
         self.ends: dict[str, tuple[int, int]] = {}
         self.cols: dict[str, tuple[int, int, int, int]] = {}
 
@@ -217,19 +215,14 @@ def _parse_record(line: str, head: list[str], memo: _TraceMemo) -> Packet:
         raise TraceError(f"ts: bad timestamp {head[0]!r}")
 
     proto_token, src_token, dst_token, rest = parts
-    key = (proto_token, src_token, dst_token)
-    sid = memo.sids.get(key)
-    fresh = sid is None
-    if fresh:
-        try:
-            proto = parse_protocol(proto_token)
-        except ValueError as exc:
-            raise TraceError(f"proto: {exc}") from exc
-        src = memo.ends.get(src_token) or _parse_endpoint(src_token, "src")
-        dst = memo.ends.get(dst_token) or _parse_endpoint(dst_token, "dst")
-        if proto not in (TCP, UDP) and (src[1] or dst[1]):
-            raise TraceError(f"src/dst: ports must be 0 for protocol {proto}")
-        sid = tuple.__new__(SessionId, src + dst + (proto,))
+    try:
+        proto = parse_protocol(proto_token)
+    except ValueError as exc:
+        raise TraceError(f"proto: {exc}") from exc
+    src = memo.ends.get(src_token) or _parse_endpoint(src_token, "src")
+    dst = memo.ends.get(dst_token) or _parse_endpoint(dst_token, "dst")
+    if proto not in (TCP, UDP) and (src[1] or dst[1]):
+        raise TraceError(f"src/dst: ports must be 0 for protocol {proto}")
 
     if cols is None:
         flags = FLAG_BITS.get(fields[4])
@@ -238,8 +231,8 @@ def _parse_record(line: str, head: list[str], memo: _TraceMemo) -> Packet:
             raise TraceError(f"flags: not '-' or a subset of SAFR in that order: {fields[4]!r}")
     else:
         flags = cols[2]
-    if flags and sid.proto != TCP:
-        raise TraceError(f"flags: TCP flags on protocol {sid.proto}")
+    if flags and proto != TCP:
+        raise TraceError(f"flags: TCP flags on protocol {proto}")
     if cols is None:
         payload_len = _parse_number(fields[5], 65535, "payload_len")
         tos = _parse_number(fields[6], 255, "tos")
@@ -251,11 +244,9 @@ def _parse_record(line: str, head: list[str], memo: _TraceMemo) -> Packet:
             ttl = 64
         cols = (tos, ttl, flags, payload_len)
 
-    if fresh:
-        memo.sids[key] = sid
-        memo.ends[src_token], memo.ends[dst_token] = src, dst
+    memo.ends[src_token], memo.ends[dst_token] = src, dst
     memo.cols[rest] = cols
-    values = memo.tails[head[1]] = (sid,) + cols
+    values = memo.tails[head[1]] = (tuple.__new__(SessionId, src + dst + (proto,)),) + cols
     # the fields in order, without the Python-level __new__ a NamedTuple call runs
     return tuple.__new__(Packet, (ts,) + values)
 
@@ -314,10 +305,10 @@ def _plain(text: str) -> bool:
 def load_trace(text: str) -> list[Packet]:
     """Parse a whole trace. '#' lines and blank lines are skipped.
 
-    Timestamps must be non-decreasing across the file. Within one call each
-    distinct piece of text is parsed once: a line that repeats an earlier
-    one but for its timestamp parses only that column, and the packets of
-    one flow share one SessionId.
+    Timestamps must be non-decreasing across the file. Within one call a
+    line that repeats an earlier one but for its timestamp parses only that
+    column, and shares that line's SessionId; other lines reuse the parse
+    of each endpoint and of the text after dst seen before.
     """
     packets: list[Packet] = []
     append = packets.append

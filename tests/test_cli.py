@@ -1,7 +1,10 @@
 """CLI end-to-end: subcommands, exit codes, output files."""
 
 import errno
+import os
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -318,3 +321,29 @@ def test_an_output_that_cannot_be_written_is_a_one_line_config_error(tmp_path, c
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot write /dev/full: ") and err.count("\n") == 1
     assert f"[Errno {errno.ENOSPC}]" in err
+
+
+TO_STDOUT = {
+    "gen": ["gen", "--sessions", "2", "--packets-per-session", "3"],
+    "run": RUN_TRACE,
+    "compare": ["compare", *config_flags(), "--trace", "{tmp}/t.txt"],
+    "bench": ["bench", *config_flags(), "--sessions", "2", "--packets-per-session", "3", "--reps", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", list(TO_STDOUT.values()), ids=list(TO_STDOUT))
+def test_a_closed_stdout_is_a_one_line_config_error(tmp_path, argv):
+    """stdout is a pipe whose reader has gone, as after `| head -1`: no traceback at any exit."""
+    main(["gen", "--sessions", "1", "--packets-per-session", "2", "--out", str(tmp_path / "t.txt")])
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so its first write fails
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "flowgate.cli", *(arg.format(tmp=tmp_path) for arg in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == f"config error: cannot write standard output: [Errno {errno.EPIPE}] Broken pipe\n"

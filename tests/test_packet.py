@@ -381,7 +381,7 @@ EVERY_BAD_LINE = BAD_IN_EACH_COLUMN + NON_ASCII_DIGITS
 
 
 def _memo_contents(memo) -> tuple[dict, ...]:
-    return memo.tails, memo.sids, memo.ends, memo.cols
+    return memo.tails, memo.ends, memo.cols
 
 
 def test_a_five_tuple_that_failed_is_not_remembered():
@@ -392,7 +392,7 @@ def test_a_five_tuple_that_failed_is_not_remembered():
             with pytest.raises(TraceError) as info:
                 packet_module._parse_record(bad, bad.split(None, 1), memo)
             assert str(info.value) == message
-        assert _memo_contents(memo) == ({}, {}, {}, {}), bad
+        assert _memo_contents(memo) == ({}, {}, {}), bad
 
 
 def _good_twins(bad: str) -> list[str]:
@@ -448,7 +448,6 @@ def test_a_seen_tail_with_a_new_timestamp_is_a_new_packet(monkeypatch):
     assert third == second
     remembered = (
         {tail: (first.sid, 3, 64, 0, 64)},
-        {("udp", "10.0.0.1:1", "10.0.0.2:2"): first.sid},
         {"10.0.0.1:1": (0x0A000001, 1), "10.0.0.2:2": (0x0A000002, 2)},
         {"- 64 3": (3, 64, 0, 64)},
     )
@@ -631,7 +630,8 @@ def test_load_trace_equals_parsing_each_content_line(seed):
     assert load_trace(text.replace("\r", "")) == expected
 
 
-def test_one_flow_shares_one_session_id_within_a_call():
+def test_the_memos_do_not_outlive_a_call():
+    """Two calls give equal packets that share no SessionId object."""
     text = (
         "0 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0\n"
         "1 tcp 10.0.0.2:2 10.0.0.1:1 SA 0 0\n"
@@ -639,7 +639,5 @@ def test_one_flow_shares_one_session_id_within_a_call():
         "3 tcp 10.0.0.2:2 10.0.0.1:1 A 0 0\n"
     )
     first, second = load_trace(text), load_trace(text)
-    assert first[0].sid is first[2].sid and first[1].sid is first[3].sid
-    assert first[0].sid is not first[1].sid
     assert first == second
     assert not {id(p.sid) for p in first} & {id(p.sid) for p in second}
