@@ -121,6 +121,14 @@ def _write(path: str | None, text: str, mode: str = "w") -> None:
         raise ConfigError(f"cannot write {path or 'standard output'}: {exc}") from exc
 
 
+def _write_stderr(text: str) -> None:
+    """Print `text` on stderr; a closed stderr drops it, so the exit code is still the command's."""
+    try:
+        print(text, file=sys.stderr, flush=True)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())  # as `_write` does stdout
+
+
 def _refuse_shared_files(args: argparse.Namespace, outputs: tuple[str, ...], *inputs: str) -> None:
     """Refuse a file that an output flag names if another output or an input names it too.
 
@@ -181,7 +189,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     walls = f"baseline={medians['baseline']} integrated={medians['integrated']}"
     if packets and medians["integrated"]:  # two loops over no packets have no ratio
         walls += f" speedup={medians['baseline'] / medians['integrated']:.2f}x"
-    print(f"median wall_ns: {walls}", file=sys.stderr)
+    _write_stderr(f"median wall_ns: {walls}")
     return EXIT_OK
 
 
@@ -227,10 +235,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _write_stderr(f"config error: {exc}")
         return EXIT_CONFIG_ERROR
     except TraceError as exc:
-        print(f"trace error: {exc}", file=sys.stderr)
+        _write_stderr(f"trace error: {exc}")
         return EXIT_TRACE_ERROR
 
 

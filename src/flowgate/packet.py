@@ -29,6 +29,9 @@ OCTET_VALUE = {text: octet for octet, text in enumerate(OCTET_TEXT)}
 # each prefix length's canonical spelling, and its netmask
 PREFIX_LEN = {str(n): n for n in range(33)}
 NETMASK = tuple(0xFFFFFFFF << (32 - n) & 0xFFFFFFFF for n in range(33))
+# timestamps stay below 2**52, where floats are at most 0.5 apart: from it up, now + a
+# sub-second timeout can round back to now, opening a flow that is dead as it opens
+TS_LIMIT = 2.0**52
 
 
 def is_decimal(text: str) -> bool:
@@ -211,7 +214,7 @@ def _parse_record(line: str, head: list[str], memo: _TraceMemo) -> Packet:
         ts = float(head[0])
     except ValueError as exc:
         raise TraceError(f"ts: not a number: {head[0]!r}") from exc
-    if not 0 <= ts < math.inf:  # also false for nan
+    if not 0 <= ts < TS_LIMIT:  # also false for nan
         raise TraceError(f"ts: bad timestamp {head[0]!r}")
 
     proto_token, src_token, dst_token, rest = parts
@@ -258,7 +261,8 @@ def parse_trace_record(line: str) -> Packet:
         ts proto src_ip:src_port dst_ip:dst_port flags payload_len tos [ttl]
     proto is tcp, udp, or a decimal protocol number; flags is '-' or a subset
     of "SAFR" in that order; ttl is optional and defaults to 64. ts is ASCII
-    text that float() reads, with no '_'; other numbers are ASCII decimal digits.
+    text that float() reads, with no '_', at least 0 and below 2**52 (TS_LIMIT);
+    other numbers are ASCII decimal digits.
 
     Nothing in the package calls it; it stays as the record format's one
     public reading: a line parsed cold, with no memo, which the tests hold
@@ -315,7 +319,7 @@ def load_trace(text: str) -> list[Packet]:
     last_ts = 0.0
     memo = _TraceMemo(_plain(text))  # for this call only
     tails, plain = memo.tails, memo.plain
-    new, inf = tuple.__new__, math.inf
+    new, limit = tuple.__new__, TS_LIMIT
     # the lines `content_lines` yields, read here without a generator's resume per line
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
@@ -326,11 +330,11 @@ def load_trace(text: str) -> list[Packet]:
         values = tails.get(head[-1])
         if values is not None:
             try:
-                ts = float(head[0]) if plain or head[0].isascii() and "_" not in head[0] else inf
+                ts = float(head[0]) if plain or head[0].isascii() and "_" not in head[0] else limit
             except ValueError:
                 ts = math.nan  # fails the test below; _parse_record reports it
-            # false for nan, inf, a negative ts (last_ts >= 0) and a decrease
-            if last_ts <= ts < inf:
+            # false for nan, a ts at or past the limit, a negative ts (last_ts >= 0) and a decrease
+            if last_ts <= ts < limit:
                 append(new(Packet, (ts,) + values))
                 last_ts = ts
                 continue

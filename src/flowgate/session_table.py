@@ -196,13 +196,12 @@ class ExpiringTable:
     `sweep_expired` finds the dead through an expiry index (Varghese &
     Lauck's timer idea as a lazy-deletion heap): a min-heap of
     (lower bound on expiry, key) items, built at the first sweep so tables
-    that never sweep pay nothing for it. `advance` may shorten an expiry
-    behind the table's back, so the build and each re-key of a live entry
-    use min(expiry, now + horizon), where horizon is the shortest timeout its
-    protocol can be given: every expiry is written at some time t as
-    t + a timeout, so that stays a lower bound as long as time does not run
-    backwards. A non-TCP expiry is only ever written as t + non_tcp; a TCP
-    one may be t + any of the three TCP timeouts. Once built, a sweep costs
+    that never sweep pay nothing for it. Every expiry is written at some
+    time t as t + a timeout, and t never decreases, so only a TCP expiry can
+    fall: `advance` may move it to t + a shorter TCP timeout, never below
+    now + the shortest one. The build and each re-key of a live entry
+    therefore key a TCP entry by min(expiry, now + that horizon) and any
+    other entry by its expiry. Once built, a sweep costs
     O((popped + 1) log n), not O(n).
     """
 
@@ -211,22 +210,18 @@ class ExpiringTable:
         self._out: dict[tuple, object] = {}
         self.lookups = 0
         timeouts = timeouts or Timeouts()
-        # the shortest time an expiry write looks ahead, for TCP and for the rest
+        # the shortest time a TCP expiry write looks ahead
         self._tcp_horizon = min(
             timeouts.tcp_established, timeouts.tcp_transient, timeouts.closed_grace
         )
-        self._non_tcp_horizon = timeouts.non_tcp
         self._heap: list[tuple[float, tuple]] | None = None  # None until the first sweep
 
     def __len__(self) -> int:
         return len(self._out)
 
-    def _live(self, entry, now: float):
-        """`entry` if it is live; a dead one is purged and reads as None."""
-        if entry is None or entry.expiry > now:
-            return entry
+    def _purge(self, entry) -> None:
+        """Remove an entry its caller has found dead; it reads as a miss."""
         self.remove(entry)
-        return None
 
     def lookup(self, key: tuple, now: float):
         self.lookups += 1
@@ -234,7 +229,7 @@ class ExpiringTable:
         # a miss or a live hit is answered without a call: every packet makes a lookup
         if entry is None or entry.expiry > now:
             return entry
-        return self._live(entry, now)
+        return self._purge(entry)
 
     def insert(self, entry) -> None:
         key = entry.outbound_key
@@ -257,19 +252,17 @@ class ExpiringTable:
         """Make room for one insert at a full table by removing one expired entry."""
         if len(self._out) < self.capacity:
             return
-        self.sweep_expired(now)
-        if len(self._out) >= self.capacity:
+        if not self.sweep_expired(now):
             raise TableFullError(f"table at capacity {self.capacity}")
 
     def sweep_expired(self, now: float) -> int:
         """Remove one entry with expiry <= now, if there is one; returns how many (0 or 1)."""
         entries = self._out
         tcp_cap = now + self._tcp_horizon
-        non_tcp_cap = now + self._non_tcp_horizon
         heap = self._heap
         if heap is None:  # keyed as a re-key would key it, so a live entry is not popped now
             heap = self._heap = [
-                (min(e.expiry, tcp_cap if e.proto == TCP else non_tcp_cap), key)
+                (min(e.expiry, tcp_cap) if e.proto == TCP else e.expiry, key)
                 for key, e in entries.items()
             ]
             heapify(heap)
@@ -286,8 +279,7 @@ class ExpiringTable:
                 self.remove(entry)
                 removed = 1
                 break
-            cap = tcp_cap if entry.proto == TCP else non_tcp_cap
-            requeue.append((min(entry.expiry, cap), key))
+            requeue.append((min(entry.expiry, tcp_cap) if entry.proto == TCP else entry.expiry, key))
         for item in requeue:
             heappush(heap, item)
         return removed
@@ -310,7 +302,7 @@ class DualIndexTable(ExpiringTable):
         entry = self._in.get(key)
         if entry is None or entry.expiry > now:
             return entry
-        return self._live(entry, now)
+        return self._purge(entry)
 
     def insert(self, entry) -> None:
         if entry.inbound_key in self._in:
@@ -328,7 +320,7 @@ class DualIndexTable(ExpiringTable):
         """Whether a public port is held by a live entry for this peer tuple."""
         entry = self._in.get((ext_addr, ext_port, gwy_addr, gwy_port, proto))
         # a live occupant is answered without a call: NAT allocation probes port by port
-        return entry is not None and (entry.expiry > now or self._live(entry, now) is not None)
+        return entry is not None and (entry.expiry > now or self._purge(entry) is not None)
 
 
 class SessionTable(DualIndexTable):

@@ -331,19 +331,44 @@ TO_STDOUT = {
 }
 
 
-@pytest.mark.parametrize("argv", list(TO_STDOUT.values()), ids=list(TO_STDOUT))
-def test_a_closed_stdout_is_a_one_line_config_error(tmp_path, argv):
-    """stdout is a pipe whose reader has gone, as after `| head -1`: no traceback at any exit."""
+def run_with_a_closed_pipe(tmp_path, argv: list[str], stream: str) -> subprocess.CompletedProcess:
+    """Run the CLI with `stream` a pipe whose reader has gone, as after `| head -1`."""
     main(["gen", "--sessions", "1", "--packets-per-session", "2", "--out", str(tmp_path / "t.txt")])
     read_end, write_end = os.pipe()
     os.close(read_end)  # before the child starts, so its first write fails
     try:
-        done = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "flowgate.cli", *(arg.format(tmp=tmp_path) for arg in argv)],
-            stdout=write_end, stderr=subprocess.PIPE, text=True,
-            env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60,
+            **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write_end},
+            text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")}, timeout=60,
         )
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("argv", list(TO_STDOUT.values()), ids=list(TO_STDOUT))
+def test_a_closed_stdout_is_a_one_line_config_error(tmp_path, argv):
+    """stdout is a pipe whose reader has gone: no traceback at any exit."""
+    done = run_with_a_closed_pipe(tmp_path, argv, "stdout")
     assert done.returncode == 2, done.stderr
     assert done.stderr == f"config error: cannot write standard output: [Errno {errno.EPIPE}] Broken pipe\n"
+
+
+ON_STDERR = {  # a command whose only stderr line is lost, and the exit code it keeps
+    "run trace error": (
+        ["run", *config_flags(), "--trace", "/nonexistent", "--pipeline", "baseline"], 3
+    ),
+    "compare trace error": (["compare", *config_flags(), "--trace", "/nonexistent"], 3),
+    "bench median line": ([*TO_STDOUT["bench"], "--out", "{tmp}/bench.csv"], 0),
+    "bench config error": ([*TO_STDOUT["bench"], "--reps", "0"], 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", list(ON_STDERR.values()), ids=list(ON_STDERR))
+def test_a_closed_stderr_keeps_the_exit_code(tmp_path, argv, code):
+    """A lost error line is not a crash: exit 1 is compare's FAIL code."""
+    done = run_with_a_closed_pipe(tmp_path, argv, "stderr")
+    assert done.returncode == code
+    assert done.stdout == ""
+    if code == 0:
+        assert (tmp_path / "bench.csv").read_text().startswith(CSV_HEADER)

@@ -369,6 +369,7 @@ BAD_IN_EACH_COLUMN = [
     ("-1 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0", "ts: bad timestamp '-1'"),
     ("inf tcp 10.0.0.1:1 10.0.0.2:2 S 0 0", "ts: bad timestamp 'inf'"),
     ("nan tcp 10.0.0.1:1 10.0.0.2:2 S 0 0", "ts: bad timestamp 'nan'"),
+    ("4503599627370496 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0", "ts: bad timestamp '4503599627370496'"),
     ("0 icmp 10.0.0.1:0 10.0.0.2:0 - 0 0", "proto: unknown protocol 'icmp'"),
     ("0 tcp 10.0.0.999:1 10.0.0.2:2 S 0 0", "src: malformed IPv4 address '10.0.0.999'"),
     ("0 tcp 10.0.0.1 10.0.0.2:2 S 0 0", "src: expected ip:port, got '10.0.0.1'"),
@@ -494,6 +495,8 @@ MEMO_HIT_ERRORS = [
      "ts: bad timestamp '-1'"),
     (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"], "inf udp 10.0.0.1:1 10.0.0.2:2 - 0 0",
      "ts: bad timestamp 'inf'"),
+    (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"], "4503599627370496 udp 10.0.0.1:1 10.0.0.2:2 - 0 0",
+     "ts: bad timestamp '4503599627370496'"),  # 2**52: now + a timeout could round to now
     (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"], "0x1 udp 10.0.0.1:1 10.0.0.2:2 - 0 0",
      "ts: not a number: '0x1'"),
     (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"], "1_0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0",
@@ -547,6 +550,16 @@ def test_a_negative_zero_timestamp_on_a_remembered_tail_is_a_packet():
     tail = "udp 10.0.0.1:1 10.0.0.2:2 - 0 0"
     packets = load_trace(f"0 {tail}\n-0 {tail}\n-0.0 {tail}\n")
     assert packets == [parse_trace_record(f"{ts} {tail}") for ts in ("0", "-0", "-0.0")]
+
+
+def test_the_last_timestamp_below_2_52_is_a_packet_and_round_trips():
+    tail = "udp 10.0.0.1:1 10.0.0.2:2 - 0 0"
+    last = "4503599627370495.5"
+    packets = load_trace(f"0 {tail}\n{last} {tail}\n")  # the second line hits the memo
+    assert packets[1] == parse_trace_record(f"{last} {tail}")
+    assert packets[1].ts == 2**52 - 0.5
+    line = render_trace_record(packets[1])
+    assert line.split()[0] == last and load_trace(line) == packets[1:]
 
 
 # a bad token for each column after ts, none of which any text format accepts there

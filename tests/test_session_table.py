@@ -1,5 +1,6 @@
 """Session table and the expiring table it shares: dual index, expiry, capacity."""
 
+import itertools
 import random
 
 import pytest
@@ -270,6 +271,41 @@ def test_live_udp_entries_are_not_popped_before_their_timeout(kind, monkeypatch)
     monkeypatch.setattr(session_table, "heappop", lambda heap: pops.append(1) or real_pop(heap))
     assert t.sweep_expired(now=7.0) == 0
     assert pops == []
+
+
+def test_an_expiry_falls_only_on_tcp_and_never_below_the_tcp_horizon():
+    """The rule the expiry index keys by, over every input `advance` can be given.
+
+    An expiry is written at some time t <= now as t + a timeout. Whatever
+    packet comes next, a non-TCP expiry does not fall, and a TCP one is
+    either left as it was or written at least now + the shortest TCP timeout
+    ahead, so an index key of min(expiry, now + that horizon) stays a lower bound.
+    """
+    rng = random.Random(0xE1F)
+    sub_second = [  # as the seeded pipeline traces draw them
+        Timeouts(
+            tcp_established=rng.uniform(0.05, 0.5),
+            tcp_transient=rng.uniform(0.02, 0.2),
+            non_tcp=rng.uniform(0.02, 0.2),
+            closed_grace=rng.uniform(0.01, 0.1),
+        )
+        for _ in range(8)
+    ]
+    inputs = itertools.product((TCP, UDP, 1), SessionState, range(16), Direction)
+    for (proto, state, flags, direction), timeouts in itertools.product(
+        inputs, [Timeouts(), SHORT, *sub_second]
+    ):
+        horizon = min(timeouts.tcp_established, timeouts.tcp_transient, timeouts.closed_grace)
+        for written, now in ((0.0, 0.0), (0.0, 0.01), (1.0, 1.5), (3.0, 1000.0)):
+            e = make_entry(proto=proto)
+            e.state = state if proto == TCP else SessionState.OPEN
+            e.expiry = old = written + entry_timeout(e.state, timeouts)
+            if not advance(e, flags, direction, now, timeouts):
+                assert proto == TCP and e.expiry == old
+            elif proto == TCP:
+                assert e.expiry >= now + horizon
+            else:
+                assert e.expiry >= old
 
 
 def test_port_in_use_reflects_liveness():
