@@ -50,7 +50,7 @@ def evaluate(ruleset: RuleSet, sid: SessionId) -> tuple[Action, int | None, int]
     count is the first-match depth, what a linear scan would examine: it
     includes the matching rule, and a default-action outcome counts them all.
     """
-    index = ruleset._index.first(sid)
+    index = ruleset.first(sid)
     if index is None:
         return DROP, None, len(ruleset.rules)
     return ruleset.rules[index].action, index, index + 1

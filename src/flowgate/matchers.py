@@ -93,20 +93,25 @@ def _pieces(ranges: list[tuple[int, int]], top: int) -> tuple[list[int], list[in
     return edges, masks
 
 
-class FirstMatch:
-    """First-match index over ordered matchers: one bit vector per field.
+@dataclass(frozen=True)
+class Policy:
+    """Ordered rules, each with a `match`, and their first-match index: one bit vector per field.
 
-    Lakshman & Stiliadis's range matching (SIGCOMM 1998): matcher i is
-    bit i, each field's value space is cut into pieces at the matchers'
-    edges, and a piece carries the mask of the matchers covering it. A
-    lookup ANDs the protocol's mask with one binary-searched piece mask per
-    field, O(fields x log n) for n matchers, and the lowest set bit is the
-    first match. Fields no matcher constrains are left out.
+    Lakshman & Stiliadis's range matching (SIGCOMM 1998): rule i is bit i, each
+    field's value space is cut into pieces at the matchers' edges, and a piece
+    carries the mask of the rules covering it. A lookup ANDs the protocol's mask
+    with one binary-searched piece mask per field, O(fields x log n) for n rules,
+    and the lowest set bit is the first match. Fields no matcher constrains are
+    left out. The index, built once from `rules`, neither compares nor prints.
     """
 
-    __slots__ = ("_by_proto", "_any_proto", "_fields")
+    rules: tuple
+    _by_proto: dict = field(init=False, repr=False, compare=False)
+    _any_proto: int = field(init=False, repr=False, compare=False)
+    _fields: tuple = field(init=False, repr=False, compare=False)  # (sid index, edges, masks)
 
-    def __init__(self, matchers: list[TupleMatcher]):
+    def __post_init__(self) -> None:
+        matchers = [rule.match for rule in self.rules]
         everyone = (1 << len(matchers)) - 1
         wildcard = 0
         by_proto: dict[int, int] = {}
@@ -115,9 +120,6 @@ class FirstMatch:
                 wildcard |= 1 << i
             else:
                 by_proto[m.proto] = by_proto.get(m.proto, 0) | 1 << i
-        self._by_proto = {proto: mask | wildcard for proto, mask in by_proto.items()}
-        self._any_proto = wildcard
-        # (SessionId field index, piece edges, piece masks)
         fields = []
         for index, ranges, top in (
             (0, [_cidr_range(m.src) for m in matchers], 0xFFFFFFFF),
@@ -128,24 +130,15 @@ class FirstMatch:
             edges, masks = _pieces(ranges, top)
             if masks != [everyone]:
                 fields.append((index, edges, masks))
-        self._fields = tuple(fields)
+        object.__setattr__(self, "_by_proto", {p: mask | wildcard for p, mask in by_proto.items()})
+        object.__setattr__(self, "_any_proto", wildcard)
+        object.__setattr__(self, "_fields", tuple(fields))
 
     def first(self, sid: SessionId) -> int | None:
-        """Index of the first matcher covering `sid`, or None."""
+        """Index of the first rule whose matcher covers `sid`, or None."""
         mask = self._by_proto.get(sid[4], self._any_proto)
         for index, edges, masks in self._fields:
             if not mask:
                 return None
             mask &= masks[bisect_right(edges, sid[index]) - 1]
         return (mask & -mask).bit_length() - 1 if mask else None
-
-
-@dataclass(frozen=True)
-class Policy:
-    """Ordered rules, each with a `match`, compiled into one first-match index."""
-
-    rules: tuple
-    _index: FirstMatch = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", FirstMatch([rule.match for rule in self.rules]))

@@ -119,7 +119,7 @@ class NatTable(DualIndexTable):
         expiry: float,
     ) -> NatMapping:
         existing = self._out.get((lan_addr, lan_port, ext_addr, ext_port, proto))
-        if existing is not None and (existing.expiry > now or self._purge(existing)):
+        if existing is not None and (existing.expiry > now or self.remove(existing)):
             raise RuntimeError("flow already has a live mapping")
         port = find_free_port(
             cfg,

@@ -29,8 +29,8 @@ OCTET_VALUE = {text: octet for octet, text in enumerate(OCTET_TEXT)}
 # each prefix length's canonical spelling, and its netmask
 PREFIX_LEN = {str(n): n for n in range(33)}
 NETMASK = tuple(0xFFFFFFFF << (32 - n) & 0xFFFFFFFF for n in range(33))
-# timestamps stay below 2**52, where floats are at most 0.5 apart: from it up, now + a
-# sub-second timeout can round back to now, opening a flow that is dead as it opens
+# below 2**52 floats are at most 0.5 apart, so now + t > now for every timeout t > 0.25 s,
+# every default among them; a sum rounded back to now opens a flow that is dead as it opens
 TS_LIMIT = 2.0**52
 
 

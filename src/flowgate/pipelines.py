@@ -21,7 +21,7 @@ flow still counts its one NAT consultation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from flowgate.filters import DROP, RuleSet, evaluate
@@ -113,7 +113,7 @@ class RouterConfig:
     qos: QosPolicy
     routes: RoutingTable
     nat: NatConfig
-    timeouts: Timeouts = field(default_factory=Timeouts)
+    timeouts: Timeouts = Timeouts()
     capacity: int = 65536
 
 

@@ -33,5 +33,5 @@ def parse_qos(text: str) -> QosPolicy:
 
 
 def classify(policy: QosPolicy, sid: SessionId) -> int:
-    index = policy._index.first(sid)
+    index = policy.first(sid)
     return 0 if index is None else policy.rules[index].dscp

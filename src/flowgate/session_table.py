@@ -111,12 +111,11 @@ def advance(entry, flags: int, direction: Direction, now: float, timeouts: Timeo
     """Apply one packet to an entry's state machine.
 
     Returns False on a state violation, leaving the entry untouched. On an
-    accepted packet the state is updated and expiry refreshed; non-TCP
-    sessions stay Open. Works on any entry object with proto/state/expiry
-    attributes.
+    accepted packet the state is updated and expiry refreshed; a non-TCP
+    session is Open from its first packet and stays so. Works on any entry
+    object with proto/state/expiry attributes.
     """
     if entry.proto != TCP:
-        entry.state = OPEN
         entry.expiry = now + timeouts.non_tcp
         return True
     move = entry.state.tcp_moves[flags + direction]
@@ -205,11 +204,10 @@ class ExpiringTable:
     O((popped + 1) log n), not O(n).
     """
 
-    def __init__(self, capacity: float = 65536, timeouts: Timeouts | None = None):
+    def __init__(self, capacity: float = 65536, timeouts: Timeouts = Timeouts()):
         self.capacity = capacity
         self._out: dict[tuple, object] = {}
         self.lookups = 0
-        timeouts = timeouts or Timeouts()
         # the shortest time a TCP expiry write looks ahead
         self._tcp_horizon = min(
             timeouts.tcp_established, timeouts.tcp_transient, timeouts.closed_grace
@@ -219,17 +217,13 @@ class ExpiringTable:
     def __len__(self) -> int:
         return len(self._out)
 
-    def _purge(self, entry) -> None:
-        """Remove an entry its caller has found dead; it reads as a miss."""
-        self.remove(entry)
-
     def lookup(self, key: tuple, now: float):
         self.lookups += 1
         entry = self._out.get(key)
         # a miss or a live hit is answered without a call: every packet makes a lookup
         if entry is None or entry.expiry > now:
             return entry
-        return self._purge(entry)
+        return self.remove(entry)  # dead: it leaves the table and reads as a miss
 
     def insert(self, entry) -> None:
         key = entry.outbound_key
@@ -293,7 +287,7 @@ class DualIndexTable(ExpiringTable):
     finds its flow.
     """
 
-    def __init__(self, capacity: float = 65536, timeouts: Timeouts | None = None):
+    def __init__(self, capacity: float = 65536, timeouts: Timeouts = Timeouts()):
         super().__init__(capacity, timeouts)
         self._in: dict[tuple, object] = {}
 
@@ -302,7 +296,7 @@ class DualIndexTable(ExpiringTable):
         entry = self._in.get(key)
         if entry is None or entry.expiry > now:
             return entry
-        return self._purge(entry)
+        return self.remove(entry)
 
     def insert(self, entry) -> None:
         if entry.inbound_key in self._in:
@@ -320,7 +314,7 @@ class DualIndexTable(ExpiringTable):
         """Whether a public port is held by a live entry for this peer tuple."""
         entry = self._in.get((ext_addr, ext_port, gwy_addr, gwy_port, proto))
         # a live occupant is answered without a call: NAT allocation probes port by port
-        return entry is not None and (entry.expiry > now or self._purge(entry) is not None)
+        return entry is not None and (entry.expiry > now or self.remove(entry) is not None)
 
 
 class SessionTable(DualIndexTable):

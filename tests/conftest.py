@@ -27,7 +27,7 @@ def make_config(
     nat: str = DEFAULT_NAT,
     qos: str = DEFAULT_QOS,
     lan: str = DEFAULT_LAN,
-    timeouts: Timeouts | None = None,
+    timeouts: Timeouts = Timeouts(),
     capacity: int = 65536,
 ) -> RouterConfig:
     return RouterConfig(
@@ -36,7 +36,7 @@ def make_config(
         qos=parse_qos(qos),
         routes=parse_routes(routes),
         nat=parse_nat_config(nat),
-        timeouts=timeouts or Timeouts(),
+        timeouts=timeouts,
         capacity=capacity,
     )
 

@@ -19,7 +19,7 @@ import types
 import pytest
 
 from flowgate import filters, harness, nat, packet, pipelines, qos, session_table
-from flowgate.matchers import FirstMatch
+from flowgate.matchers import Policy
 from flowgate.packet import Direction, SessionId
 from flowgate.pipelines import LookupAccounting
 from flowgate.routing import RoutingTable
@@ -47,7 +47,7 @@ PER_PACKET = list(dict.fromkeys(
     (nat, "find_free_port"),
     (nat.NatConfig, "ports"),
     (qos, "classify"),
-    (FirstMatch, "first"),
+    (Policy, "first"),
     (RoutingTable, "lookup"),
     (packet, "merge_dscp"),
     (packet, "render_trace_record"),

@@ -1,7 +1,9 @@
 """Trace grammar, DSCP bit layout, and CIDR parsing."""
 
 import itertools
+import math
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -27,6 +29,7 @@ from flowgate.packet import (
     parse_trace_record,
     render_trace_record,
 )
+from flowgate.session_table import Timeouts
 
 
 def test_parse_basic_tcp_syn():
@@ -560,6 +563,14 @@ def test_the_last_timestamp_below_2_52_is_a_packet_and_round_trips():
     assert packets[1].ts == 2**52 - 0.5
     line = render_trace_record(packets[1])
     assert line.split()[0] == last and load_trace(line) == packets[1:]
+
+
+def test_every_default_timeout_moves_the_last_timestamp_below_2_52():
+    # floats there are 0.5 apart, so only a timeout of 0.25 s or less could round back
+    last = math.nextafter(packet_module.TS_LIMIT, 0)
+    assert last == 2**52 - 0.5
+    for t in astuple(Timeouts()):
+        assert last + t > last
 
 
 # a bad token for each column after ts, none of which any text format accepts there

@@ -4,7 +4,7 @@ import random
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
-from conftest import make_config, pkt, trace
+from conftest import DEFAULT_QOS, make_config, pkt, trace
 from test_acceptance import CORNER_CASES, _random_router_config, _random_trace_spec
 from test_filters import _oracle
 
@@ -35,6 +35,7 @@ from flowgate.pipelines import (
     LookupAccounting,
     Verdict,
 )
+from flowgate.qos import parse_qos
 from flowgate.routing import RouteEntry, RoutingTable
 from flowgate.session_table import Timeouts
 
@@ -102,13 +103,18 @@ def test_integrated_inbound_one_shot_rewrites(config):
 
 
 def test_router_config_is_frozen(config):
-    """Integrated entries cache DSCP and both directions' routes; tables derive expiry horizons."""
+    """Entries cache DSCP and routes, tables derive horizons, and a policy indexes its rules once.
+
+    A policy compares and hashes by its rules alone, so two parses of one text are equal.
+    """
     for obj, name, value in (
         (config, "routes", config.routes), (config, "qos", config.qos), (config, "capacity", 1),
-        (config.timeouts, "non_tcp", 5.0),
+        (config.timeouts, "non_tcp", 5.0), (config.rules, "rules", ()), (config.qos, "rules", ()),
     ):
         with pytest.raises(FrozenInstanceError):
             setattr(obj, name, value)
+    again = parse_qos(DEFAULT_QOS)  # the text `config`'s policy was parsed from
+    assert again == config.qos and hash(again) == hash(config.qos)
 
 
 def test_rule_denied_creates_no_state(config):

@@ -117,6 +117,20 @@ def test_expired_entry_is_miss_and_purged(kind):
         assert t.lookup_inbound(e.inbound_key, now=10.0) is None
 
 
+@pytest.mark.parametrize("kind", ["SessionTable", "NatTable"])
+def test_a_dead_entry_found_inbound_is_a_miss_and_leaves_both_indexes(kind):
+    """An inbound lookup that meets the dead entry first removes it from both dicts."""
+    cls, lookup, make = TABLES[kind]
+    t = cls()
+    e = make(expiry=10.0)
+    t.insert(e)
+    assert t.lookup_inbound(e.inbound_key, now=10.0) is None
+    assert (len(t), len(t._in)) == (0, 0)
+    assert getattr(t, lookup)(e.outbound_key, now=10.0) is None
+    t.insert(make(expiry=20.0))  # both keys are free again
+    assert len(t) == 1
+
+
 @pytest.mark.parametrize("kind", list(TABLES))
 def test_duplicate_insert_rejected(kind):
     cls, _, make = TABLES[kind]
@@ -305,7 +319,7 @@ def test_an_expiry_falls_only_on_tcp_and_never_below_the_tcp_horizon():
             elif proto == TCP:
                 assert e.expiry >= now + horizon
             else:
-                assert e.expiry >= old
+                assert e.expiry >= old and e.state is SessionState.OPEN
 
 
 def test_port_in_use_reflects_liveness():
