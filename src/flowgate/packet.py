@@ -8,6 +8,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from flowgate.errors import TraceError
@@ -107,18 +108,28 @@ class Cidr:
         return f"{format_ip(self.network)}/{self.prefix_len}"
 
 
-class SessionId(NamedTuple):
-    """The five-tuple selecting one flow, as carried in a packet header.
-
-    It is a tuple, so it is its own dict key: a plain tuple of the same five
-    values hashes and compares equal to it.
-    """
-
+class _FiveTuple(NamedTuple):
     src_addr: int
     src_port: int
     dst_addr: int
     dst_port: int
     proto: int
+
+
+class SessionId(_FiveTuple):
+    """The five-tuple selecting one flow, as carried in a packet header.
+
+    It is a tuple, so it is its own dict key: a plain tuple of the same five
+    values hashes and compares equal to it. The fields live on `_FiveTuple`,
+    as a NamedTuple's empty `__slots__` leaves no room for `text`'s cache.
+    """
+
+    @cached_property
+    def text(self) -> str:
+        """The trace's `proto src_ip:src_port dst_ip:dst_port`, formatted on first read, then kept."""
+        src, dst = format_ip(self.src_addr), format_ip(self.dst_addr)
+        proto = PROTO_TEXT.get(self.proto) or self.proto
+        return f"{proto} {src}:{self.src_port} {dst}:{self.dst_port}"
 
 
 class Packet(NamedTuple):
@@ -273,14 +284,8 @@ def parse_trace_record(line: str) -> Packet:
 
 def render_trace_record(packet: Packet) -> str:
     """Inverse of parse_trace_record: parse(render(p)) == p."""
-    sid = packet.sid
-    proto = PROTO_TEXT.get(sid.proto) or str(sid.proto)
-    return (
-        f"{packet.ts} {proto}"
-        f" {format_ip(sid.src_addr)}:{sid.src_port}"
-        f" {format_ip(sid.dst_addr)}:{sid.dst_port}"
-        f" {FLAG_TEXT[packet.flags]} {packet.payload_len} {packet.tos} {packet.ttl}"
-    )
+    ts, sid, tos, ttl, flags, payload_len = packet
+    return f"{ts} {sid.text} {FLAG_TEXT[flags]} {payload_len} {tos} {ttl}"
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:

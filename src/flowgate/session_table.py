@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from heapq import heapify, heappop, heappush
 
 from flowgate.packet import ACK, FIN, RST, SYN, TCP, Direction, SessionId
@@ -42,6 +42,13 @@ class Timeouts:
     tcp_transient: float = 30.0  # handshake and teardown states
     non_tcp: float = 60.0
     closed_grace: float = 5.0  # keeps closed entries around to block key reuse
+
+    def __post_init__(self) -> None:
+        # 0 or less opens every flow dead; nan unorders the expiry heap; inf never expires
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
+                raise ValueError(f"timeouts: {f.name} must be a finite number above 0, got {value!r}")
 
 
 def entry_timeout(state: SessionState, timeouts: Timeouts) -> float:

@@ -1,6 +1,7 @@
 """CLI end-to-end: subcommands, exit codes, output files."""
 
 import errno
+import hashlib
 import os
 import statistics
 import subprocess
@@ -105,6 +106,28 @@ def test_gen_determinism_via_cli(tmp_path):
     main([*args, "--out", str(a)])
     main([*args, "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_outputs_match_the_golden_digests(tmp_path, capsys):
+    """The CI smoke job's gen and run --verdicts files, byte for byte (tests/golden.sha256)."""
+    golden = {}
+    for line in (REPO / "tests" / "golden.sha256").read_text().splitlines():
+        digest, name = line.split("  ")
+        golden[name] = digest
+    for seed in "123":
+        trace = tmp_path / f"trace-{seed}.txt"
+        assert main([
+            "gen", "--seed", seed, "--peers", "198.51.100.9,10.0.0.9",
+            "--nat", str(CONFIGS / "nat.txt"), "--out", str(trace),
+        ]) == 0
+        for pipeline in ("baseline", "integrated"):
+            assert main([
+                "run", *config_flags(), "--trace", str(trace), "--pipeline", pipeline,
+                "--verdicts", str(tmp_path / f"verdicts-{seed}-{pipeline}.txt"),
+            ]) == 0
+    capsys.readouterr()  # the run summaries
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in golden} == golden
+    assert len(golden) == 9
 
 
 def test_config_error_exit_code(tmp_path):

@@ -51,6 +51,7 @@ PER_PACKET = list(dict.fromkeys(
     (RoutingTable, "lookup"),
     (packet, "merge_dscp"),
     (packet, "render_trace_record"),
+    (packet.SessionId.text, "func"),  # the getter a rendered five-tuple runs once
     (packet, "format_ip"),
     (harness, "render_verdict"),
 ]
@@ -93,7 +94,10 @@ def _costly_calls(func) -> list[str]:
     return found
 
 
-PER_PACKET_IDS = [f"{getattr(o, '__name__', o)}.{n}" for o, n in PER_PACKET]
+# a cached_property has no __name__: its id is its getter's, SessionId.text.func
+PER_PACKET_IDS = [
+    f"{getattr(o, '__name__', None) or o.func.__qualname__}.{n}" for o, n in PER_PACKET
+]
 
 
 @pytest.mark.parametrize("owner,name", PER_PACKET, ids=PER_PACKET_IDS)

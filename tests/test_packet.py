@@ -1,7 +1,9 @@
 """Trace grammar, DSCP bit layout, and CIDR parsing."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 from dataclasses import astuple
 
@@ -189,6 +191,58 @@ def test_cidr_contains_matches_the_two_shift_formula(prefix_len):
         for addr in probes:
             assert cidr.contains(addr) is _two_shift_contains(cidr, addr), (str(cidr), addr)
         assert cidr.contains(cidr.network) and cidr.contains(last)
+
+
+def _old_spelling(sid: SessionId) -> str:
+    """The five-tuple columns as `render_trace_record` built them before `SessionId.text`."""
+    proto = {TCP: "tcp", UDP: "udp"}.get(sid.proto) or str(sid.proto)
+    return f"{proto} {format_ip(sid.src_addr)}:{sid.src_port} {format_ip(sid.dst_addr)}:{sid.dst_port}"
+
+
+@pytest.mark.parametrize("proto", [TCP, UDP, 1, 255])
+def test_text_is_the_old_spelling_at_every_edge(proto):
+    for src, dst in itertools.product((0, 2**32 - 1, 0x0A000005), repeat=2):
+        for sport, dport in itertools.product((0, 65535), repeat=2):
+            sid = SessionId(src, sport, dst, dport, proto)
+            assert sid.text == _old_spelling(sid)
+
+
+def _count_format_ip(monkeypatch) -> list[int]:
+    calls = []
+    monkeypatch.setattr(packet_module, "format_ip", lambda addr: calls.append(addr) or format_ip(addr))
+    return calls
+
+
+def test_packets_sharing_a_session_id_format_its_addresses_once(monkeypatch):
+    sid = SessionId(0x0A000005, 1200, 0xC6336409, 80, TCP)
+    calls = _count_format_ip(monkeypatch)
+    first = render_trace_record(Packet(0.5, sid, 0, 64, SYN, 0))
+    second = render_trace_record(Packet(1.5, sid, 0, 64, ACK, 10))
+    assert calls == [sid.src_addr, sid.dst_addr]
+    assert first == "0.5 tcp 10.0.0.5:1200 198.51.100.9:80 S 0 0 64"
+    assert second == "1.5 tcp 10.0.0.5:1200 198.51.100.9:80 A 10 0 64"
+
+
+def test_equal_session_ids_built_apart_each_format_their_own_text(monkeypatch):
+    a, b = SessionId(1, 2, 3, 4, UDP), SessionId(1, 2, 3, 4, UDP)
+    calls = _count_format_ip(monkeypatch)
+    assert a.text == b.text == "udp 0.0.0.1:2 0.0.0.3:4"
+    assert calls == [1, 3, 1, 3]
+
+
+@pytest.mark.parametrize("read_text", [False, True], ids=["cold", "text-read"])
+def test_a_session_id_is_still_its_plain_five_tuple(read_text):
+    values = (0x0A000005, 1200, 0xC6336409, 80, TCP)
+    sid = SessionId(*values)
+    if read_text:
+        assert sid.text
+    assert sid == values and hash(sid) == hash(values) and {values: 1}[sid] == 1
+    assert tuple.__new__(SessionId, values) == sid and SessionId._fields == (
+        "src_addr", "src_port", "dst_addr", "dst_port", "proto"
+    )
+    for clone in (copy.deepcopy(sid), pickle.loads(pickle.dumps(sid))):
+        assert type(clone) is SessionId and clone == sid and hash(clone) == hash(values)
+        assert clone.text == sid.text == "tcp 10.0.0.5:1200 198.51.100.9:80"
 
 
 def test_ip_round_trip():

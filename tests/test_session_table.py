@@ -1,6 +1,7 @@
 """Session table and the expiring table it shares: dual index, expiry, capacity."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -320,6 +321,13 @@ def test_an_expiry_falls_only_on_tcp_and_never_below_the_tcp_horizon():
                 assert e.expiry >= now + horizon
             else:
                 assert e.expiry >= old and e.state is SessionState.OPEN
+
+
+@pytest.mark.parametrize("value", [0, -1, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("name", ["tcp_established", "tcp_transient", "non_tcp", "closed_grace"])
+def test_timeouts_refuse_a_value_that_is_not_finite_and_above_0(name, value):
+    with pytest.raises(ValueError, match=f"timeouts: {name} must be a finite number above 0"):
+        Timeouts(**{name: value})
 
 
 def test_port_in_use_reflects_liveness():
