@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from flowgate.errors import ConfigError
@@ -10,17 +9,9 @@ from flowgate.matchers import Policy, TupleMatcher, parse_matcher
 from flowgate.packet import SessionId, content_lines
 
 
-class Action(enum.Enum):
-    ACCEPT = "accept"
-    DROP = "drop"
-
-
-DROP = Action.DROP  # bound once for per-packet code (see `packet.OUTBOUND`)
-
-
 @dataclass(frozen=True, slots=True)
 class FilterRule:
-    action: Action
+    accept: bool
     match: TupleMatcher
 
 
@@ -35,22 +26,20 @@ def parse_rules(text: str) -> RuleSet:
         fields = line.split()
         if len(fields) != 6:
             raise ConfigError(f"line {lineno}: expected 6 fields, got {len(fields)}")
-        try:
-            action = Action(fields[0])
-        except ValueError:
-            raise ConfigError(f"line {lineno}: unknown action {fields[0]!r}") from None
-        rules.append(FilterRule(action, parse_matcher(fields[1:], lineno)))
+        if fields[0] not in ("accept", "drop"):
+            raise ConfigError(f"line {lineno}: unknown action {fields[0]!r}")
+        rules.append(FilterRule(fields[0] == "accept", parse_matcher(fields[1:], lineno)))
     return RuleSet(tuple(rules))
 
 
-def evaluate(ruleset: RuleSet, sid: SessionId) -> tuple[Action, int | None, int]:
+def evaluate(ruleset: RuleSet, sid: SessionId) -> tuple[bool, int | None, int]:
     """First-match evaluation.
 
-    Returns (action, matched rule index or None, rules scanned). The scan
+    Returns (accepted, matched rule index or None, rules scanned). The scan
     count is the first-match depth, what a linear scan would examine: it
     includes the matching rule, and a default-action outcome counts them all.
     """
     index = ruleset.first(sid)
     if index is None:
-        return DROP, None, len(ruleset.rules)
-    return ruleset.rules[index].action, index, index + 1
+        return False, None, len(ruleset.rules)
+    return ruleset.rules[index].accept, index, index + 1

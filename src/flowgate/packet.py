@@ -5,7 +5,6 @@ All types here are immutable values; every transformation returns a new object.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -143,16 +142,8 @@ class Packet(NamedTuple):
     payload_len: int
 
 
-class Direction(enum.IntEnum):
-    """A packet's side of its flow; the value is where its half of a state's move row starts."""
-
-    OUTBOUND = 0
-    INBOUND = 16
-
-
-# the members per-packet code reads, bound once: on CPython 3.11 every attribute read on
-# an Enum class runs EnumType.__getattr__'s hook, several times a module global's cost
-OUTBOUND, INBOUND = Direction.OUTBOUND, Direction.INBOUND
+# a packet's side of its flow: where its half of a state's move row starts
+OUTBOUND, INBOUND = 0, 16
 
 
 def merge_dscp(tos: int, dscp: int) -> int:

@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from flowgate.filters import DROP, RuleSet, evaluate
+from flowgate.filters import RuleSet, evaluate
 from flowgate.nat import NatConfig, NatMapping, NatPoolExhausted, NatTable, find_free_port
 from flowgate.packet import INBOUND, OUTBOUND, Cidr, Packet, SessionId, merge_dscp
 from flowgate.qos import QosPolicy, classify
@@ -133,7 +133,7 @@ _BASELINE_LAN_REPLY_ACCT = LookupAccounting(
 )
 
 # each drop outcome, its member bound once: a drop reads no Enum class attribute
-# (see `packet.OUTBOUND`)
+# (see `session_table.SYN_SENT`)
 _RULE_DENIED = DropReason.RULE_DENIED
 _STATE_VIOLATION = DropReason.STATE_VIOLATION
 _NO_ROUTE = DropReason.NO_ROUTE
@@ -183,10 +183,10 @@ class _Pipeline:
         self.session_misses += 1
         sess_l = 2 if lan_to_lan else 1  # a LAN-to-LAN miss also looked for a reply
         nat_l = 0 if lan_to_lan else self._miss_nat_lookups
-        action, _, rules_s = evaluate(cfg.rules, sid)
-        if action is DROP:
+        accepted, _, rules_s = evaluate(cfg.rules, sid)
+        if not accepted:
             return _slow_drop(_RULE_DENIED, nat_l, sess_l, rules_s)
-        lan, lan_port, ext_addr, ext_port, proto = sid  # locals: each port probe reads them
+        _, _, ext_addr, ext_port, proto = sid  # locals: each port probe reads these three
         state = initial_state(proto, packet.flags)
         if state is None:
             return _slow_drop(_STATE_VIOLATION, nat_l, sess_l, rules_s)

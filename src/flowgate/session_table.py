@@ -16,7 +16,7 @@ import math
 from dataclasses import InitVar, dataclass, field, fields
 from heapq import heapify, heappop, heappush
 
-from flowgate.packet import ACK, FIN, RST, SYN, TCP, Direction, SessionId
+from flowgate.packet import ACK, FIN, INBOUND, OUTBOUND, RST, SYN, TCP, SessionId
 from flowgate.routing import RouteEntry
 
 
@@ -29,7 +29,8 @@ class SessionState(enum.Enum):
     OPEN = "open"  # the only state non-TCP sessions use
 
 
-# the members per-packet code reads, bound once (see `packet.OUTBOUND`)
+# the members per-packet code reads, bound once: on CPython 3.11 every attribute read on
+# an Enum class runs EnumType.__getattr__'s hook, several times a module global's cost
 SYN_SENT, ESTABLISHED = SessionState.SYN_SENT, SessionState.ESTABLISHED
 CLOSED, OPEN = SessionState.CLOSED, SessionState.OPEN
 
@@ -63,9 +64,7 @@ def entry_timeout(state: SessionState, timeouts: Timeouts) -> float:
 # flagless or ACK-only segments are data, legal once Established or draining
 # in FinWait, plus the outbound ACK that completes the handshake. Everything
 # else is a violation (None).
-def next_tcp_state(
-    state: SessionState, flags: int, direction: Direction
-) -> SessionState | None:
+def next_tcp_state(state: SessionState, flags: int, direction: int) -> SessionState | None:
     if state is SessionState.CLOSED:
         return None
     if flags & RST:
@@ -78,12 +77,12 @@ def next_tcp_state(
         return SessionState.FIN_WAIT
     if flags & SYN:
         if state is SessionState.SYN_SENT:
-            if direction is Direction.INBOUND and flags & ACK:
+            if direction == INBOUND and flags & ACK:
                 return SessionState.SYN_RECEIVED
-            if direction is Direction.OUTBOUND and not flags & ACK:
+            if direction == OUTBOUND and not flags & ACK:
                 return SessionState.SYN_SENT  # retransmitted initial SYN
             return None
-        if state is SessionState.SYN_RECEIVED and direction is Direction.INBOUND and flags & ACK:
+        if state is SessionState.SYN_RECEIVED and direction == INBOUND and flags & ACK:
             return SessionState.SYN_RECEIVED  # retransmitted SYN+ACK
         return None
     # no SYN/FIN/RST: plain data or ACK
@@ -91,7 +90,7 @@ def next_tcp_state(
         return SessionState.ESTABLISHED
     if state is SessionState.FIN_WAIT:
         return SessionState.FIN_WAIT
-    if state is SessionState.SYN_RECEIVED and direction is Direction.OUTBOUND and flags & ACK:
+    if state is SessionState.SYN_RECEIVED and direction == OUTBOUND and flags & ACK:
         return SessionState.ESTABLISHED  # handshake-completing ACK
     return None
 
@@ -110,11 +109,11 @@ _TIMEOUT_FIELDS = {OPEN: "non_tcp", ESTABLISHED: "tcp_established", CLOSED: "clo
 for _state in SessionState:
     _state.timeout_field = _TIMEOUT_FIELDS.get(_state, "tcp_transient")
 for _state in SessionState:
-    _moves = {f + d: next_tcp_state(_state, f, d) for d in Direction for f in range(16)}
+    _moves = {f + d: next_tcp_state(_state, f, d) for d in (OUTBOUND, INBOUND) for f in range(16)}
     _state.tcp_moves = tuple(m and (m, m.timeout_field) for _, m in sorted(_moves.items()))
 
 
-def advance(entry, flags: int, direction: Direction, now: float, timeouts: Timeouts) -> bool:
+def advance(entry, flags: int, direction: int, now: float, timeouts: Timeouts) -> bool:
     """Apply one packet to an entry's state machine.
 
     Returns False on a state violation, leaving the entry untouched. On an

@@ -27,8 +27,9 @@ from flowgate.harness import (
 from flowgate.nat import NatConfig, NatPoolExhausted, NatTable, parse_nat_config
 from flowgate.packet import (
     FLAG_BITS,
+    INBOUND,
+    OUTBOUND,
     Cidr,
-    Direction,
     format_ip,
     merge_dscp,
     parse_ip,
@@ -738,7 +739,7 @@ def test_criterion_4_state_machine_matches_enumerated_table():
         for state_name, flags_text, dir_name, expected_name in rows:
             state = SessionState(state_name)
             flags = FLAG_BITS[flags_text]
-            direction = Direction.OUTBOUND if dir_name == "out" else Direction.INBOUND
+            direction = OUTBOUND if dir_name == "out" else INBOUND
             seen.add((state, flags, direction))
             expected = None if expected_name == "violation" else SessionState(expected_name)
             actual = next_tcp_state(state, flags, direction)

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from flowgate import cli
+from flowgate import cli, harness
 from flowgate.cli import main
 from flowgate.harness import CSV_HEADER, DEFAULT_NAT
 from flowgate.nat import parse_nat_config
 from flowgate.packet import format_ip, load_trace, parse_ip
+from flowgate.pipelines import DropReason
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -51,6 +52,28 @@ def test_gen_run_compare_round_trip(tmp_path, capsys):
 
     assert main(["compare", *config_flags(), "--trace", str(trace_path)]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_a_divergence_fails_compare_with_its_first_packet(tmp_path, capsys, monkeypatch):
+    """Exit 1 and a FAIL report naming the first differing packet and both verdicts."""
+
+    class DeniesItsSecondPacket(harness.IntegratedPipeline):
+        packets = 0
+
+        def process(self, packet, now=None):
+            verdict = super().process(packet, now)
+            self.packets += 1
+            return verdict._replace(outcome=DropReason.RULE_DENIED) if self.packets == 2 else verdict
+
+    monkeypatch.setattr(harness, "IntegratedPipeline", DeniesItsSecondPacket)
+    trace_path = tmp_path / "trace.txt"
+    assert main(["gen", "--sessions", "2", "--packets-per-session", "4", "--out", str(trace_path)]) == 0
+    capsys.readouterr()
+    assert main(["compare", *config_flags(), "--trace", str(trace_path)]) == cli.EXIT_COMPARE_FAIL == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL: first divergence at packet 1"
+    assert lines[1].startswith("  baseline:   forward ")
+    assert lines[2] == "  integrated: drop rule_denied"
 
 
 def test_lan_peer_replies_are_forwarded(tmp_path):

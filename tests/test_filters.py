@@ -7,7 +7,7 @@ from conftest import EDGE_PROTOS, edge_sids, random_matcher
 
 from flowgate import matchers
 from flowgate.errors import ConfigError
-from flowgate.filters import Action, RuleSet, evaluate, parse_rules
+from flowgate.filters import RuleSet, evaluate, parse_rules
 from flowgate.packet import TCP, UDP, SessionId, parse_ip
 
 
@@ -18,7 +18,7 @@ def sid(proto=TCP, src="10.0.0.5", sport=1200, dst="198.51.100.9", dport=80):
 def test_parse_basic_rules():
     rs = parse_rules("drop tcp any any any 23\naccept any 10.0.0.0/8 any any any\n")
     assert len(rs.rules) == 2
-    assert rs.rules[0].action is Action.DROP
+    assert rs.rules[0].accept is False
     assert rs.rules[0].match.proto == TCP
     assert rs.rules[1].match.proto is None
 
@@ -26,11 +26,13 @@ def test_parse_basic_rules():
 @pytest.mark.parametrize(
     "text,err",
     [
-        ("permit tcp any any any any", "unknown action"),
+        ("permit tcp any any any any", "^line 1: unknown action 'permit'$"),
         ("drop tcp any any any", "expected 6 fields"),
         ("drop xxx any any any any", "unknown protocol"),
         ("drop tcp 10.0.0.0/40 any any any", "prefix length"),
         ("drop tcp any 5-2 any any", "port spec"),
+        ("drop tcp any x any any", "^line 1: bad port spec 'x'$"),
+        ("drop tcp any 5-x any any", "^line 1: bad port spec '5-x'$"),
         ("# ok\naccept any any any any any\ndrop tcp any any any 70000", "line 3"),
     ],
 )
@@ -42,27 +44,34 @@ def test_parse_errors_cite_lines(text, err):
 def test_rule_lines_end_at_newline_only():
     """A form feed or \x1c inside the text neither splits a rule nor shifts line numbers."""
     rules = "accept any any any any any\f\ndrop\x1ctcp any any any 23\n"
-    assert [rule.action for rule in parse_rules(rules).rules] == [Action.ACCEPT, Action.DROP]
+    assert [rule.accept for rule in parse_rules(rules).rules] == [True, False]
     with pytest.raises(ConfigError, match="^line 3: expected 6 fields, got 5$"):
         parse_rules(rules + "accept tcp any any any\n")
 
 
+def _assert_evaluates(rs: RuleSet, s: SessionId, want: tuple) -> None:
+    """`evaluate` returns `want`, its verdict the bool itself: an int 0 or 1 would compare equal."""
+    got = evaluate(rs, s)
+    assert got == want
+    assert got[0] is want[0]
+
+
 def test_first_match_wins():
     rs = parse_rules("drop tcp any any any 23\naccept any any any any any\n")
-    assert evaluate(rs, sid(dport=23)) == (Action.DROP, 0, 1)
-    assert evaluate(rs, sid(proto=UDP, sport=9, dport=23)) == (Action.ACCEPT, 1, 2)
+    _assert_evaluates(rs, sid(dport=23), (False, 0, 1))
+    _assert_evaluates(rs, sid(proto=UDP, sport=9, dport=23), (True, 1, 2))
 
 
 def test_empty_ruleset_default_deny():
-    assert evaluate(RuleSet(()), sid()) == (Action.DROP, None, 0)
+    _assert_evaluates(RuleSet(()), sid(), (False, None, 0))
 
 
 def test_rule_order_sensitivity():
     overlap = sid(dport=23)
     a = parse_rules("drop tcp any any any 23\naccept tcp any any any 20-30\n")
     b = parse_rules("accept tcp any any any 20-30\ndrop tcp any any any 23\n")
-    assert evaluate(a, overlap)[0] is Action.DROP
-    assert evaluate(b, overlap)[0] is Action.ACCEPT
+    assert evaluate(a, overlap)[0] is False
+    assert evaluate(b, overlap)[0] is True
 
 
 def _oracle(rs: RuleSet, s: SessionId):
@@ -81,8 +90,8 @@ def _oracle(rs: RuleSet, s: SessionId):
             continue
         if not (m.dst_ports.lo <= s.dst_port <= m.dst_ports.hi):
             continue
-        return rule.action, i, i + 1
-    return Action.DROP, None, len(rs.rules)
+        return rule.accept, i, i + 1
+    return False, None, len(rs.rules)
 
 
 def _random_ruleset(rng: random.Random, count: int, **matcher_opts) -> RuleSet:
@@ -108,7 +117,7 @@ def test_evaluate_matches_brute_force_oracle():
         rs = _random_ruleset(rng, rng.randrange(65))
         for _ in range(50):
             s = _random_sid(rng)
-            assert evaluate(rs, s) == _oracle(rs, s)
+            _assert_evaluates(rs, s, _oracle(rs, s))
 
 
 @pytest.mark.parametrize("count", [0, 1, 8, 64, 200])
@@ -118,7 +127,7 @@ def test_evaluate_matches_oracle_at_rule_edges(count):
     for _ in range(2 if count == 200 else 12):
         rs = _random_ruleset(rng, count, protos=EDGE_PROTOS)
         for s in edge_sids([rule.match for rule in rs.rules], rng):
-            assert evaluate(rs, s) == _oracle(rs, s)
+            _assert_evaluates(rs, s, _oracle(rs, s))
 
 
 @pytest.mark.parametrize("count", [1, 1000])
@@ -135,7 +144,7 @@ def test_first_match_makes_at_most_four_searches(count, monkeypatch):
     for i in range(0, count, max(1, count // 50)):
         calls.clear()
         probe = SessionId((10 << 24) | i << 8 | 7, 1024 + i, (172 << 24) | (16 << 16) | i, 2048 + i, TCP)
-        assert evaluate(rs, probe) == (Action.ACCEPT, i, i + 1)
+        _assert_evaluates(rs, probe, (True, i, i + 1))
         assert len(calls) == 4
         calls.clear()
         assert evaluate(rs, probe._replace(dst_port=1))[1] is None

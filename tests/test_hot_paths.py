@@ -1,7 +1,7 @@
 """Per-packet code reads no Enum class attribute or member's `.value`, and builds cheaply.
 
 On CPython 3.11 `EnumType` defines `__getattr__`, so every attribute read on
-an Enum class (`Direction.INBOUND`) runs a Python-level hook, and
+an Enum class (`SessionState.CLOSED`) runs a Python-level hook, and
 `member.value` is a Python-level property: each costs several times a
 module global's read. Per-packet code reads members bound once to module
 constants instead. Likewise a NamedTuple call runs a Python-level `__new__`
@@ -20,9 +20,10 @@ import pytest
 
 from flowgate import filters, harness, nat, packet, pipelines, qos, session_table
 from flowgate.matchers import Policy
-from flowgate.packet import Direction, SessionId
+from flowgate.packet import SessionId
 from flowgate.pipelines import LookupAccounting
 from flowgate.routing import RoutingTable
+from flowgate.session_table import SessionState
 
 # (owner, attribute) of every function a packet runs through, from process to render: each
 # one the pipeline and table classes or their bases define, once, so a new, renamed or moved
@@ -127,11 +128,11 @@ def test_methods_a_table_inherits_are_checked():
 
 
 def test_the_check_sees_what_it_forbids():
-    def reads(direction):
-        return direction is Direction.INBOUND or direction.value
+    def reads(state):
+        return state is SessionState.CLOSED or state.value
 
     assert _enum_reads(reads) == [
-        "reads: loads the Enum class Direction", "reads: reads .value"
+        "reads: loads the Enum class SessionState", "reads: reads .value"
     ]
 
 

@@ -40,6 +40,12 @@ def test_parse_nat_config():
         with pytest.raises(ConfigError, match=f"line 2: bad port range '{ports}'"):
             parse_nat_config(f"public 192.0.2.1\nports {ports}\n")
     assert parse_nat_config("public 192.0.2.1\nports 1-1\n") == NatConfig(PUBLIC, 1, 1)
+    # an unknown keyword, and a known one without its value
+    for line in ("gateway 192.0.2.1", "public"):
+        with pytest.raises(
+            ConfigError, match=r"^line 1: expected 'public <ip>' or 'ports <lo>-<hi>'$"
+        ):
+            parse_nat_config(f"{line}\nports 1-2\n")
 
 
 def test_allocation_is_lowest_free_per_peer():

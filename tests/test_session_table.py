@@ -8,7 +8,9 @@ import pytest
 
 from flowgate import session_table
 from flowgate.nat import NatConfig, NatMapping, NatTable
-from flowgate.packet import ACK, FIN, RST, SYN, TCP, UDP, Direction, SessionId, parse_trace_record
+from flowgate.packet import (
+    ACK, FIN, INBOUND, OUTBOUND, RST, SYN, TCP, UDP, SessionId, parse_trace_record
+)
 from flowgate.pipelines import StateEntry, StateTable
 from flowgate.session_table import (
     DualIndexTable,
@@ -229,7 +231,7 @@ def test_sweep_matches_a_full_scan(kind, seed):
         elif op < 0.8:
             entry = t.lookup(key, now)
             if entry is not None:
-                direction = rng.choice((Direction.OUTBOUND, Direction.INBOUND))
+                direction = rng.choice((OUTBOUND, INBOUND))
                 advance(entry, rng.choice(ORACLE_FLAGS), direction, now, SHORT)
         else:
             dead = sum(e.expiry <= now for e in t._out.values())
@@ -288,6 +290,30 @@ def test_live_udp_entries_are_not_popped_before_their_timeout(kind, monkeypatch)
     assert pops == []
 
 
+@pytest.mark.parametrize("kind", ["StateTable", "SessionTable"])
+def test_a_mostly_stale_heap_is_dropped_and_rebuilt_by_the_next_sweep(kind):
+    """Flows that end by lookup leave their heap items behind; past 2n + 64 the heap goes."""
+    cls, lookup, make = TABLES[kind]
+    t = cls(capacity=4)
+    for i in range(4):
+        t.insert(make(i, expiry=i + 1.0))
+    with pytest.raises(TableFullError):
+        t.ensure_capacity(now=0.5)  # builds the heap
+    for i in itertools.count(4):  # the oldest dies at a lookup, and a new flow takes its place
+        assert getattr(t, lookup)(make(i - 4).outbound_key, now=i - 3.0) is None
+        t.insert(make(i, expiry=i + 1.0))
+        if t._heap is None:
+            break
+        assert len(t._heap) <= 2 * len(t) + 65
+    assert i - 3 == 70  # the 70th insert found 4 + 69 items, over 2 * 4 + 64
+    now = i - 0.5
+    dead = sum(e.expiry <= now for e in t._out.values())
+    assert dead == 2
+    assert sweep_all(t, now) == dead
+    assert t._heap is not None and len(t._heap) <= 2 * len(t) + 64
+    assert len(t) == 2 and all(e.expiry > now for e in t._out.values())
+
+
 def test_an_expiry_falls_only_on_tcp_and_never_below_the_tcp_horizon():
     """The rule the expiry index keys by, over every input `advance` can be given.
 
@@ -306,7 +332,7 @@ def test_an_expiry_falls_only_on_tcp_and_never_below_the_tcp_horizon():
         )
         for _ in range(8)
     ]
-    inputs = itertools.product((TCP, UDP, 1), SessionState, range(16), Direction)
+    inputs = itertools.product((TCP, UDP, 1), SessionState, range(16), (OUTBOUND, INBOUND))
     for (proto, state, flags, direction), timeouts in itertools.product(
         inputs, [Timeouts(), SHORT, *sub_second]
     ):
@@ -380,10 +406,10 @@ def test_lookup_never_returns_expired():
 def test_advance_refreshes_expiry_and_state():
     timeouts = Timeouts()
     e = make_entry(expiry=30.0)
-    ok = advance(e, SYN | ACK, Direction.INBOUND, now=1.0, timeouts=timeouts)
+    ok = advance(e, SYN | ACK, INBOUND, now=1.0, timeouts=timeouts)
     assert ok and e.state is SessionState.SYN_RECEIVED
     assert e.expiry == 1.0 + timeouts.tcp_transient
-    ok = advance(e, ACK, Direction.OUTBOUND, now=2.0, timeouts=timeouts)
+    ok = advance(e, ACK, OUTBOUND, now=2.0, timeouts=timeouts)
     assert ok and e.state is SessionState.ESTABLISHED
     assert e.expiry == 2.0 + timeouts.tcp_established
 
@@ -394,7 +420,7 @@ def test_advance_follows_next_tcp_state_on_every_input():
         (state, flags, direction)
         for state in SessionState
         for flags in range(16)
-        for direction in Direction
+        for direction in (OUTBOUND, INBOUND)
     ]
     assert len(inputs) == 192
     for state, flags, direction in inputs:
@@ -411,7 +437,7 @@ def test_advance_follows_next_tcp_state_on_every_input():
 
 def test_advance_violation_leaves_entry_unchanged():
     e = make_entry(expiry=30.0)
-    ok = advance(e, ACK, Direction.OUTBOUND, now=1.0, timeouts=Timeouts())
+    ok = advance(e, ACK, OUTBOUND, now=1.0, timeouts=Timeouts())
     assert not ok
     assert e.state is SessionState.SYN_SENT and e.expiry == 30.0
 
@@ -420,14 +446,14 @@ def test_rst_moves_to_closed_with_grace():
     timeouts = Timeouts(closed_grace=5.0)
     e = make_entry(expiry=300.0)
     e.state = SessionState.ESTABLISHED
-    assert advance(e, RST, Direction.OUTBOUND, now=10.0, timeouts=timeouts)
+    assert advance(e, RST, OUTBOUND, now=10.0, timeouts=timeouts)
     assert e.state is SessionState.CLOSED
     assert e.expiry == 15.0
 
 
 def test_non_tcp_stays_open():
     e = make_entry(proto=UDP)
-    assert advance(e, 0, Direction.INBOUND, now=1.0, timeouts=Timeouts())
+    assert advance(e, 0, INBOUND, now=1.0, timeouts=Timeouts())
     assert e.state is SessionState.OPEN and e.expiry == 61.0
     assert entry_timeout(SessionState.OPEN, Timeouts()) == 60.0
 
