@@ -12,6 +12,7 @@ from flowgate.nat import NatConfig
 from flowgate.packet import (
     ACK,
     FIN,
+    FLAG_TEXT,
     SYN,
     TCP,
     UDP,
@@ -232,9 +233,12 @@ for _reason in DropReason:
 
 
 def render_verdict(verdict: Verdict) -> str:
+    """A forward's line is its route, then its packet as `render_trace_record` writes it."""
     outcome = verdict.outcome
     if type(outcome) is Forwarded:
-        return f"forward {outcome.route.label} {render_trace_record(outcome.packet)}"
+        route, ts, sid, tos, ttl, flags, payload_len = outcome
+        # `!r` writes a float or int ts as str() does, without float.__format__'s method call
+        return f"forward {route.label} {ts!r} {sid.text} {FLAG_TEXT[flags]} {payload_len} {tos} {ttl}"
     return outcome.verdict_line
 
 

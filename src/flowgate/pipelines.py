@@ -81,8 +81,20 @@ class LookupAccounting(NamedTuple):
 # NamedTuples, the cheapest immutable values that compare and hash by field; a drop's
 # outcome is its DropReason member, which equals only itself, so never a Forwarded.
 class Forwarded(NamedTuple):
+    """A forward's route, then its emitted packet's fields in `Packet`'s order: one tuple, not two."""
+
     route: RouteEntry  # the next hop and iface, as the routing table holds them
-    packet: Packet
+    ts: float
+    sid: SessionId
+    tos: int
+    ttl: int
+    flags: int
+    payload_len: int
+
+    @property
+    def packet(self) -> Packet:
+        """The emitted packet, built from this forward's fields."""
+        return _new(Packet, self[1:])
 
 
 class Verdict(NamedTuple):
@@ -160,8 +172,8 @@ def _forward(
     ttl -= 1
     if ttl == 0:
         return _new(Verdict, (_TTL_EXPIRED, acct))
-    emitted = _new(Packet, (ts, sid, merge_dscp(tos, dscp), ttl, flags, payload_len))
-    return _new(Verdict, (_new(Forwarded, (route, emitted)), acct))
+    forward = _new(Forwarded, (route, ts, sid, merge_dscp(tos, dscp), ttl, flags, payload_len))
+    return _new(Verdict, (forward, acct))
 
 
 class _Pipeline:

@@ -246,12 +246,12 @@ def _forward_verdict(ttl: int = 63) -> Verdict:
     sid = SessionId(parse_ip("192.0.2.1"), 40000, parse_ip("198.51.100.9"), 80, TCP)
     packet = Packet(0.5, sid, tos=184, ttl=ttl, flags=SYN | ACK, payload_len=64)
     route = RouteEntry(Cidr.parse("0.0.0.0/0"), parse_ip("203.0.113.1"), "wan")
-    return Verdict(Forwarded(route, packet), LookupAccounting(1, 1))
+    return Verdict(Forwarded(route, *packet), LookupAccounting(1, 1))
 
 
 def test_value_types_keep_their_fields_and_defaults():
     assert Packet._fields == ("ts", "sid", "tos", "ttl", "flags", "payload_len")
-    assert Forwarded._fields == ("route", "packet")
+    assert Forwarded._fields == ("route", "ts", "sid", "tos", "ttl", "flags", "payload_len")
     assert Verdict._fields == ("outcome", "lookups")
     assert LookupAccounting._fields == (
         "nat_lookups", "session_lookups", "rule_evals", "rules_scanned",
@@ -274,6 +274,27 @@ def test_verdicts_compare_and_hash_by_value():
         drop = Verdict(DropReason(reason.value), LookupAccounting(1, 1))
         assert drop == Verdict(reason, a.lookups) and hash(drop) == hash(Verdict(reason, a.lookups))
         assert reason != a.outcome and a.outcome != reason
+
+
+def test_a_forward_holds_its_emitted_packets_fields():
+    out = _forward_verdict().outcome
+    packet = Packet(0.5, out.sid, tos=184, ttl=63, flags=SYN | ACK, payload_len=64)
+    assert Forwarded(out.route, *packet).packet == packet
+    assert out.packet == packet and type(out.packet) is Packet
+    # a forward differs from another that differs in any one field
+    lan = RouteEntry(Cidr.parse("10.0.0.0/8"), parse_ip("10.0.0.254"), "lan")
+    others = (lan, 0.25, out.sid._replace(dst_port=81), 0, 62, ACK, 65)
+    for name, other in zip(Forwarded._fields, others, strict=True):
+        assert getattr(out, name) != other
+        assert out._replace(**{name: other}) != out, name
+
+
+@pytest.mark.parametrize("ts", [0, 0.0, 1e-05, 4503599627370495.5])
+def test_render_verdict_writes_the_timestamp_as_the_trace_record_does(ts):
+    out = _forward_verdict().outcome
+    packet = out.packet._replace(ts=ts)
+    verdict = Verdict(Forwarded(out.route, *packet), LookupAccounting())
+    assert render_verdict(verdict) == f"forward {out.route.label} {render_trace_record(packet)}"
 
 
 def test_first_divergence_finds_a_drop_against_a_forward():

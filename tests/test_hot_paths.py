@@ -10,10 +10,15 @@ and a keyword call binds its arguments by name (a 12-keyword `SessionEntry`
 ~2.1 us against ~1.5 us positional), so per-packet code makes neither. What
 one such cost adds to a packet is below the benchmark's noise, so these
 tests keep one from coming back unseen.
+
+Each object a packet leaves tracked by the cyclic GC costs its allocation and
+is walked again by every collection that sees it, so a forwarded hit keeps
+only the two it must: its `Verdict` and the `Forwarded` in it.
 """
 
 import dis
 import enum
+import gc
 import types
 
 import pytest
@@ -21,9 +26,11 @@ import pytest
 from flowgate import filters, harness, nat, packet, pipelines, qos, session_table
 from flowgate.matchers import Policy
 from flowgate.packet import SessionId
-from flowgate.pipelines import LookupAccounting
+from flowgate.pipelines import BaselinePipeline, Forwarded, IntegratedPipeline, LookupAccounting
 from flowgate.routing import RoutingTable
 from flowgate.session_table import SessionState
+
+from conftest import make_config, pkt
 
 # (owner, attribute) of every function a packet runs through, from process to render: each
 # one the pipeline and table classes or their bases define, once, so a new, renamed or moved
@@ -146,3 +153,24 @@ def test_the_call_check_sees_what_it_forbids():
         "builds: calls the NamedTuple SessionId",
         "builds: makes a keyword call",
     ]
+
+
+@pytest.mark.parametrize("kind", [BaselinePipeline, IntegratedPipeline])
+def test_a_forwarded_hit_keeps_two_gc_tracked_objects(kind):
+    pipe = kind(make_config())
+    flows = [pkt(f"0.0 udp 10.0.0.{host}:1000 8.8.8.8:53 - 0 64") for host in range(1, 5)]
+    for p in flows:  # open each flow, so every later packet of it is a session hit
+        pipe.process(p)
+    hits = [flows[i % 4]._replace(ts=0.001 * (i + 1)) for i in range(1000)]
+    kept = []
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for p in hits:
+            kept.append(pipe.process(p))
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert all(type(v.outcome) is Forwarded for v in kept)
+    assert grown == 2 * len(hits), grown / len(hits)

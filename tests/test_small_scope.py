@@ -252,7 +252,7 @@ def _normalised(verdicts: list) -> list:
     """Verdicts without the emitted packets' timestamps, which two paths may not share."""
     return [
         tuple(
-            v._replace(outcome=v.outcome._replace(packet=v.outcome.packet._replace(ts=None)))
+            v._replace(outcome=v.outcome._replace(ts=None))
             if type(v.outcome) is Forwarded else v
             for v in pair
         )
