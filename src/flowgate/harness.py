@@ -24,7 +24,6 @@ from flowgate.packet import (
 )
 from flowgate.pipelines import (
     BaselinePipeline,
-    DropReason,
     Forwarded,
     IntegratedPipeline,
     LookupAccounting,
@@ -152,7 +151,7 @@ class MetricsReport:
     pipeline: str
     packets: int
     forwarded: int
-    dropped: dict[DropReason, int]
+    dropped: dict[str, int]
     session_hits: int
     session_misses: int
     nat_lookups: int
@@ -171,11 +170,7 @@ class MetricsReport:
     total_consultations = LookupAccounting.total_consultations
 
     def summary(self) -> str:
-        drops = ", ".join(
-            f"{reason.value}={count}" for reason, count in sorted(
-                self.dropped.items(), key=lambda kv: kv[0].value
-            )
-        )
+        drops = ", ".join(f"{reason}={count}" for reason, count in sorted(self.dropped.items()))
         return (
             f"{self.pipeline}: {self.packets} packets, {self.forwarded} forwarded,"
             f" {self.dropped_total} dropped ({drops or 'none'})\n"
@@ -226,12 +221,6 @@ def run_pipeline(pipeline, packets: list[Packet]) -> tuple[list[Verdict], Metric
     )
 
 
-# each drop's verdict line, a member attribute set at import: `reason.value` is a
-# Python-level property on CPython 3.11, read on every rendered drop
-for _reason in DropReason:
-    _reason.verdict_line = f"drop {_reason.value}"
-
-
 def render_verdict(verdict: Verdict) -> str:
     """A forward's line is its route, then its packet as `render_trace_record` writes it."""
     outcome = verdict.outcome
@@ -239,7 +228,7 @@ def render_verdict(verdict: Verdict) -> str:
         route, ts, sid, tos, ttl, flags, payload_len = outcome
         # `!r` writes a float or int ts as str() does, without float.__format__'s method call
         return f"forward {route.label} {ts!r} {sid.text} {FLAG_TEXT[flags]} {payload_len} {tos} {ttl}"
-    return outcome.verdict_line
+    return f"drop {outcome}"
 
 
 def first_divergence(a: list[Verdict], b: list[Verdict]) -> int | None:

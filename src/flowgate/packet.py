@@ -29,9 +29,10 @@ OCTET_VALUE = {text: octet for octet, text in enumerate(OCTET_TEXT)}
 # each prefix length's canonical spelling, and its netmask
 PREFIX_LEN = {str(n): n for n in range(33)}
 NETMASK = tuple(0xFFFFFFFF << (32 - n) & 0xFFFFFFFF for n in range(33))
-# below 2**52 floats are at most 0.5 apart, so now + t > now for every timeout t > 0.25 s,
-# every default among them; a sum rounded back to now opens a flow that is dead as it opens
-TS_LIMIT = 2.0**52
+# below 2**43 floats are at most 2**-10 apart, so now + t > now for every timeout t of at
+# least MIN_TIMEOUT, which `Timeouts` holds to; a sum rounded back to now opens a dead flow
+TS_LIMIT = 2.0**43
+MIN_TIMEOUT = 2.0**-10
 
 
 def is_decimal(text: str) -> bool:
@@ -263,7 +264,7 @@ def parse_trace_record(line: str) -> Packet:
         ts proto src_ip:src_port dst_ip:dst_port flags payload_len tos [ttl]
     proto is tcp, udp, or a decimal protocol number; flags is '-' or a subset
     of "SAFR" in that order; ttl is optional and defaults to 64. ts is ASCII
-    text that float() reads, with no '_', at least 0 and below 2**52 (TS_LIMIT);
+    text that float() reads, with no '_', at least 0 and below 2**43 (TS_LIMIT);
     other numbers are ASCII decimal digits.
 
     Nothing in the package calls it; it stays as the record format's one

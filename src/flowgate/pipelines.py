@@ -7,20 +7,19 @@ established. The two must produce observably identical verdict streams for
 any trace; only the lookup accounting differs.
 
 Both admit a first packet through one `_first_packet`, in one drop precedence:
-RuleDenied > StateViolation > NatExhausted > TableFull > NoRoute > TtlExpired.
+RULE_DENIED > STATE_VIOLATION > NAT_EXHAUSTED > TABLE_FULL > NO_ROUTE > TTL_EXPIRED.
 A flow opens only when its first packet leaves, as Linux confirms a conntrack
 entry (`nf_conntrack_confirm`): a first packet dropped at egress inserts nothing.
 Capacity is checked before the NAT pool, so a refused flow never pays for
 a port probe it would throw away: on a full table the pool is probed only
 when the table holding its ports has at least as many entries as the pool
 has ports (one, for a protocol without ports), since fewer cannot exhaust
-it. When the pool is exhausted the drop still says NatExhausted, and the
+it. When the pool is exhausted the drop still says NAT_EXHAUSTED, and the
 flow still counts its one NAT consultation.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,14 +41,14 @@ from flowgate.session_table import (
 )
 
 
-class DropReason(enum.Enum):
-    RULE_DENIED = "rule_denied"
-    STATE_VIOLATION = "state_violation"
-    NO_ROUTE = "no_route"
-    NAT_EXHAUSTED = "nat_exhausted"
-    TABLE_FULL = "table_full"
-    TTL_EXPIRED = "ttl_expired"
-    INBOUND_NO_SESSION = "inbound_no_session"
+# a drop's outcome is its reason: a str, which equals no Forwarded
+RULE_DENIED = "rule_denied"
+STATE_VIOLATION = "state_violation"
+NO_ROUTE = "no_route"
+NAT_EXHAUSTED = "nat_exhausted"
+TABLE_FULL = "table_full"
+TTL_EXPIRED = "ttl_expired"
+INBOUND_NO_SESSION = "inbound_no_session"
 
 
 class LookupAccounting(NamedTuple):
@@ -78,8 +77,7 @@ class LookupAccounting(NamedTuple):
         )
 
 
-# NamedTuples, the cheapest immutable values that compare and hash by field; a drop's
-# outcome is its DropReason member, which equals only itself, so never a Forwarded.
+# NamedTuples, the cheapest immutable values that compare and hash by field
 class Forwarded(NamedTuple):
     """A forward's route, then its emitted packet's fields in `Packet`'s order: one tuple, not two."""
 
@@ -91,14 +89,9 @@ class Forwarded(NamedTuple):
     flags: int
     payload_len: int
 
-    @property
-    def packet(self) -> Packet:
-        """The emitted packet, built from this forward's fields."""
-        return _new(Packet, self[1:])
-
 
 class Verdict(NamedTuple):
-    outcome: Forwarded | DropReason
+    outcome: Forwarded | str
     lookups: LookupAccounting
 
 
@@ -144,20 +137,10 @@ _BASELINE_LAN_REPLY_ACCT = LookupAccounting(
     session_lookups=2, qos_classifications=1, route_lookups=1
 )
 
-# each drop outcome, its member bound once: a drop reads no Enum class attribute
-# (see `session_table.SYN_SENT`)
-_RULE_DENIED = DropReason.RULE_DENIED
-_STATE_VIOLATION = DropReason.STATE_VIOLATION
-_NO_ROUTE = DropReason.NO_ROUTE
-_NAT_EXHAUSTED = DropReason.NAT_EXHAUSTED
-_TABLE_FULL = DropReason.TABLE_FULL
-_TTL_EXPIRED = DropReason.TTL_EXPIRED
-_INBOUND_NO_SESSION = DropReason.INBOUND_NO_SESSION
-
 _new = tuple.__new__  # a NamedTuple call without its Python-level __new__: fields in order
 
 
-def _slow_drop(outcome: DropReason, nat_l: int, sess_l: int, rules_s: int) -> Verdict:
+def _slow_drop(outcome: str, nat_l: int, sess_l: int, rules_s: int) -> Verdict:
     """A first packet's drop: its NAT and session lookups, one rule evaluation, no QoS or route."""
     return _new(Verdict, (outcome, _new(LookupAccounting, (nat_l, sess_l, 1, rules_s, 0, 0))))
 
@@ -167,11 +150,11 @@ def _forward(
 ) -> Verdict:
     """The egress step both pipelines share: NoRoute, then TTL, then the rewritten packet."""
     if route is None:
-        return _new(Verdict, (_NO_ROUTE, acct))
+        return _new(Verdict, (NO_ROUTE, acct))
     ts, _, tos, ttl, flags, payload_len = packet
     ttl -= 1
     if ttl == 0:
-        return _new(Verdict, (_TTL_EXPIRED, acct))
+        return _new(Verdict, (TTL_EXPIRED, acct))
     forward = _new(Forwarded, (route, ts, sid, merge_dscp(tos, dscp), ttl, flags, payload_len))
     return _new(Verdict, (forward, acct))
 
@@ -197,11 +180,11 @@ class _Pipeline:
         nat_l = 0 if lan_to_lan else self._miss_nat_lookups
         accepted, _, rules_s = evaluate(cfg.rules, sid)
         if not accepted:
-            return _slow_drop(_RULE_DENIED, nat_l, sess_l, rules_s)
+            return _slow_drop(RULE_DENIED, nat_l, sess_l, rules_s)
         _, _, ext_addr, ext_port, proto = sid  # locals: each port probe reads these three
         state = initial_state(proto, packet.flags)
         if state is None:
-            return _slow_drop(_STATE_VIOLATION, nat_l, sess_l, rules_s)
+            return _slow_drop(STATE_VIOLATION, nat_l, sess_l, rules_s)
         try:
             self._flow_table.ensure_capacity(now)
         except TableFullError:
@@ -220,9 +203,9 @@ class _Pipeline:
                         lambda p: ports.port_in_use(gwy_addr, p, ext_addr, ext_port, proto, now),
                     )
                 except NatPoolExhausted:
-                    return _slow_drop(_NAT_EXHAUSTED, nat_l, sess_l, rules_s)
+                    return _slow_drop(NAT_EXHAUSTED, nat_l, sess_l, rules_s)
         if full:
-            return _slow_drop(_TABLE_FULL, nat_l, sess_l, rules_s)
+            return _slow_drop(TABLE_FULL, nat_l, sess_l, rules_s)
         expiry = now + entry_timeout(state, cfg.timeouts)
         acct = _new(LookupAccounting, (nat_l, sess_l, 1, rules_s, 1, self._open_route_lookups))
         return self._open(packet, sid, state, expiry, gwy, acct)
@@ -269,7 +252,7 @@ class BaselinePipeline(_Pipeline):
                     raise RuntimeError("live state entry without a live NAT mapping")
                 if not advance(entry, packet.flags, OUTBOUND, now, cfg.timeouts):
                     return _new(Verdict, (
-                        _STATE_VIOLATION,
+                        STATE_VIOLATION,
                         _ONE_SESSION_LOOKUP if lan_to_lan else _NAT_AND_SESSION_LOOKUPS,
                     ))
                 if mapping is not None:
@@ -288,14 +271,14 @@ class BaselinePipeline(_Pipeline):
         else:
             mapping = self.nat_table.lookup_reverse(sid, now)
             if mapping is None:
-                return _new(Verdict, (_INBOUND_NO_SESSION, _ONE_NAT_LOOKUP))
+                return _new(Verdict, (INBOUND_NO_SESSION, _ONE_NAT_LOOKUP))
             entry = self.state_table.lookup(mapping.outbound_key, now)
             if entry is None:
                 raise RuntimeError("live NAT mapping without a live state entry")
             lookups, acct = _NAT_AND_SESSION_LOOKUPS, _BASELINE_HIT_ACCT
         self.session_hits += 1
         if not advance(entry, packet.flags, INBOUND, now, cfg.timeouts):
-            return _new(Verdict, (_STATE_VIOLATION, lookups))
+            return _new(Verdict, (STATE_VIOLATION, lookups))
         if mapping is not None:
             mapping.expiry = entry.expiry
             sid = mapping.in_sid
@@ -355,7 +338,7 @@ class IntegratedPipeline(_Pipeline):
             if entry is not None:
                 self.session_hits += 1
                 if not advance(entry, packet.flags, OUTBOUND, now, self.config.timeouts):
-                    return _new(Verdict, (_STATE_VIOLATION, _ONE_SESSION_LOOKUP))
+                    return _new(Verdict, (STATE_VIOLATION, _ONE_SESSION_LOOKUP))
                 return _forward(
                     packet, entry.out_sid, entry.dscp, entry.ext_route, _ONE_SESSION_LOOKUP
                 )
@@ -370,11 +353,11 @@ class IntegratedPipeline(_Pipeline):
             if entry is None:
                 # inbound-initiated flows are not accepted; the miss is terminal
                 self.session_misses += 1
-                return _new(Verdict, (_INBOUND_NO_SESSION, _ONE_SESSION_LOOKUP))
+                return _new(Verdict, (INBOUND_NO_SESSION, _ONE_SESSION_LOOKUP))
             acct = _ONE_SESSION_LOOKUP
         self.session_hits += 1
         if not advance(entry, packet.flags, INBOUND, now, self.config.timeouts):
-            return _new(Verdict, (_STATE_VIOLATION, acct))
+            return _new(Verdict, (STATE_VIOLATION, acct))
         return _forward(packet, entry.in_sid, entry.dscp, entry.lan_route, acct)
 
     def _open(self, packet, sid, state, expiry, gwy, acct) -> Verdict:

@@ -16,7 +16,7 @@ import math
 from dataclasses import InitVar, dataclass, field, fields
 from heapq import heapify, heappop, heappush
 
-from flowgate.packet import ACK, FIN, INBOUND, OUTBOUND, RST, SYN, TCP, SessionId
+from flowgate.packet import ACK, FIN, INBOUND, MIN_TIMEOUT, OUTBOUND, RST, SYN, TCP, SessionId
 from flowgate.routing import RouteEntry
 
 
@@ -45,11 +45,12 @@ class Timeouts:
     closed_grace: float = 5.0  # keeps closed entries around to block key reuse
 
     def __post_init__(self) -> None:
-        # 0 or less opens every flow dead; nan unorders the expiry heap; inf never expires
+        # below MIN_TIMEOUT, now + t can round back to now and open a flow dead (see TS_LIMIT);
+        # nan unorders the expiry heap; inf never expires
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and 0 < value < math.inf):
-                raise ValueError(f"timeouts: {f.name} must be a finite number above 0, got {value!r}")
+            if not (isinstance(value, (int, float)) and MIN_TIMEOUT <= value < math.inf):
+                raise ValueError(f"timeouts: {f.name} must be a finite number >= {MIN_TIMEOUT}, got {value!r}")
 
 
 def entry_timeout(state: SessionState, timeouts: Timeouts) -> float:

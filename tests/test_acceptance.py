@@ -35,8 +35,14 @@ from flowgate.packet import (
     parse_ip,
 )
 from flowgate.pipelines import (
+    INBOUND_NO_SESSION,
+    NAT_EXHAUSTED,
+    NO_ROUTE,
+    RULE_DENIED,
+    STATE_VIOLATION,
+    TABLE_FULL,
+    TTL_EXPIRED,
     BaselinePipeline,
-    DropReason,
     Forwarded,
     IntegratedPipeline,
     LookupAccounting,
@@ -68,19 +74,19 @@ CORNER_CASES = [
         dict(rules="drop tcp any any any 23\naccept any any any any any\n"),
         "0.0 tcp 10.0.0.5:1000 198.51.100.9:23 S 0 0\n"
         "0.1 tcp 10.0.0.5:1001 198.51.100.9:80 S 0 0\n",
-        [(0, DropReason.RULE_DENIED), (1, F)],
+        [(0, RULE_DENIED), (1, F)],
     ),
     (
         "rule_denied_udp",
         dict(rules="drop udp any any any 53\naccept any any any any any\n"),
         "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n",
-        [(0, DropReason.RULE_DENIED)],
+        [(0, RULE_DENIED)],
     ),
     (
         "default_deny_empty_ruleset",
         dict(rules="# no rules\n"),
         "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n",
-        [(0, DropReason.RULE_DENIED)],
+        [(0, RULE_DENIED)],
     ),
     (
         "non_syn_first_tcp_packets",
@@ -89,8 +95,8 @@ CORNER_CASES = [
         "0.1 tcp 10.0.0.5:1001 198.51.100.9:80 SA 0 0\n"
         "0.2 tcp 10.0.0.5:1002 198.51.100.9:80 AF 0 0\n"
         "0.3 tcp 10.0.0.5:1003 198.51.100.9:80 S 0 0\n",
-        [(0, DropReason.STATE_VIOLATION), (1, DropReason.STATE_VIOLATION),
-         (2, DropReason.STATE_VIOLATION), (3, F)],
+        [(0, STATE_VIOLATION), (1, STATE_VIOLATION),
+         (2, STATE_VIOLATION), (3, F)],
     ),
     (
         "syn_replay_on_established",
@@ -99,14 +105,14 @@ CORNER_CASES = [
         "0.1 tcp 198.51.100.9:80 192.0.2.1:40000 SA 0 0\n"
         "0.2 tcp 10.0.0.5:1200 198.51.100.9:80 A 0 0\n"
         "0.3 tcp 10.0.0.5:1200 198.51.100.9:80 S 0 0\n",
-        [(2, F), (3, DropReason.STATE_VIOLATION)],
+        [(2, F), (3, STATE_VIOLATION)],
     ),
     (
         "data_before_handshake_completes",
         {},
         "0.0 tcp 10.0.0.5:1200 198.51.100.9:80 S 0 0\n"
         "0.1 tcp 10.0.0.5:1200 198.51.100.9:80 A 0 0\n",
-        [(0, F), (1, DropReason.STATE_VIOLATION)],
+        [(0, F), (1, STATE_VIOLATION)],
     ),
     (
         "fin_teardown_then_late_data",
@@ -117,7 +123,7 @@ CORNER_CASES = [
         "0.3 tcp 10.0.0.5:1200 198.51.100.9:80 AF 0 0\n"
         "0.4 tcp 198.51.100.9:80 192.0.2.1:40000 AF 0 0\n"
         "0.5 tcp 10.0.0.5:1200 198.51.100.9:80 A 0 0\n",
-        [(3, F), (4, F), (5, DropReason.STATE_VIOLATION)],
+        [(3, F), (4, F), (5, STATE_VIOLATION)],
     ),
     (
         "rst_then_data_in_grace_window",
@@ -127,7 +133,7 @@ CORNER_CASES = [
         "0.2 tcp 10.0.0.5:1200 198.51.100.9:80 A 0 0\n"
         "1.0 tcp 10.0.0.5:1200 198.51.100.9:80 R 0 0\n"
         "2.0 tcp 10.0.0.5:1200 198.51.100.9:80 A 0 0\n",
-        [(3, F), (4, DropReason.STATE_VIOLATION)],
+        [(3, F), (4, STATE_VIOLATION)],
     ),
     (
         "rst_then_new_session_after_grace",
@@ -144,7 +150,7 @@ CORNER_CASES = [
         {},
         "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n"
         "0.1 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0 1\n",
-        [(0, F), (1, DropReason.TTL_EXPIRED)],
+        [(0, F), (1, TTL_EXPIRED)],
     ),
     (
         # a flow opens only when its first packet leaves, so its reply finds no flow,
@@ -155,28 +161,28 @@ CORNER_CASES = [
         "0.1 udp 8.8.8.8:53 192.0.2.1:40000 - 0 0\n"
         "0.2 udp 10.0.0.6:1000 8.8.8.8:53 - 0 0\n"
         "0.3 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n",
-        [(0, DropReason.TTL_EXPIRED), (1, DropReason.INBOUND_NO_SESSION), (2, F), (3, F)],
+        [(0, TTL_EXPIRED), (1, INBOUND_NO_SESSION), (2, F), (3, F)],
     ),
     (
         "no_route_to_external_destination",
         dict(routes="10.0.0.0/8 10.0.0.254 lan\n"),
         "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n"
         "0.1 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n",
-        [(0, DropReason.NO_ROUTE), (1, DropReason.NO_ROUTE)],
+        [(0, NO_ROUTE), (1, NO_ROUTE)],
     ),
     (
         "no_route_on_miss_path_opens_no_flow",
         dict(routes="10.0.0.0/8 10.0.0.254 lan\n"),
         "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n"
         "0.1 udp 8.8.8.8:53 192.0.2.1:40000 - 0 0\n",
-        [(0, DropReason.NO_ROUTE), (1, DropReason.INBOUND_NO_SESSION)],
+        [(0, NO_ROUTE), (1, INBOUND_NO_SESSION)],
     ),
     (
         "no_route_to_lan_host_on_reply",
         dict(routes="8.0.0.0/8 203.0.113.1 wan\n"),
         "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n"
         "0.1 udp 8.8.8.8:53 192.0.2.1:40000 - 0 0\n",
-        [(0, F), (1, DropReason.NO_ROUTE)],
+        [(0, F), (1, NO_ROUTE)],
     ),
     (
         "nat_pool_exhaustion",
@@ -186,8 +192,8 @@ CORNER_CASES = [
         "0.2 udp 10.0.0.7:1000 8.8.8.8:53 - 0 0\n"
         "0.3 udp 8.8.8.8:53 192.0.2.1:40000 - 0 0\n"
         "0.4 udp 8.8.8.8:53 192.0.2.1:40002 - 0 0\n",
-        [(0, F), (1, F), (2, DropReason.NAT_EXHAUSTED), (3, F),
-         (4, DropReason.INBOUND_NO_SESSION)],
+        [(0, F), (1, F), (2, NAT_EXHAUSTED), (3, F),
+         (4, INBOUND_NO_SESSION)],
     ),
     (
         "port_reuse_across_distinct_peers",
@@ -204,7 +210,7 @@ CORNER_CASES = [
         "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n"
         "0.1 udp 10.0.0.6:1000 8.8.8.8:53 - 0 0\n"
         "0.2 udp 10.0.0.7:1000 8.8.8.8:53 - 0 0\n",
-        [(0, F), (1, F), (2, DropReason.TABLE_FULL)],
+        [(0, F), (1, F), (2, TABLE_FULL)],
     ),
     (
         "table_full_recovers_after_expiry",
@@ -213,7 +219,7 @@ CORNER_CASES = [
         "0.1 udp 10.0.0.6:1000 8.8.8.8:53 - 0 0\n"
         "0.2 udp 10.0.0.7:1000 8.8.8.8:53 - 0 0\n"
         "70.0 udp 10.0.0.7:1000 8.8.8.8:53 - 0 0\n",
-        [(2, DropReason.TABLE_FULL), (3, F)],
+        [(2, TABLE_FULL), (3, F)],
     ),
     (
         "full_table_and_exhausted_pool_says_nat_exhausted",
@@ -221,7 +227,7 @@ CORNER_CASES = [
         "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n"
         "0.1 udp 10.0.0.6:1000 8.8.8.8:53 - 0 0\n"
         "0.2 udp 10.0.0.7:1000 8.8.8.8:53 - 0 0\n",
-        [(0, F), (1, F), (2, DropReason.NAT_EXHAUSTED)],
+        [(0, F), (1, F), (2, NAT_EXHAUSTED)],
     ),
     (
         "full_table_with_a_free_port_says_table_full",
@@ -229,7 +235,7 @@ CORNER_CASES = [
         "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n"
         "0.1 udp 10.0.0.6:1000 8.8.8.8:53 - 0 0\n"
         "0.2 udp 10.0.0.7:1000 8.8.8.8:53 - 0 0\n",
-        [(0, F), (1, F), (2, DropReason.TABLE_FULL)],
+        [(0, F), (1, F), (2, TABLE_FULL)],
     ),
     (
         "full_table_reclaims_a_dead_entry_and_its_port",
@@ -245,21 +251,21 @@ CORNER_CASES = [
         "non_syn_first_packet_to_a_denied_port_says_rule_denied",
         dict(rules="drop tcp any any any 23\naccept any any any any any\n"),
         "0.0 tcp 10.0.0.5:1000 198.51.100.9:23 A 0 0\n",
-        [(0, DropReason.RULE_DENIED)],
+        [(0, RULE_DENIED)],
     ),
     (
         "denied_flow_at_a_full_table_says_rule_denied",
         dict(capacity=1, rules="drop udp any any any 53\naccept any any any any any\n"),
         "0.0 udp 10.0.0.5:1000 8.8.8.8:123 - 0 0\n"
         "0.1 udp 10.0.0.6:1000 8.8.8.8:53 - 0 0\n",
-        [(0, F), (1, DropReason.RULE_DENIED)],
+        [(0, F), (1, RULE_DENIED)],
     ),
     (
         "non_syn_first_packet_at_a_full_table_says_state_violation",
         dict(capacity=1),
         "0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0\n"
         "0.1 tcp 10.0.0.6:1000 198.51.100.9:80 A 0 0\n",
-        [(0, F), (1, DropReason.STATE_VIOLATION)],
+        [(0, F), (1, STATE_VIOLATION)],
     ),
     (
         # the public address sits in the LAN, so the first flow, LAN to LAN from it, holds
@@ -268,20 +274,20 @@ CORNER_CASES = [
         dict(capacity=1, nat="public 10.0.0.1\nports 40000-40000\n"),
         "0.0 udp 10.0.0.1:40000 10.0.9.9:53 - 0 0\n"
         "0.1 udp 10.0.0.6:1000 10.0.9.9:53 - 0 0\n",
-        [(0, F), (1, DropReason.TABLE_FULL)],
+        [(0, F), (1, TABLE_FULL)],
     ),
     (
         "inbound_without_session",
         {},
         "0.0 tcp 198.51.100.9:80 192.0.2.1:40000 S 0 0\n"
         "0.1 udp 8.8.8.8:53 192.0.2.1:40001 - 0 0\n",
-        [(0, DropReason.INBOUND_NO_SESSION), (1, DropReason.INBOUND_NO_SESSION)],
+        [(0, INBOUND_NO_SESSION), (1, INBOUND_NO_SESSION)],
     ),
     (
         "inbound_to_unmapped_address",
         {},
         "0.0 udp 8.8.8.8:53 203.0.113.200:40000 - 0 0\n",
-        [(0, DropReason.INBOUND_NO_SESSION)],
+        [(0, INBOUND_NO_SESSION)],
     ),
     (
         "lan_to_lan_bypasses_nat",
@@ -315,15 +321,15 @@ CORNER_CASES = [
         "0.4 tcp 198.51.100.9:80 192.0.2.1:40000 SF 0 0\n"
         "0.5 tcp 10.0.0.5:1200 198.51.100.9:80 SAFR 0 0\n"
         "0.6 tcp 10.0.0.5:1200 198.51.100.9:80 A 0 0\n",
-        [(3, DropReason.STATE_VIOLATION), (4, DropReason.STATE_VIOLATION),
-         (5, F), (6, DropReason.STATE_VIOLATION)],
+        [(3, STATE_VIOLATION), (4, STATE_VIOLATION),
+         (5, F), (6, STATE_VIOLATION)],
     ),
     (
         "lan_prefix_boundary_addresses",
         {},
         "0.0 udp 10.255.255.255:1000 8.8.8.8:53 - 0 0\n"
         "0.1 udp 11.0.0.1:53 192.0.2.1:40000 - 0 0\n",
-        [(0, F), (1, DropReason.INBOUND_NO_SESSION)],
+        [(0, F), (1, INBOUND_NO_SESSION)],
     ),
 ]
 
@@ -345,21 +351,21 @@ def test_criterion_1a_corner_traces():
         # spot-check the ECN scenario's emitted ToS bytes
         _, _, text, _ = next(c for c in CORNER_CASES if c[0] == "ecn_bits_preserved_under_marking")
         result = compare(make_config(qos="udp any any any 53 dscp 46\n"), trace(text))
-        assert result.baseline_verdicts[0].outcome.packet.tos == (46 << 2) | 3
-        assert result.baseline_verdicts[1].outcome.packet.tos == (46 << 2) | 1
+        assert result.baseline_verdicts[0].outcome.tos == (46 << 2) | 3
+        assert result.baseline_verdicts[1].outcome.tos == (46 << 2) | 1
         # the flow admitted into a full table took the dead entry's port, and replies reach it
         _, kwargs, text, _ = next(
             c for c in CORNER_CASES if c[0] == "full_table_reclaims_a_dead_entry_and_its_port"
         )
         result = compare(make_config(**kwargs), trace(text))
-        assert result.baseline_verdicts[2].outcome.packet.sid.src_port == 40000
-        assert result.baseline_verdicts[3].outcome.packet.sid.dst_addr == parse_ip("10.0.0.7")
+        assert result.baseline_verdicts[2].outcome.sid.src_port == 40000
+        assert result.baseline_verdicts[3].outcome.sid.dst_addr == parse_ip("10.0.0.7")
         # a first packet dropped at egress held no port: the next flow takes the first one
         _, _, text, _ = next(
             c for c in CORNER_CASES if c[0] == "ttl_expiry_on_miss_path_opens_no_flow"
         )
         result = compare(make_config(), trace(text))
-        ports = [v.outcome.packet.sid.src_port for v in result.baseline_verdicts[2:]]
+        ports = [v.outcome.sid.src_port for v in result.baseline_verdicts[2:]]
         assert ports == [40000, 40001]
 
 
@@ -877,7 +883,7 @@ def test_criterion_8_expiry_starts_fresh_session():
             assert [v.lookups.rule_evals for v in verdicts] == [1, 1, 1]
             assert pipe.session_misses == 3 and pipe.session_hits == 0
             # the re-allocated public port is the same lowest-free port
-            ports = {v.outcome.packet.sid.src_port for v in verdicts}
+            ports = {v.outcome.sid.src_port for v in verdicts}
             assert ports == {40000}
         result = compare(make_config(), lines)
         assert result.equal

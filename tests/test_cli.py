@@ -15,7 +15,7 @@ from flowgate.cli import main
 from flowgate.harness import CSV_HEADER, DEFAULT_NAT
 from flowgate.nat import parse_nat_config
 from flowgate.packet import format_ip, load_trace, parse_ip
-from flowgate.pipelines import DropReason
+from flowgate.pipelines import RULE_DENIED
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -63,7 +63,7 @@ def test_a_divergence_fails_compare_with_its_first_packet(tmp_path, capsys, monk
         def process(self, packet, now=None):
             verdict = super().process(packet, now)
             self.packets += 1
-            return verdict._replace(outcome=DropReason.RULE_DENIED) if self.packets == 2 else verdict
+            return verdict._replace(outcome=RULE_DENIED) if self.packets == 2 else verdict
 
     monkeypatch.setattr(harness, "IntegratedPipeline", DeniesItsSecondPacket)
     trace_path = tmp_path / "trace.txt"
@@ -148,9 +148,14 @@ def test_outputs_match_the_golden_digests(tmp_path, capsys):
                 "run", *config_flags(), "--trace", str(trace), "--pipeline", pipeline,
                 "--verdicts", str(tmp_path / f"verdicts-{seed}-{pipeline}.txt"),
             ]) == 0
+    for pipeline in ("baseline", "integrated"):  # a committed trace, so the digests pin drop lines
+        assert main([
+            "run", *config_flags(), "--trace", str(REPO / "tests" / "drops-trace.txt"),
+            "--pipeline", pipeline, "--verdicts", str(tmp_path / f"verdicts-drops-{pipeline}.txt"),
+        ]) == 0
     capsys.readouterr()  # the run summaries
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in golden} == golden
-    assert len(golden) == 9
+    assert len(golden) == 11
 
 
 def test_config_error_exit_code(tmp_path):

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import make_config
-from test_pipelines import differential_cases
+from test_pipelines import REASONS, differential_cases
 from flowgate import harness
 from flowgate.errors import ConfigError
 from flowgate.harness import (
@@ -33,8 +33,8 @@ from flowgate.packet import (
     render_trace_record,
 )
 from flowgate.pipelines import (
+    TTL_EXPIRED,
     BaselinePipeline,
-    DropReason,
     Forwarded,
     IntegratedPipeline,
     LookupAccounting,
@@ -203,6 +203,57 @@ def test_run_report_golden_text(cls, summary, row):
     )
 
 
+# a one-port pool, two table entries and no default route: every drop reason, most once
+SEVEN_DROPS_TRACE = (
+    "0.0 udp 10.0.0.1:1000 198.51.100.9:53 - 0 0\n"
+    "0.1 udp 10.0.0.2:1000 198.51.100.9:53 - 0 0\n"  # nat_exhausted: the one port is taken
+    "0.2 udp 10.0.0.6:1000 8.8.8.8:53 - 0 0\n"  # no_route
+    "0.3 udp 10.0.0.7:1000 198.51.100.12:53 - 0 0 1\n"  # ttl_expired
+    "0.4 udp 198.51.100.9:53 192.0.2.1:40000 - 0 0\n"
+    "0.5 udp 10.0.0.3:1000 198.51.100.10:53 - 0 0\n"  # the second entry
+    "0.6 udp 10.0.0.4:1000 198.51.100.11:53 - 0 0\n"  # table_full
+    "0.7 udp 10.0.0.4:1001 198.51.100.11:53 - 0 0\n"  # table_full
+    "0.8 tcp 10.0.0.5:1000 198.51.100.9:23 S 0 0\n"  # rule_denied
+    "0.9 tcp 10.0.0.5:1001 198.51.100.9:80 A 0 0\n"  # state_violation
+    "1.0 udp 203.0.113.9:53 192.0.2.1:40001 - 0 0\n"  # inbound_no_session
+    "1.1 udp 203.0.113.9:53 192.0.2.1:40002 - 0 0\n"  # inbound_no_session
+    "1.2 udp 203.0.113.9:53 192.0.2.1:40003 - 0 0\n"  # inbound_no_session
+)
+
+
+@pytest.mark.parametrize(
+    "cls, lookups",
+    [
+        (
+            BaselinePipeline,
+            "  session lookups 10 (1 hits, 9 misses), nat 13,"
+            " rule evals 9 (17 rules scanned), qos 5, route 5\n"
+            "  total consultations 42",
+        ),
+        (
+            IntegratedPipeline,
+            "  session lookups 13 (1 hits, 12 misses), nat 7,"
+            " rule evals 9 (17 rules scanned), qos 4, route 8\n"
+            "  total consultations 41",
+        ),
+    ],
+    ids=["baseline", "integrated"],
+)
+def test_run_report_lists_all_seven_drop_reasons_in_name_order(cls, lookups):
+    config = make_config(
+        rules="drop tcp any any any 23\naccept any any any any any\n",
+        routes="10.0.0.0/8 10.0.0.254 lan\n198.51.100.0/24 203.0.113.1 wan\n",
+        nat="public 192.0.2.1\nports 40000-40000\n",
+        capacity=2,
+    )
+    _, report = run_pipeline(cls(config), load_trace(SEVEN_DROPS_TRACE))
+    assert report.summary() == (
+        f"{cls.name}: 13 packets, 3 forwarded, 10 dropped (inbound_no_session=3,"
+        " nat_exhausted=1, no_route=1, rule_denied=1, state_violation=1, table_full=2,"
+        f" ttl_expired=1)\n{lookups}, wall {report.wall_ns} ns"
+    )
+
+
 def test_compare_passes_on_generated_traces():
     result = compare(
         make_config(), generate_packets(spec(sessions=20, packets_per_session=50, tcp_fraction=0.7))
@@ -268,19 +319,22 @@ def test_verdicts_compare_and_hash_by_value():
     assert a == b and a.outcome is not b.outcome and a.outcome.route is not b.outcome.route
     assert hash(a.outcome) == hash(b.outcome)
     assert a != _forward_verdict(ttl=62)
-    # a drop's outcome is its DropReason member: it equals only itself, never a forward
-    for reason in DropReason:
-        assert [r for r in DropReason if r == reason] == [reason]
-        drop = Verdict(DropReason(reason.value), LookupAccounting(1, 1))
+    # a drop's outcome is its reason, a str: it equals only the same text, never a forward
+    assert len(set(REASONS)) == 7
+    for reason in REASONS:
+        assert type(reason) is str
+        drop = Verdict("".join(reason), LookupAccounting(1, 1))  # an equal str, not the same one
+        assert drop.outcome is not reason
         assert drop == Verdict(reason, a.lookups) and hash(drop) == hash(Verdict(reason, a.lookups))
         assert reason != a.outcome and a.outcome != reason
+        assert render_verdict(drop) == f"drop {reason}"
 
 
 def test_a_forward_holds_its_emitted_packets_fields():
     out = _forward_verdict().outcome
     packet = Packet(0.5, out.sid, tos=184, ttl=63, flags=SYN | ACK, payload_len=64)
-    assert Forwarded(out.route, *packet).packet == packet
-    assert out.packet == packet and type(out.packet) is Packet
+    assert Packet(*Forwarded(out.route, *packet)[1:]) == packet
+    assert out[1:] == packet and out.sid is packet.sid
     # a forward differs from another that differs in any one field
     lan = RouteEntry(Cidr.parse("10.0.0.0/8"), parse_ip("10.0.0.254"), "lan")
     others = (lan, 0.25, out.sid._replace(dst_port=81), 0, 62, ACK, 65)
@@ -292,14 +346,14 @@ def test_a_forward_holds_its_emitted_packets_fields():
 @pytest.mark.parametrize("ts", [0, 0.0, 1e-05, 4503599627370495.5])
 def test_render_verdict_writes_the_timestamp_as_the_trace_record_does(ts):
     out = _forward_verdict().outcome
-    packet = out.packet._replace(ts=ts)
+    packet = Packet(*out[1:])._replace(ts=ts)
     verdict = Verdict(Forwarded(out.route, *packet), LookupAccounting())
     assert render_verdict(verdict) == f"forward {out.route.label} {render_trace_record(packet)}"
 
 
 def test_first_divergence_finds_a_drop_against_a_forward():
     forward = _forward_verdict()
-    drop = Verdict(DropReason.TTL_EXPIRED, forward.lookups)
+    drop = Verdict(TTL_EXPIRED, forward.lookups)
     assert first_divergence([forward, forward], [forward, drop]) == 1
     # lookup accounting is not observable
     assert first_divergence([forward], [forward._replace(lookups=LookupAccounting())]) is None
@@ -309,7 +363,7 @@ def test_render_verdict_golden_lines():
     assert render_verdict(_forward_verdict()) == (
         "forward 203.0.113.1 wan 0.5 tcp 192.0.2.1:40000 198.51.100.9:80 SA 64 184 63"
     )
-    assert [render_verdict(Verdict(r, LookupAccounting())) for r in DropReason] == [
+    assert [render_verdict(Verdict(r, LookupAccounting())) for r in REASONS] == [
         "drop rule_denied",
         "drop state_violation",
         "drop no_route",
@@ -334,11 +388,12 @@ def test_render_verdict_matches_formatting_the_route_each_time():
         for pipe in (BaselinePipeline(config), IntegratedPipeline(config)):
             for verdict in map(pipe.process, packets):
                 out = verdict.outcome
-                if type(out) is DropReason:
-                    want = f"drop {out.value}"
-                else:
+                if type(out) is Forwarded:
                     hop, iface = out.route.next_hop, out.route.iface
-                    want = f"forward {format_ip(hop)} {iface} {render_trace_record(out.packet)}"
+                    want = f"forward {format_ip(hop)} {iface} {render_trace_record(Packet(*out[1:]))}"
+                else:
+                    assert out in REASONS
+                    want = f"drop {out}"
                 assert render_verdict(verdict) == want
                 verdicts += 1
     assert verdicts > 20_000

@@ -3,8 +3,9 @@
 On CPython 3.11 `EnumType` defines `__getattr__`, so every attribute read on
 an Enum class (`SessionState.CLOSED`) runs a Python-level hook, and
 `member.value` is a Python-level property: each costs several times a
-module global's read. Per-packet code reads members bound once to module
-constants instead. Likewise a NamedTuple call runs a Python-level `__new__`
+module global's read. Per-packet code reads the `SessionState` members bound
+once to module constants instead; a drop's outcome is a plain `str` and needs
+no such binding. Likewise a NamedTuple call runs a Python-level `__new__`
 (`LookupAccounting(...)` ~370 ns against ~160 ns through `tuple.__new__`),
 and a keyword call binds its arguments by name (a 12-keyword `SessionEntry`
 ~2.1 us against ~1.5 us positional), so per-packet code makes neither. What

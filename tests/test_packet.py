@@ -426,7 +426,7 @@ BAD_IN_EACH_COLUMN = [
     ("-1 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0", "ts: bad timestamp '-1'"),
     ("inf tcp 10.0.0.1:1 10.0.0.2:2 S 0 0", "ts: bad timestamp 'inf'"),
     ("nan tcp 10.0.0.1:1 10.0.0.2:2 S 0 0", "ts: bad timestamp 'nan'"),
-    ("4503599627370496 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0", "ts: bad timestamp '4503599627370496'"),
+    ("8796093022208 tcp 10.0.0.1:1 10.0.0.2:2 S 0 0", "ts: bad timestamp '8796093022208'"),
     ("0 icmp 10.0.0.1:0 10.0.0.2:0 - 0 0", "proto: unknown protocol 'icmp'"),
     ("0 tcp 10.0.0.999:1 10.0.0.2:2 S 0 0", "src: malformed IPv4 address '10.0.0.999'"),
     ("0 tcp 10.0.0.1 10.0.0.2:2 S 0 0", "src: expected ip:port, got '10.0.0.1'"),
@@ -552,8 +552,8 @@ MEMO_HIT_ERRORS = [
      "ts: bad timestamp '-1'"),
     (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"], "inf udp 10.0.0.1:1 10.0.0.2:2 - 0 0",
      "ts: bad timestamp 'inf'"),
-    (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"], "4503599627370496 udp 10.0.0.1:1 10.0.0.2:2 - 0 0",
-     "ts: bad timestamp '4503599627370496'"),  # 2**52: now + a timeout could round to now
+    (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"], "8796093022208 udp 10.0.0.1:1 10.0.0.2:2 - 0 0",
+     "ts: bad timestamp '8796093022208'"),  # 2**43: now + a timeout could round to now
     (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"], "0x1 udp 10.0.0.1:1 10.0.0.2:2 - 0 0",
      "ts: not a number: '0x1'"),
     (["0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0"], "1_0 udp 10.0.0.1:1 10.0.0.2:2 - 0 0",
@@ -609,20 +609,20 @@ def test_a_negative_zero_timestamp_on_a_remembered_tail_is_a_packet():
     assert packets == [parse_trace_record(f"{ts} {tail}") for ts in ("0", "-0", "-0.0")]
 
 
-def test_the_last_timestamp_below_2_52_is_a_packet_and_round_trips():
+def test_the_last_timestamp_below_2_43_is_a_packet_and_round_trips():
     tail = "udp 10.0.0.1:1 10.0.0.2:2 - 0 0"
-    last = "4503599627370495.5"
+    last = "8796093022207.999"
     packets = load_trace(f"0 {tail}\n{last} {tail}\n")  # the second line hits the memo
     assert packets[1] == parse_trace_record(f"{last} {tail}")
-    assert packets[1].ts == 2**52 - 0.5
+    assert packets[1].ts == 2**43 - 2**-10
     line = render_trace_record(packets[1])
     assert line.split()[0] == last and load_trace(line) == packets[1:]
 
 
-def test_every_default_timeout_moves_the_last_timestamp_below_2_52():
-    # floats there are 0.5 apart, so only a timeout of 0.25 s or less could round back
+def test_every_default_timeout_moves_the_last_timestamp_below_2_43():
+    # floats there are 2**-10 apart, so only a timeout below MIN_TIMEOUT could round back
     last = math.nextafter(packet_module.TS_LIMIT, 0)
-    assert last == 2**52 - 0.5
+    assert last == 2**43 - 2**-10
     for t in astuple(Timeouts()):
         assert last + t > last
 

@@ -1,5 +1,6 @@
 """Per-packet flow behavior of both pipelines: accounting, drops, equivalence."""
 
+import math
 import random
 from dataclasses import FrozenInstanceError, replace
 
@@ -13,9 +14,11 @@ from flowgate.harness import TraceSpec, compare, generate_packets, run_pipeline
 from flowgate.packet import (
     ACK,
     FIN,
+    MIN_TIMEOUT,
     RST,
     SYN,
     TCP,
+    TS_LIMIT,
     UDP,
     Cidr,
     Packet,
@@ -27,8 +30,14 @@ from flowgate.packet import (
     render_trace_record,
 )
 from flowgate.pipelines import (
+    INBOUND_NO_SESSION,
+    NAT_EXHAUSTED,
+    NO_ROUTE,
+    RULE_DENIED,
+    STATE_VIOLATION,
+    TABLE_FULL,
+    TTL_EXPIRED,
     BaselinePipeline,
-    DropReason,
     Forwarded,
     IntegratedPipeline,
     LookupAccounting,
@@ -38,6 +47,11 @@ from flowgate.qos import parse_qos
 from flowgate.routing import RouteEntry, RoutingTable
 from flowgate.session_table import Timeouts
 
+# the seven drop reasons, in the order `summary()` lists them
+REASONS = (
+    RULE_DENIED, STATE_VIOLATION, NO_ROUTE, NAT_EXHAUSTED, TABLE_FULL, TTL_EXPIRED,
+    INBOUND_NO_SESSION,
+)
 HANDSHAKE = (
     "0.0 tcp 10.0.0.5:1200 198.51.100.9:80 S 0 0\n"
     "0.1 tcp 198.51.100.9:80 192.0.2.1:40000 SA 0 0\n"
@@ -92,11 +106,11 @@ def test_integrated_inbound_one_shot_rewrites(config):
     verdict = pipe.process(pkt("0.1 udp 8.8.8.8:53 192.0.2.1:40000 - 64 0"))
     out = verdict.outcome
     assert isinstance(out, Forwarded)
-    assert format_ip(out.packet.sid.dst_addr) == "10.0.0.5"
-    assert out.packet.sid.dst_port == 53000
-    assert out.packet.tos >> 2 == 46  # udp/53 policy dscp, both directions
+    assert format_ip(out.sid.dst_addr) == "10.0.0.5"
+    assert out.sid.dst_port == 53000
+    assert out.tos >> 2 == 46  # udp/53 policy dscp, both directions
     # the rest of the header is carried over; only TTL is decremented
-    assert (out.packet.ts, out.packet.ttl, out.packet.payload_len) == (0.1, 63, 64)
+    assert (out.ts, out.ttl, out.payload_len) == (0.1, 63, 64)
     assert format_ip(out.route.next_hop) == "10.0.0.254"
     assert out.route.iface == "lan"
 
@@ -120,20 +134,20 @@ def test_rule_denied_creates_no_state(config):
     cfg = make_config(rules="drop tcp any any any 23\naccept any any any any any\n")
     for pipe in (BaselinePipeline(cfg), IntegratedPipeline(cfg)):
         verdict = pipe.process(pkt("0.0 tcp 10.0.0.5:1200 198.51.100.9:23 S 0 0"))
-        assert verdict.outcome == DropReason.RULE_DENIED
+        assert verdict.outcome == RULE_DENIED
     assert len(pipe.table) == 0
 
 
 def test_non_syn_first_tcp_packet_violates(config):
     for pipe in (BaselinePipeline(config), IntegratedPipeline(config)):
         verdict = pipe.process(pkt("0.0 tcp 10.0.0.5:1200 198.51.100.9:80 A 0 0"))
-        assert verdict.outcome == DropReason.STATE_VIOLATION
+        assert verdict.outcome == STATE_VIOLATION
 
 
 def test_inbound_without_session_dropped(config):
     for pipe in (BaselinePipeline(config), IntegratedPipeline(config)):
         verdict = pipe.process(pkt("0.0 tcp 198.51.100.9:80 192.0.2.1:40000 S 0 0"))
-        assert verdict.outcome == DropReason.INBOUND_NO_SESSION
+        assert verdict.outcome == INBOUND_NO_SESSION
 
 
 def test_nat_exhaustion(config):
@@ -142,7 +156,7 @@ def test_nat_exhaustion(config):
         ok = pipe.process(pkt("0.0 udp 10.0.0.5:1000 8.8.8.8:53 - 0 0"))
         assert isinstance(ok.outcome, Forwarded)
         full = pipe.process(pkt("0.1 udp 10.0.0.6:1000 8.8.8.8:53 - 0 0"))
-        assert full.outcome == DropReason.NAT_EXHAUSTED
+        assert full.outcome == NAT_EXHAUSTED
         other_peer = pipe.process(pkt("0.2 udp 10.0.0.7:1000 9.9.9.9:53 - 0 0"))
         assert isinstance(other_peer.outcome, Forwarded)
 
@@ -153,20 +167,20 @@ def test_a_protocol_without_ports_holds_one_flow_per_peer():
     public_sid = SessionId(parse_ip("192.0.2.1"), 0, parse_ip("8.8.8.8"), 0, 1)
     for pipe in (BaselinePipeline(cfg), IntegratedPipeline(cfg)):
         first = pipe.process(pkt("0.0 1 10.0.0.5:0 8.8.8.8:0 - 0 0"))
-        assert first.outcome.packet.sid == public_sid
+        assert first.outcome.sid == public_sid
         second = pipe.process(pkt("0.1 1 10.0.0.6:0 8.8.8.8:0 - 0 0"))
         assert second == Verdict(
-            DropReason.NAT_EXHAUSTED, LookupAccounting(1, 1, 1, 1, 0, 0)
+            NAT_EXHAUSTED, LookupAccounting(1, 1, 1, 1, 0, 0)
         )
         for line in ("0.2 47 10.0.0.6:0 8.8.8.8:0 - 0 0", "0.3 1 10.0.0.6:0 9.9.9.9:0 - 0 0"):
             assert isinstance(pipe.process(pkt(line)).outcome, Forwarded)  # another key
         reply = pipe.process(pkt("0.4 1 8.8.8.8:0 192.0.2.1:0 - 0 0"))
-        assert reply.outcome.packet.sid == SessionId(
+        assert reply.outcome.sid == SessionId(
             parse_ip("8.8.8.8"), 0, parse_ip("10.0.0.5"), 0, 1
         )
         # once the first flow idles out, the second host's flow takes its public tuple
         again = pipe.process(pkt("60.5 1 10.0.0.6:0 8.8.8.8:0 - 0 0"))
-        assert again.outcome.packet.sid == public_sid
+        assert again.outcome.sid == public_sid
 
 
 def test_a_full_table_still_says_nat_exhausted_for_a_protocol_without_ports():
@@ -176,11 +190,11 @@ def test_a_full_table_still_says_nat_exhausted_for_a_protocol_without_ports():
         assert isinstance(pipe.process(pkt("0.0 1 10.0.0.5:0 8.8.8.8:0 - 0 0")).outcome, Forwarded)
         same_peer = pipe.process(pkt("0.1 1 10.0.0.6:0 8.8.8.8:0 - 0 0"))
         assert same_peer == Verdict(
-            DropReason.NAT_EXHAUSTED, LookupAccounting(1, 1, 1, 1, 0, 0)
+            NAT_EXHAUSTED, LookupAccounting(1, 1, 1, 1, 0, 0)
         )
         other_peer = pipe.process(pkt("0.2 1 10.0.0.6:0 9.9.9.9:0 - 0 0"))
         assert other_peer == Verdict(
-            DropReason.TABLE_FULL, LookupAccounting(1, 1, 1, 1, 0, 0)
+            TABLE_FULL, LookupAccounting(1, 1, 1, 1, 0, 0)
         )
 
 
@@ -190,7 +204,7 @@ def test_table_full_then_room_after_expiry():
         assert isinstance(pipe.process(pkt("0.0 udp 10.0.0.5:1 8.8.8.8:53 - 0 0")).outcome, Forwarded)
         assert isinstance(pipe.process(pkt("0.1 udp 10.0.0.6:1 8.8.8.8:53 - 0 0")).outcome, Forwarded)
         third = pipe.process(pkt("0.2 udp 10.0.0.7:1 8.8.8.8:53 - 0 0"))
-        assert third.outcome == DropReason.TABLE_FULL
+        assert third.outcome == TABLE_FULL
         # 70s later the first two sessions have idled out; pressure sweep makes room
         again = pipe.process(pkt("70.0 udp 10.0.0.7:1 8.8.8.8:53 - 0 0"))
         assert isinstance(again.outcome, Forwarded)
@@ -199,16 +213,16 @@ def test_table_full_then_room_after_expiry():
 def test_ttl_expiry_and_decrement(config):
     for pipe in (BaselinePipeline(config), IntegratedPipeline(config)):
         dying = pipe.process(pkt("0.0 udp 10.0.0.5:1 8.8.8.8:53 - 0 0 1"))
-        assert dying.outcome == DropReason.TTL_EXPIRED
+        assert dying.outcome == TTL_EXPIRED
         ok = pipe.process(pkt("0.1 udp 10.0.0.5:2 8.8.8.8:53 - 0 0 64"))
-        assert ok.outcome.packet.ttl == 63
+        assert ok.outcome.ttl == 63
 
 
 def test_no_route_destination(config):
     cfg = make_config(routes="10.0.0.0/8 10.0.0.254 lan\n")  # no default route
     for pipe in (BaselinePipeline(cfg), IntegratedPipeline(cfg)):
         verdict = pipe.process(pkt("0.0 udp 10.0.0.5:1 8.8.8.8:53 - 0 0"))
-        assert verdict.outcome == DropReason.NO_ROUTE
+        assert verdict.outcome == NO_ROUTE
 
 
 def test_unrouted_lan_host_drops_on_inbound(config):
@@ -222,7 +236,7 @@ def test_unrouted_lan_host_drops_on_inbound(config):
     result = compare(cfg, trace(lines))
     assert result.equal
     assert isinstance(result.baseline_verdicts[0].outcome, Forwarded)
-    assert result.baseline_verdicts[1].outcome == DropReason.NO_ROUTE
+    assert result.baseline_verdicts[1].outcome == NO_ROUTE
 
 
 def test_lan_to_lan_bypasses_nat(config):
@@ -231,7 +245,7 @@ def test_lan_to_lan_bypasses_nat(config):
         verdict = pipe.process(pkt("0.0 udp 10.0.0.5:1000 10.0.9.9:53 - 0 0"))
         out = verdict.outcome
         assert isinstance(out, Forwarded)
-        assert format_ip(out.packet.sid.src_addr) == "10.0.0.5"  # no rewrite
+        assert format_ip(out.sid.src_addr) == "10.0.0.5"  # no rewrite
         assert out.route.iface == "lan"
     assert baseline.nat_table.lookups == 0
 
@@ -276,8 +290,8 @@ def test_lan_peer_reply_takes_the_inbound_path():
         for packet, verdict in zip(packets, verdicts):
             out = verdict.outcome
             assert isinstance(out, Forwarded) and out.route.iface == "lan"
-            assert out.packet.sid == packet.sid  # no translation either way
-            assert out.packet.tos == 10 << 2 | packet.tos & 3  # the flow's DSCP, both ways
+            assert out.sid == packet.sid  # no translation either way
+            assert out.tos == 10 << 2 | packet.tos & 3  # the flow's DSCP, both ways
 
 
 def test_baseline_reply_to_a_mapping_without_state_raises(config):
@@ -315,7 +329,20 @@ def test_established_session_rst_then_data_violates(config):
         pipe = cls(make_config())
         verdicts = [pipe.process(p) for p in lines]
         assert isinstance(verdicts[3].outcome, Forwarded)  # RST forwarded, closes
-        assert verdicts[4].outcome == DropReason.STATE_VIOLATION
+        assert verdicts[4].outcome == STATE_VIOLATION
+
+
+def test_the_shortest_timeout_opens_a_live_flow_at_the_last_timestamp():
+    """now + MIN_TIMEOUT > now below TS_LIMIT, so the handshake's reply finds its flow."""
+    last = repr(math.nextafter(TS_LIMIT, 0))
+    packets = load_trace(
+        f"{last} tcp 10.0.0.5:1200 198.51.100.9:80 S 0 0\n"
+        f"{last} tcp 198.51.100.9:80 192.0.2.1:40000 SA 0 0\n"
+    )
+    config = make_config(timeouts=Timeouts(tcp_transient=MIN_TIMEOUT))
+    for cls in (BaselinePipeline, IntegratedPipeline):
+        pipe = cls(config)
+        assert [type(pipe.process(p).outcome) for p in packets] == [Forwarded, Forwarded]
 
 
 def test_replay_determinism(config):
@@ -360,8 +387,8 @@ def test_marking_consistency_end_to_end(config):
         for p in packets:
             out = pipe.process(p).outcome
             assert isinstance(out, Forwarded)
-            assert out.packet.tos >> 2 == classify(pipe.config.qos, session_sid)
-            assert out.packet.tos & 0x03 == p.tos & 0x03  # ECN preserved per packet
+            assert out.tos >> 2 == classify(pipe.config.qos, session_sid)
+            assert out.tos & 0x03 == p.tos & 0x03  # ECN preserved per packet
 
 
 def _count_policy_calls(monkeypatch) -> dict[str, int]:
@@ -581,7 +608,7 @@ def test_forwards_only_flows_the_rules_accept_and_a_lan_host_opened():
                     opened.add(flow)
                 else:
                     # a reply leaves addressed to its flow's LAN endpoint
-                    e_src, e_src_port, e_dst, e_dst_port, _ = out.packet.sid
+                    e_src, e_src_port, e_dst, e_dst_port, _ = out.sid
                     flow = SessionId(e_dst, e_dst_port, e_src, e_src_port, proto)
                     assert flow in opened, where
                     lan_replies += config.lan_prefix.contains(src)
@@ -675,7 +702,7 @@ def test_closed_flows_stay_closed_and_public_tuples_stay_unique():
                     blocked += from_lan and now < closed_at.get(_flow_name(sid), -1.0) + grace
                     continue
                 # a reply leaves addressed to its flow's LAN endpoint
-                flow = _flow_name(sid if from_lan else out.packet.sid)
+                flow = _flow_name(sid if from_lan else out.sid)
                 if flow in closed_at:
                     assert now >= closed_at.pop(flow) + grace, where
                     assert verdict.lookups.rule_evals == 1, where
@@ -712,12 +739,12 @@ def test_forwards_carry_the_stored_rewrite():
                 index = table._out if outbound else table._in
                 flow = None if pipe is baseline and lan_to_lan else index[sid]
                 want = sid if flow is None else _rewritten_by_formula(sid, flow, outbound)
-                assert out.packet.sid == want, (name, pipe.name, packet)
+                assert out.sid == want, (name, pipe.name, packet)
                 if pipe is integrated:
                     key = (id(flow), outbound)
                     repeats += key in emitted
-                    _, first = emitted.setdefault(key, (flow, out.packet.sid))
-                    assert out.packet.sid is first, (name, packet)
+                    _, first = emitted.setdefault(key, (flow, out.sid))
+                    assert out.sid is first, (name, packet)
     assert repeats > 1000
 
 
@@ -738,11 +765,11 @@ def test_verdicts_are_whole_namedtuples():
                 assert _whole(verdict.lookups, LookupAccounting), where
                 out = verdict.outcome
                 if type(out) is not Forwarded:
-                    assert type(out) is DropReason, where
+                    assert out in REASONS, where
                     continue
                 assert _whole(out, Forwarded) and type(out.route) is RouteEntry, where
-                emitted = out.packet
-                assert _whole(emitted, Packet) and type(emitted.sid) is SessionId, where
+                emitted = Packet(*out[1:])
+                assert type(emitted.sid) is SessionId, where
                 # each field by name: only the five-tuple and the DSCP bits may be rewritten
                 assert emitted == Packet(
                     ts=packet.ts,
@@ -789,9 +816,10 @@ def test_every_forward_renders_to_a_line_that_reads_back_as_itself():
             for packet in packets:
                 out = pipe.process(packet).outcome
                 if type(out) is Forwarded:
-                    assert load_trace(render_trace_record(out.packet)) == [out.packet], (
+                    emitted = Packet(*out[1:])
+                    assert load_trace(render_trace_record(emitted)) == [emitted], (
                         name, pipe.name, packet)
-                    portless_replies += out.packet.sid.proto not in (TCP, UDP) and not (
+                    portless_replies += out.sid.proto not in (TCP, UDP) and not (
                         config.lan_prefix.contains(packet.sid.src_addr))
     assert portless_replies > 100, portless_replies
 
@@ -817,7 +845,7 @@ def test_the_lan_test_agrees_with_cidr_contains_at_every_prefix_length():
                         Packet(0.0, SessionId(probe, 1000, outside, 53, UDP), 0, 64, 0, 0))
                     assert sent.lookups.rule_evals == inside, where
                     if not inside:
-                        assert sent.outcome == DropReason.INBOUND_NO_SESSION, where
+                        assert sent.outcome == INBOUND_NO_SESSION, where
                     received = pipe_class(config).process(
                         Packet(0.0, SessionId(lan.network, 1000, probe, 53, UDP), 0, 64, 0, 0))
                     assert received.lookups.rule_evals == 1, where

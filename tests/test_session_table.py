@@ -9,7 +9,7 @@ import pytest
 from flowgate import session_table
 from flowgate.nat import NatConfig, NatMapping, NatTable
 from flowgate.packet import (
-    ACK, FIN, INBOUND, OUTBOUND, RST, SYN, TCP, UDP, SessionId, parse_trace_record
+    ACK, FIN, INBOUND, MIN_TIMEOUT, OUTBOUND, RST, SYN, TCP, UDP, SessionId, parse_trace_record
 )
 from flowgate.pipelines import StateEntry, StateTable
 from flowgate.session_table import (
@@ -349,11 +349,15 @@ def test_an_expiry_falls_only_on_tcp_and_never_below_the_tcp_horizon():
                 assert e.expiry >= old and e.state is SessionState.OPEN
 
 
-@pytest.mark.parametrize("value", [0, -1, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "value", [0, -1, 2.0**-11, math.nan, math.inf], ids=["0", "-1", "2**-11", "nan", "inf"]
+)
 @pytest.mark.parametrize("name", ["tcp_established", "tcp_transient", "non_tcp", "closed_grace"])
-def test_timeouts_refuse_a_value_that_is_not_finite_and_above_0(name, value):
-    with pytest.raises(ValueError, match=f"timeouts: {name} must be a finite number above 0"):
+def test_timeouts_refuse_a_value_that_is_not_finite_and_at_least_min_timeout(name, value):
+    message = f"timeouts: {name} must be a finite number >= {MIN_TIMEOUT}, got"
+    with pytest.raises(ValueError, match=message):
         Timeouts(**{name: value})
+    assert getattr(Timeouts(**{name: MIN_TIMEOUT}), name) == MIN_TIMEOUT
 
 
 def test_port_in_use_reflects_liveness():

@@ -59,7 +59,15 @@ from test_pipelines import _assert_one_live_entry_per_public_tuple
 from flowgate.filters import parse_rules
 from flowgate.nat import NatConfig, parse_nat_config
 from flowgate.packet import ACK, FIN, RST, SYN, TCP, UDP, Cidr, Packet, SessionId, parse_ip
-from flowgate.pipelines import BaselinePipeline, DropReason, Forwarded, IntegratedPipeline, RouterConfig
+from flowgate.pipelines import (
+    INBOUND_NO_SESSION,
+    NAT_EXHAUSTED,
+    TABLE_FULL,
+    BaselinePipeline,
+    Forwarded,
+    IntegratedPipeline,
+    RouterConfig,
+)
 from flowgate.qos import parse_qos
 from flowgate.routing import parse_routes
 from flowgate.session_table import Timeouts
@@ -186,7 +194,7 @@ def _check_edge(pipes, packet: Packet, where) -> tuple:
             # a reply from outside answers a live flow, and leaves for that flow's LAN host
             flow = replies.get(sid)
             assert flow is not None, (pipe.name, where)
-            assert out.packet.sid == (*flow[2:4], *flow[:2], sid.proto), (pipe.name, where)
+            assert out.sid == (*flow[2:4], *flow[:2], sid.proto), (pipe.name, where)
         else:
             # a LAN packet is its own flow's (opened by it, or live before), or a LAN peer's reply
             flows = pipe.table if integrated else pipe.state_table
@@ -244,8 +252,8 @@ def test_both_pipelines_agree_on_every_small_trace(name):
     assert (states, edges) == (scope.states, scope.edges)
     assert (at_now > 0) == (scope.base > 2**52), at_now  # only the large timestamps round
     # the scope forwards, and crowds its table or its pool
-    assert {Forwarded, DropReason.INBOUND_NO_SESSION} <= outcomes, outcomes
-    assert outcomes & {DropReason.TABLE_FULL, DropReason.NAT_EXHAUSTED}, outcomes
+    assert {Forwarded, INBOUND_NO_SESSION} <= outcomes, outcomes
+    assert outcomes & {TABLE_FULL, NAT_EXHAUSTED}, outcomes
 
 
 def _normalised(verdicts: list) -> list:
