@@ -4,26 +4,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from flowgate.errors import ConfigError
 from flowgate.packet import Cidr, SessionId, is_decimal, parse_protocol
 
-ANY_CIDR = Cidr(0, 0)
 
-
-@dataclass(frozen=True, slots=True)
-class PortMatch:
-    lo: int = 0
-    hi: int = 65535
-
-
-ANY_PORTS = PortMatch()
-
-
-def parse_ports(token: str) -> PortMatch:
-    """'any', a single port, or an inclusive 'N-M' range."""
+def parse_ports(token: str) -> tuple[int, int]:
+    """'any', a single port, or an inclusive 'N-M' range, as (lo, hi)."""
     if token == "any":
-        return ANY_PORTS
+        return 0, 65535
     lo_part, sep, hi_part = token.partition("-")
     if not is_decimal(lo_part) or (sep and not is_decimal(hi_part)):
         raise ValueError(f"bad port spec {token!r}")
@@ -31,7 +21,7 @@ def parse_ports(token: str) -> PortMatch:
     hi = int(hi_part) if sep else lo
     if lo > hi or hi > 65535:
         raise ValueError(f"bad port spec {token!r}")
-    return PortMatch(lo, hi)
+    return lo, hi
 
 
 def parse_proto(token: str) -> int | None:
@@ -39,37 +29,36 @@ def parse_proto(token: str) -> int | None:
     return None if token == "any" else parse_protocol(token)
 
 
-def parse_cidr(token: str) -> Cidr:
+def parse_cidr(token: str) -> tuple[int, int]:
+    """'any' or a prefix, as the inclusive (lo, hi) address range it covers."""
     if token == "any":
-        return ANY_CIDR
-    return Cidr.parse(token)
+        return 0, 0xFFFFFFFF
+    cidr = Cidr.parse(token)
+    return cidr.network, cidr.network | (0xFFFFFFFF >> cidr.prefix_len)
 
 
-@dataclass(frozen=True, slots=True)
-class TupleMatcher:
+class TupleMatcher(NamedTuple):
+    """A protocol (None for any) and four inclusive (lo, hi) ranges, in a `SessionId`'s field order."""
+
     proto: int | None
-    src: Cidr
-    src_ports: PortMatch
-    dst: Cidr
-    dst_ports: PortMatch
+    src: tuple[int, int]
+    src_ports: tuple[int, int]
+    dst: tuple[int, int]
+    dst_ports: tuple[int, int]
 
 
 def parse_matcher(fields: list[str], lineno: int) -> TupleMatcher:
     """Parse the 5 matcher tokens: proto src_cidr src_ports dst_cidr dst_ports."""
     try:
         return TupleMatcher(
-            proto=parse_proto(fields[0]),
-            src=parse_cidr(fields[1]),
-            src_ports=parse_ports(fields[2]),
-            dst=parse_cidr(fields[3]),
-            dst_ports=parse_ports(fields[4]),
+            parse_proto(fields[0]),
+            parse_cidr(fields[1]),
+            parse_ports(fields[2]),
+            parse_cidr(fields[3]),
+            parse_ports(fields[4]),
         )
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: {exc}") from exc
-
-
-def _cidr_range(cidr: Cidr) -> tuple[int, int]:
-    return cidr.network, cidr.network | (0xFFFFFFFF >> cidr.prefix_len)
 
 
 def _pieces(ranges: list[tuple[int, int]], top: int) -> tuple[list[int], list[int]]:
@@ -121,13 +110,8 @@ class Policy:
             else:
                 by_proto[m.proto] = by_proto.get(m.proto, 0) | 1 << i
         fields = []
-        for index, ranges, top in (
-            (0, [_cidr_range(m.src) for m in matchers], 0xFFFFFFFF),
-            (1, [(m.src_ports.lo, m.src_ports.hi) for m in matchers], 65535),
-            (2, [_cidr_range(m.dst) for m in matchers], 0xFFFFFFFF),
-            (3, [(m.dst_ports.lo, m.dst_ports.hi) for m in matchers], 65535),
-        ):
-            edges, masks = _pieces(ranges, top)
+        for index, top in enumerate((0xFFFFFFFF, 65535, 0xFFFFFFFF, 65535)):
+            edges, masks = _pieces([m[index + 1] for m in matchers], top)
             if masks != [everyone]:
                 fields.append((index, edges, masks))
         object.__setattr__(self, "_by_proto", {p: mask | wildcard for p, mask in by_proto.items()})

@@ -95,12 +95,7 @@ def edge_sids(matchers, rng: random.Random) -> list[SessionId]:
     values: list[set[int]] = [set(), set(), set(), set()]
     sids = []
     for m in matchers:
-        ranges = [
-            (m.src.network, m.src.network | (0xFFFFFFFF >> m.src.prefix_len)),
-            (m.src_ports.lo, m.src_ports.hi),
-            (m.dst.network, m.dst.network | (0xFFFFFFFF >> m.dst.prefix_len)),
-            (m.dst_ports.lo, m.dst_ports.hi),
-        ]
+        ranges = m[1:]
         inside = [lo for lo, _ in ranges]
         proto = m.proto if m.proto is not None else rng.choice((TCP, UDP))
         for field, (lo, hi) in enumerate(ranges):

@@ -1,5 +1,6 @@
 """Rule parsing and first-match evaluation against a brute-force oracle."""
 
+import ipaddress
 import random
 
 import pytest
@@ -41,6 +42,19 @@ def test_parse_errors_cite_lines(text, err):
         parse_rules(text)
 
 
+def test_matcher_fields_are_the_inclusive_ranges_they_cover():
+    """A prefix parses to its network and broadcast addresses, host bits set or not; the oracles trust this."""
+    rng = random.Random(29)
+    for prefix_len in range(33):
+        text = f"{ipaddress.IPv4Address(rng.randrange(2**32))}/{prefix_len}"
+        n = ipaddress.ip_network(text, strict=False)
+        assert matchers.parse_cidr(text) == (int(n.network_address), int(n.broadcast_address)), text
+    assert matchers.parse_cidr("any") == (0, 2**32 - 1)
+    assert matchers.parse_ports("any") == (0, 65535)
+    assert matchers.parse_ports("80") == (80, 80)
+    assert matchers.parse_ports("1000-2000") == (1000, 2000)
+
+
 def test_rule_lines_end_at_newline_only():
     """A form feed or \x1c inside the text neither splits a rule nor shifts line numbers."""
     rules = "accept any any any any any\f\ndrop\x1ctcp any any any 23\n"
@@ -75,22 +89,14 @@ def test_rule_order_sensitivity():
 
 
 def _oracle(rs: RuleSet, s: SessionId):
-    """Independent first-match scan using raw mask arithmetic."""
+    """Independent first-match scan: each field in its matcher's inclusive range, one rule at a time."""
     for i, rule in enumerate(rs.rules):
         m = rule.match
         if m.proto is not None and m.proto != s.proto:
             continue
-        src_mask = (0xFFFFFFFF << (32 - m.src.prefix_len)) & 0xFFFFFFFF if m.src.prefix_len else 0
-        if (s.src_addr & src_mask) != m.src.network:
-            continue
-        dst_mask = (0xFFFFFFFF << (32 - m.dst.prefix_len)) & 0xFFFFFFFF if m.dst.prefix_len else 0
-        if (s.dst_addr & dst_mask) != m.dst.network:
-            continue
-        if not (m.src_ports.lo <= s.src_port <= m.src_ports.hi):
-            continue
-        if not (m.dst_ports.lo <= s.dst_port <= m.dst_ports.hi):
-            continue
-        return rule.accept, i, i + 1
+        pairs = ((s.src_addr, m.src), (s.src_port, m.src_ports), (s.dst_addr, m.dst), (s.dst_port, m.dst_ports))
+        if all(lo <= value <= hi for value, (lo, hi) in pairs):
+            return rule.accept, i, i + 1
     return False, None, len(rs.rules)
 
 

@@ -52,13 +52,9 @@ def _oracle(qp: QosPolicy, s: SessionId) -> int:
         m = rule.match
         if m.proto is not None and m.proto != s.proto:
             continue
-        if not m.src.contains(s.src_addr) or not m.dst.contains(s.dst_addr):
-            continue
-        if not (m.src_ports.lo <= s.src_port <= m.src_ports.hi):
-            continue
-        if not (m.dst_ports.lo <= s.dst_port <= m.dst_ports.hi):
-            continue
-        return rule.dscp
+        pairs = ((s.src_addr, m.src), (s.src_port, m.src_ports), (s.dst_addr, m.dst), (s.dst_port, m.dst_ports))
+        if all(lo <= value <= hi for value, (lo, hi) in pairs):
+            return rule.dscp
     return 0
 
 
