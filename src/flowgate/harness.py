@@ -24,7 +24,7 @@ from flowgate.packet import (
 )
 from flowgate.pipelines import (
     BaselinePipeline,
-    Forwarded,
+    Forward,
     IntegratedPipeline,
     LookupAccounting,
     RouterConfig,
@@ -200,19 +200,19 @@ def make_pipeline(name: str, config: RouterConfig):
     raise ConfigError(f"unknown pipeline {name!r}")
 
 
-def run_pipeline(pipeline, packets: list[Packet]) -> tuple[list[Verdict], MetricsReport]:
-    """Replay a trace through a fresh pipeline instance.
+def run_pipeline(pipeline, packets: list[Packet]) -> tuple[list[Verdict | Forward], MetricsReport]:
+    """Replay a trace through `pipeline`, from whatever state it holds.
 
     Wall time wraps the packet loop only; parsing and setup are excluded.
     """
-    verdicts: list[Verdict] = []
+    verdicts: list[Verdict | Forward] = []
     append = verdicts.append
     process = pipeline.process
     start = time.perf_counter_ns()
     for packet in packets:
         append(process(packet, packet.ts))
     wall_ns = time.perf_counter_ns() - start
-    dropped = Counter(v.outcome for v in verdicts if type(v.outcome) is not Forwarded)
+    dropped = Counter(v.outcome for v in verdicts if type(v) is Verdict)
     # each LookupAccounting column summed over the run; no packets leave its zero defaults
     lookups = LookupAccounting(*map(sum, zip(*(v.lookups for v in verdicts))))
     return verdicts, MetricsReport(
@@ -221,17 +221,16 @@ def run_pipeline(pipeline, packets: list[Packet]) -> tuple[list[Verdict], Metric
     )
 
 
-def render_verdict(verdict: Verdict) -> str:
+def render_verdict(verdict: Verdict | Forward) -> str:
     """A forward's line is its route, then its packet as `render_trace_record` writes it."""
-    outcome = verdict.outcome
-    if type(outcome) is Forwarded:
-        route, ts, sid, tos, ttl, flags, payload_len = outcome
+    if type(verdict) is Forward:
+        route, ts, sid, tos, ttl, flags, payload_len, _ = verdict
         # `!r` writes a float or int ts as str() does, without float.__format__'s method call
         return f"forward {route.label} {ts!r} {sid.text} {FLAG_TEXT[flags]} {payload_len} {tos} {ttl}"
-    return f"drop {outcome}"
+    return f"drop {verdict.outcome}"
 
 
-def first_divergence(a: list[Verdict], b: list[Verdict]) -> int | None:
+def first_divergence(a: list[Verdict | Forward], b: list[Verdict | Forward]) -> int | None:
     """Index of the first observable difference, ignoring lookup accounting."""
     for index, (va, vb) in enumerate(zip(a, b)):
         if va.outcome != vb.outcome:
@@ -245,8 +244,8 @@ def first_divergence(a: list[Verdict], b: list[Verdict]) -> int | None:
 class ComparisonResult:
     equal: bool
     divergence_index: int | None
-    baseline_verdicts: list[Verdict]
-    integrated_verdicts: list[Verdict]
+    baseline_verdicts: list[Verdict | Forward]
+    integrated_verdicts: list[Verdict | Forward]
     baseline_report: MetricsReport
     integrated_report: MetricsReport
 

@@ -79,7 +79,7 @@ class LookupAccounting(NamedTuple):
 
 # NamedTuples, the cheapest immutable values that compare and hash by field
 class Forwarded(NamedTuple):
-    """A forward's route, then its emitted packet's fields in `Packet`'s order: one tuple, not two."""
+    """What `Forward.outcome` rebuilds: the route, then the emitted packet's fields in order."""
 
     route: RouteEntry  # the next hop and iface, as the routing table holds them
     ts: float
@@ -91,8 +91,28 @@ class Forwarded(NamedTuple):
 
 
 class Verdict(NamedTuple):
-    outcome: Forwarded | str
+    """A drop: its reason, then the packet's lookups."""
+
+    outcome: str
     lookups: LookupAccounting
+
+
+class Forward(NamedTuple):
+    """A forward's verdict: `Forwarded`'s fields, then the packet's lookups, in one tuple."""
+
+    route: RouteEntry
+    ts: float
+    sid: SessionId
+    tos: int
+    ttl: int
+    flags: int
+    payload_len: int
+    lookups: LookupAccounting
+
+    @property
+    def outcome(self) -> Forwarded:
+        """What the forward emits, as observers compare it; per-packet code never reads it."""
+        return _new(Forwarded, self[:7])
 
 
 @dataclass(slots=True)
@@ -147,7 +167,7 @@ def _slow_drop(outcome: str, nat_l: int, sess_l: int, rules_s: int) -> Verdict:
 
 def _forward(
     packet: Packet, sid: SessionId, dscp: int, route: RouteEntry | None, acct: LookupAccounting
-) -> Verdict:
+) -> Verdict | Forward:
     """The egress step both pipelines share: NoRoute, then TTL, then the rewritten packet."""
     if route is None:
         return _new(Verdict, (NO_ROUTE, acct))
@@ -155,8 +175,7 @@ def _forward(
     ttl -= 1
     if ttl == 0:
         return _new(Verdict, (TTL_EXPIRED, acct))
-    forward = _new(Forwarded, (route, ts, sid, merge_dscp(tos, dscp), ttl, flags, payload_len))
-    return _new(Verdict, (forward, acct))
+    return _new(Forward, (route, ts, sid, merge_dscp(tos, dscp), ttl, flags, payload_len, acct))
 
 
 class _Pipeline:
@@ -172,7 +191,7 @@ class _Pipeline:
 
     def _first_packet(
         self, packet: Packet, sid: SessionId, now: float, lan_to_lan: bool
-    ) -> Verdict:
+    ) -> Verdict | Forward:
         """The miss: rules, opening state, capacity, then the pool; `_open` builds what passes."""
         cfg = self.config
         self.session_misses += 1
@@ -227,7 +246,7 @@ class BaselinePipeline(_Pipeline):
         self.state_table = StateTable(config.capacity, config.timeouts)
         super().__init__(config, self.state_table, self.nat_table)
 
-    def process(self, packet: Packet, now: float | None = None) -> Verdict:
+    def process(self, packet: Packet, now: float | None = None) -> Verdict | Forward:
         """Run one packet through the multi-table flow.
 
         Per packet, in order: NAT table lookup (inbound miss drops right
@@ -287,14 +306,14 @@ class BaselinePipeline(_Pipeline):
             packet, sid, classify(cfg.qos, flow), cfg.routes.lookup(flow.src_addr), acct
         )
 
-    def _open(self, packet, sid, state, expiry, gwy, acct) -> Verdict:
+    def _open(self, packet, sid, state, expiry, gwy, acct) -> Verdict | Forward:
         """Insert a flow's state entry and, unless LAN to LAN, its mapping if its packet leaves."""
         lan, lan_port, ext, ext_port, proto = sid
         mapping = None if gwy is None else NatMapping(
             lan, lan_port, *gwy, ext, ext_port, proto, expiry
         )
         verdict = self._outbound_egress(packet, sid, mapping, acct)
-        if type(verdict.outcome) is Forwarded:
+        if type(verdict) is Forward:
             if mapping is not None:
                 self.nat_table.insert(mapping)
             self.state_table.insert(StateEntry(sid, proto, state, expiry))
@@ -302,7 +321,7 @@ class BaselinePipeline(_Pipeline):
 
     def _outbound_egress(
         self, packet: Packet, sid: SessionId, mapping, acct: LookupAccounting
-    ) -> Verdict:
+    ) -> Verdict | Forward:
         """QoS and routing on the post-NAT five-tuple, repeated for every outbound packet."""
         cfg = self.config
         dscp = classify(cfg.qos, sid)
@@ -328,7 +347,7 @@ class IntegratedPipeline(_Pipeline):
         self.table = SessionTable(config.capacity, config.timeouts)
         super().__init__(config, self.table, self.table)
 
-    def process(self, packet: Packet, now: float | None = None) -> Verdict:
+    def process(self, packet: Packet, now: float | None = None) -> Verdict | Forward:
         if now is None:
             now = packet.ts
         sid = packet.sid
@@ -360,7 +379,7 @@ class IntegratedPipeline(_Pipeline):
             return _new(Verdict, (STATE_VIOLATION, acct))
         return _forward(packet, entry.in_sid, entry.dscp, entry.lan_route, acct)
 
-    def _open(self, packet, sid, state, expiry, gwy, acct) -> Verdict:
+    def _open(self, packet, sid, state, expiry, gwy, acct) -> Verdict | Forward:
         """Classify a flow, look up both directions' routes, and insert its entry if it leaves."""
         cfg = self.config
         lan, lan_port, ext_addr, ext_port, proto = sid
@@ -372,6 +391,6 @@ class IntegratedPipeline(_Pipeline):
             state, expiry, dscp, ext_route, cfg.routes.lookup(lan),
         )
         verdict = _forward(packet, entry.out_sid, dscp, ext_route, acct)
-        if type(verdict.outcome) is Forwarded:
+        if type(verdict) is Forward:
             self.table.insert(entry)
         return verdict

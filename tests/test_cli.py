@@ -15,7 +15,7 @@ from flowgate.cli import main
 from flowgate.harness import CSV_HEADER, DEFAULT_NAT
 from flowgate.nat import parse_nat_config
 from flowgate.packet import format_ip, load_trace, parse_ip
-from flowgate.pipelines import RULE_DENIED
+from flowgate.pipelines import RULE_DENIED, Verdict
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -63,7 +63,7 @@ def test_a_divergence_fails_compare_with_its_first_packet(tmp_path, capsys, monk
         def process(self, packet, now=None):
             verdict = super().process(packet, now)
             self.packets += 1
-            return verdict._replace(outcome=RULE_DENIED) if self.packets == 2 else verdict
+            return Verdict(RULE_DENIED, verdict.lookups) if self.packets == 2 else verdict
 
     monkeypatch.setattr(harness, "IntegratedPipeline", DeniesItsSecondPacket)
     trace_path = tmp_path / "trace.txt"

@@ -1,5 +1,7 @@
 """Trace generation, replay reports, and differential compare."""
 
+from pathlib import Path
+
 import pytest
 
 from conftest import make_config
@@ -35,6 +37,7 @@ from flowgate.packet import (
 from flowgate.pipelines import (
     TTL_EXPIRED,
     BaselinePipeline,
+    Forward,
     Forwarded,
     IntegratedPipeline,
     LookupAccounting,
@@ -293,23 +296,24 @@ def test_compare_reports_divergence_index():
     assert first_divergence(a, b[:-1]) == 3  # length mismatch counts as divergence
 
 
-def _forward_verdict(ttl: int = 63) -> Verdict:
+def _forward_verdict(ttl: int = 63) -> Forward:
     sid = SessionId(parse_ip("192.0.2.1"), 40000, parse_ip("198.51.100.9"), 80, TCP)
     packet = Packet(0.5, sid, tos=184, ttl=ttl, flags=SYN | ACK, payload_len=64)
     route = RouteEntry(Cidr.parse("0.0.0.0/0"), parse_ip("203.0.113.1"), "wan")
-    return Verdict(Forwarded(route, *packet), LookupAccounting(1, 1))
+    return Forward(route, *packet, LookupAccounting(1, 1))
 
 
 def test_value_types_keep_their_fields_and_defaults():
     assert Packet._fields == ("ts", "sid", "tos", "ttl", "flags", "payload_len")
     assert Forwarded._fields == ("route", "ts", "sid", "tos", "ttl", "flags", "payload_len")
+    assert Forward._fields == (*Forwarded._fields, "lookups")
     assert Verdict._fields == ("outcome", "lookups")
     assert LookupAccounting._fields == (
         "nat_lookups", "session_lookups", "rule_evals", "rules_scanned",
         "qos_classifications", "route_lookups",
     )
     assert LookupAccounting._field_defaults == dict.fromkeys(LookupAccounting._fields, 0)
-    for kind in (Packet, Forwarded, Verdict):
+    for kind in (Packet, Forwarded, Forward, Verdict):
         assert kind._field_defaults == {}
     assert LookupAccounting(1, 2, 3, 99, 4, 5).total_consultations() == 15
 
@@ -347,7 +351,7 @@ def test_a_forward_holds_its_emitted_packets_fields():
 def test_render_verdict_writes_the_timestamp_as_the_trace_record_does(ts):
     out = _forward_verdict().outcome
     packet = Packet(*out[1:])._replace(ts=ts)
-    verdict = Verdict(Forwarded(out.route, *packet), LookupAccounting())
+    verdict = Forward(out.route, *packet, LookupAccounting())
     assert render_verdict(verdict) == f"forward {out.route.label} {render_trace_record(packet)}"
 
 
@@ -397,3 +401,29 @@ def test_render_verdict_matches_formatting_the_route_each_time():
                 assert render_verdict(verdict) == want
                 verdicts += 1
     assert verdicts > 20_000
+
+
+def test_a_forward_is_its_forwarded_then_its_lookups():
+    """`outcome` rebuilds the `Forwarded` that observers compare, and the line renders from it."""
+    tests = Path(__file__).resolve().parent
+    config = make_config(**{
+        name: (tests.parent / "configs" / f"{name}.txt").read_text()
+        for name in ("rules", "routes", "nat", "qos")
+    })
+    lan_peer = (PEERS[0], parse_ip("10.0.0.9"))
+    gen = generate_packets(spec(sessions=40, packets_per_session=12, tcp_fraction=0.5, peers=lan_peer))
+    drops = load_trace((tests / "drops-trace.txt").read_text())
+    forwards = 0
+    for packets in (gen, drops):
+        for pipe in (BaselinePipeline(config), IntegratedPipeline(config)):
+            for verdict in map(pipe.process, packets):
+                if type(verdict) is not Forward:
+                    continue
+                out = verdict.outcome
+                assert type(out) is Forwarded and out == Forwarded(*verdict[:7])
+                assert verdict.lookups is verdict[7]
+                route, *packet = out
+                hop = f"{format_ip(route.next_hop)} {route.iface}"
+                assert render_verdict(verdict) == f"forward {hop} {render_trace_record(Packet(*packet))}"
+                forwards += 1
+    assert forwards > 900

@@ -14,7 +14,8 @@ tests keep one from coming back unseen.
 
 Each object a packet leaves tracked by the cyclic GC costs its allocation and
 is walked again by every collection that sees it, so a forwarded hit keeps
-only the two it must: its `Verdict` and the `Forwarded` in it.
+only the one it must: its `Forward`, which holds the emitted packet's fields
+and its lookups in one tuple.
 """
 
 import dis
@@ -27,7 +28,7 @@ import pytest
 from flowgate import filters, harness, nat, packet, pipelines, qos, session_table
 from flowgate.matchers import Policy
 from flowgate.packet import SessionId
-from flowgate.pipelines import BaselinePipeline, Forwarded, IntegratedPipeline, LookupAccounting
+from flowgate.pipelines import BaselinePipeline, Forward, IntegratedPipeline, LookupAccounting
 from flowgate.routing import RoutingTable
 from flowgate.session_table import SessionState
 
@@ -157,7 +158,7 @@ def test_the_call_check_sees_what_it_forbids():
 
 
 @pytest.mark.parametrize("kind", [BaselinePipeline, IntegratedPipeline])
-def test_a_forwarded_hit_keeps_two_gc_tracked_objects(kind):
+def test_a_forwarded_hit_keeps_one_gc_tracked_object(kind):
     pipe = kind(make_config())
     flows = [pkt(f"0.0 udp 10.0.0.{host}:1000 8.8.8.8:53 - 0 64") for host in range(1, 5)]
     for p in flows:  # open each flow, so every later packet of it is a session hit
@@ -173,5 +174,5 @@ def test_a_forwarded_hit_keeps_two_gc_tracked_objects(kind):
         grown = len(gc.get_objects()) - before
     finally:
         gc.enable()
-    assert all(type(v.outcome) is Forwarded for v in kept)
-    assert grown == 2 * len(hits), grown / len(hits)
+    assert all(type(v) is Forward for v in kept)
+    assert grown == len(hits), grown / len(hits)

@@ -7,6 +7,13 @@ counts need no timing harness, and two counts of one slice are equal. They
 differ between interpreter versions, so they are printed (`pytest -s`) and
 not pinned. A C call counts as one instruction, so dict probes and `heapify`
 do not show here.
+
+Consultations, the paper's unit, are exact on every interpreter, so their
+curve by flow length is pinned to its closed form: a flow of n packets costs
+the baseline 4n + 1 (its first packet adds a rule evaluation to the four
+tables every packet consults) and the integrated pipeline n + 5 (its first
+packet adds a rule evaluation, a NAT allocation, a classification and both
+directions' routes to its one session lookup).
 """
 
 import sys
@@ -16,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from flowgate.cli import main
-from flowgate.harness import make_pipeline
+from flowgate.harness import make_pipeline, run_pipeline
 from flowgate.packet import load_trace
 
 from conftest import make_config
@@ -28,6 +35,9 @@ SLICES = {  # `gen` flags: long flows, short flows, and a peer inside the LAN
     "40x16-lan-peer": ["--sessions", "40", "--packets-per-session", "16", "--peers", "198.51.100.9,10.0.0.9"],
 }
 PIPELINES = ("baseline", "integrated")
+FLOW_SESSIONS = 50
+# consultations per flow of n packets, to WAN peers, with the shipped configs
+CLOSED_FORM = {"baseline": lambda n: 4 * n + 1, "integrated": lambda n: n + 5}
 
 
 def _count_instructions(run) -> int:
@@ -89,14 +99,19 @@ def _ops(name: str, packets) -> int:
     return _count_instructions(run) - _count_instructions(idle)
 
 
+def _gen(tmp_path_factory, label: str, flags: list[str]):
+    """The packets `flowgate gen` writes with these flags, its replies addressed by the shipped NAT."""
+    path = tmp_path_factory.mktemp("opcount") / f"{label}.txt"
+    assert main(["gen", *flags, "--nat", str(CONFIGS / "nat.txt"), "--out", str(path)]) == 0
+    return load_trace(path.read_text())
+
+
 @pytest.fixture(scope="module")
 def counts(tmp_path_factory):
     """Per slice: its packet count and, per pipeline, two counts of its instructions."""
     out = {}
     for label, flags in SLICES.items():
-        path = tmp_path_factory.mktemp("opcount") / f"{label}.txt"
-        assert main(["gen", *flags, "--nat", str(CONFIGS / "nat.txt"), "--out", str(path)]) == 0
-        packets = load_trace(path.read_text())
+        packets = _gen(tmp_path_factory, label, flags)
         out[label] = len(packets), {name: [_ops(name, packets) for _ in range(2)] for name in PIPELINES}
     return out
 
@@ -113,3 +128,17 @@ def test_integrated_runs_at_most_0_7x_the_baselines_ops_on_long_flows(counts):
     """On 256-packet flows nearly every packet is a hit: one table lookup against the chain's four."""
     _, by_pipeline = counts["8x256"]
     assert by_pipeline["integrated"][0] <= 0.7 * by_pipeline["baseline"][0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 64])
+def test_consultations_per_flow_take_their_closed_form(tmp_path_factory, n):
+    """`gen`'s flows of n packets to its WAN peers: every first packet is accepted, every later one hits."""
+    flags = ["--sessions", str(FLOW_SESSIONS), "--packets-per-session", str(n)]
+    packets = _gen(tmp_path_factory, f"{FLOW_SESSIONS}x{n}", flags)
+    per_packet = []
+    for name in PIPELINES:
+        verdicts, _ = run_pipeline(make_pipeline(name, _config()), packets)
+        consultations = sum(v.lookups.total_consultations() for v in verdicts)
+        per_packet.append(f"{name} {_ops(name, packets) / len(packets):.2f} ops/pkt")
+        assert consultations == FLOW_SESSIONS * CLOSED_FORM[name](n), (name, consultations / FLOW_SESSIONS)
+    print(f"\nCPython {sys.version.split()[0]}, {FLOW_SESSIONS}x{n}: {'  '.join(per_packet)}", end="")

@@ -64,6 +64,7 @@ from flowgate.pipelines import (
     NAT_EXHAUSTED,
     TABLE_FULL,
     BaselinePipeline,
+    Forward,
     Forwarded,
     IntegratedPipeline,
     RouterConfig,
@@ -258,14 +259,7 @@ def test_both_pipelines_agree_on_every_small_trace(name):
 
 def _normalised(verdicts: list) -> list:
     """Verdicts without the emitted packets' timestamps, which two paths may not share."""
-    return [
-        tuple(
-            v._replace(outcome=v.outcome._replace(ts=None))
-            if type(v.outcome) is Forwarded else v
-            for v in pair
-        )
-        for pair in verdicts
-    ]
+    return [tuple(v._replace(ts=None) if type(v) is Forward else v for v in pair) for pair in verdicts]
 
 
 @pytest.mark.parametrize("name", list(SCOPES))
